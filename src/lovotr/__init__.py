@@ -1,9 +1,13 @@
 """Derivative-free trust-region minimization of the pointwise minimum of
 several black-box functions (low order-value optimization) over a box.
 
-The public surface:
+The top-level names are what a caller needs to state a problem, solve it,
+generate the shipped test sets and run a benchmark campaign, together with
+what ``solve`` and ``run_campaign`` hand back: results, the evaluation
+ledger, per-iteration outcomes, traces and the errors a run can raise.  The
+layers underneath stay importable from their modules:
 
-* :mod:`lovotr.problem` -- problem containers, projection, metered oracles;
+* :mod:`lovotr.problem` -- problem containers, metered oracles, JSON files;
 * :mod:`lovotr.model` -- the linear interpolation model over n+1 points;
 * :mod:`lovotr.subproblem` -- trust-region and geometry steps on box-and-ball;
 * :mod:`lovotr.solver` -- the iteration loop, configuration and results;
@@ -20,50 +24,16 @@ from .bench import (
     run_campaign,
     summarize_simplex_gradients,
 )
-from .errors import (
-    BudgetExceededError,
-    GeometryError,
-    OracleError,
-    PointRejectedError,
-)
-from .model import (
-    LinearModel,
-    SampleSet,
-    build_model,
-    exchange_point,
-    initial_sample,
-    lagrange_polynomials,
-    model_stationarity,
-    rebuild_for_index,
-)
+from .errors import BudgetExceededError, GeometryError, OracleError
 from .problem import (
     ComponentOracle,
     EvalLedger,
     FeasibleBox,
     LovoProblem,
-    choose_imin,
-    eval_component,
-    eval_fmin,
     load_problem,
-    problem_from_dict,
-    problem_to_dict,
     save_problem,
 )
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    SolverState,
-    StepOutcome,
-    check_stopping,
-    iterate,
-    solve,
-)
-from .subproblem import (
-    altmov_linear,
-    check_sufficient_decrease,
-    select_target_for_altmov,
-    trsbox_linear,
-)
+from .solver import SolveResult, SolverConfig, StepOutcome, solve
 from .testsets import gen_hs, gen_mw, gen_qd, qd_instance, HS_CATALOG, MW_REGISTRY
 
 __version__ = "0.1.0"
@@ -76,44 +46,23 @@ __all__ = [
     "FeasibleBox",
     "GeometryError",
     "HS_CATALOG",
-    "LinearModel",
     "LovoProblem",
     "MW_REGISTRY",
     "OracleError",
-    "PointRejectedError",
     "RunTrace",
-    "SampleSet",
     "SolveResult",
     "SolverConfig",
-    "SolverState",
     "StepOutcome",
-    "altmov_linear",
-    "build_model",
-    "check_stopping",
-    "check_sufficient_decrease",
-    "choose_imin",
     "data_profile",
     "default_f_l",
     "emit",
-    "eval_component",
-    "eval_fmin",
-    "exchange_point",
     "gen_hs",
     "gen_mw",
     "gen_qd",
-    "initial_sample",
-    "iterate",
-    "lagrange_polynomials",
     "load_problem",
-    "model_stationarity",
-    "problem_from_dict",
-    "problem_to_dict",
     "qd_instance",
-    "rebuild_for_index",
     "run_campaign",
     "save_problem",
-    "select_target_for_altmov",
     "solve",
     "summarize_simplex_gradients",
-    "trsbox_linear",
 ]

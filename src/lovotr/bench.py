@@ -51,8 +51,7 @@ class RunTrace:
     metering: str
     budget: int
     f_x0: float
-    samples: list = field(default_factory=list)      # (t, f_best), certified
-    provisional: list = field(default_factory=list)  # (t, f), component upper bounds
+    samples: list = field(default_factory=list)  # (t, f_best), certified
     status: str = ""
     x_final: np.ndarray | None = None
     i_final: int = 1
@@ -83,16 +82,9 @@ def campaign_budget(problem: LovoProblem, n_max: int, budget_rule: str) -> int:
     raise ValueError(f"unknown budget rule {budget_rule!r}")
 
 
-def _trace_from_ledger(ledger: EvalLedger, metering: str):
-    certified = []
-    provisional = []
-    for point in ledger.trace:
-        t = point.t_fmin if metering == "fmin" else point.t_component
-        certified.append((t, point.value))
-    for point in ledger.provisional:
-        t = point.t_fmin if metering == "fmin" else point.t_component
-        provisional.append((t, point.value))
-    return certified, provisional
+def _trace_from_ledger(ledger: EvalLedger, metering: str) -> list:
+    return [(point.t_fmin if metering == "fmin" else point.t_component, point.value)
+            for point in ledger.trace]
 
 
 def run_campaign(problems: list, config: SolverConfig | None = None,
@@ -103,9 +95,9 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
     The solver is halted at the budget (a trailing full evaluation may
     overshoot a component budget by at most ``r - 1`` single evaluations).  A
     run that dies on an oracle or geometry failure keeps its trace up to the
-    failure, with the exception recorded in ``status``.  ``sample_log`` is the
-    solver's per-iteration debug hook, called here as
-    ``sample_log(problem_name, k, sample)``.
+    failure, with ``status`` set to ``error:TypeName: message`` for the
+    exception that ended it.  ``sample_log`` is the solver's per-iteration
+    debug hook, called here as ``sample_log(problem_name, k, sample)``.
     """
     if budget_rule not in BUDGET_RULES:
         raise ValueError(f"unknown budget rule {budget_rule!r}")
@@ -124,14 +116,14 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
             status = result.status
             x_final, i_final = result.x_final, result.i_final
         except Exception as exc:  # failed run: keep the partial trace
-            status = f"error:{type(exc).__name__}"
+            status = f"error:{type(exc).__name__}: {exc}"
             x_final, i_final = None, 1
-        certified, provisional = _trace_from_ledger(ledger, budget_rule)
+        certified = _trace_from_ledger(ledger, budget_rule)
         trace = RunTrace(
             problem_name=problem.name, n_p=problem.n, r_p=problem.r,
             metering=budget_rule, budget=budget,
             f_x0=certified[0][1] if certified else math.inf,
-            samples=certified, provisional=provisional, status=status,
+            samples=certified, status=status,
             x_final=x_final, i_final=i_final,
         )
         traces.append(trace)

@@ -99,19 +99,25 @@ def _cmd_bench_profile(args) -> int:
 
 
 def _read_profile_csv(path) -> bench.DataProfile:
+    """The profile a CSV holds; its rows list only the solved problems.
+
+    The last row's solved fraction is (rows / problems), which gives back the
+    number of problems; an empty profile has none solved out of none.
+    """
     kappas = []
     tau = math.nan
+    fraction = 1.0
     with open(path) as fh:
         header = fh.readline()
         if header.strip() != "tau,kappa,solved_fraction":
             raise SystemExit(f"{path} is not a profile CSV")
         for line in fh:
-            tau_text, kappa_text, _ = line.strip().split(",")
+            tau_text, kappa_text, fraction_text = line.strip().split(",")
             tau = float(tau_text)
             kappas.append(float(kappa_text))
-    n = len(kappas)
+            fraction = float(fraction_text)
     return bench.DataProfile(
-        tau=tau, n_problems=n,
+        tau=tau, n_problems=round(len(kappas) / fraction),
         solve_kappas={f"p{idx}": k for idx, k in enumerate(kappas)},
     )
 

@@ -43,9 +43,6 @@ class LinearModel:
         x = as_vector(x, n=self.base.size)
         return self.b + float(self.g @ (x - self.base))
 
-    def value_at_step(self, d) -> float:
-        return self.b + float(self.g @ as_vector(d, n=self.base.size, name="d"))
-
 
 @dataclass
 class AffineFunction:

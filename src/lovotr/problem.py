@@ -66,11 +66,6 @@ class FeasibleBox:
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
 
-def project(box: FeasibleBox, x) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto ``box``."""
-    return box.project(x)
-
-
 @dataclass
 class ComponentOracle:
     """One black-box component: a 1-based index and its evaluation function.
@@ -145,10 +140,10 @@ class EvalLedger:
     """Evaluation accounting for one solver run.
 
     Counts per-component evaluations and full objective evaluations, enforces
-    an optional budget, and records two traces of best values seen so far:
-    ``trace`` holds certified objective values (known values of the pointwise
-    minimum), ``provisional`` additionally folds in single-component values,
-    which are upper bounds on the objective at the queried point.
+    an optional budget, and records ``trace``, the running best of the
+    certified objective values (known values of the pointwise minimum).  A
+    single-component value of a multi-component problem only bounds the
+    objective from above and is not recorded.
 
     ``metering`` selects the budget unit: ``"component"`` caps the total number
     of component evaluations, ``"fmin"`` caps the number of full objective
@@ -163,7 +158,6 @@ class EvalLedger:
     component_evals: np.ndarray = field(init=False)
     fmin_evals: int = field(init=False, default=0)
     trace: list = field(init=False, default_factory=list)
-    provisional: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.r < 1:
@@ -199,17 +193,11 @@ class EvalLedger:
     def best_certified(self) -> float:
         return self.trace[-1].value if self.trace else np.inf
 
-    @property
-    def best_provisional(self) -> float:
-        return self.provisional[-1].value if self.provisional else np.inf
-
-    def note_value(self, value: float, certified: bool):
-        """Record ``value`` in the traces if it improves the running best."""
-        point = TracePoint(self.total_component_evals, self.fmin_evals, float(value))
-        if certified and value < self.best_certified:
-            self.trace.append(point)
-        if value < min(self.best_provisional, self.best_certified):
-            self.provisional.append(point)
+    def note_value(self, value: float):
+        """Record the certified ``value`` in the trace if it improves the running best."""
+        if value < self.best_certified:
+            self.trace.append(
+                TracePoint(self.total_component_evals, self.fmin_evals, float(value)))
 
 
 class FminResult(NamedTuple):
@@ -236,17 +224,16 @@ def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float
         raise OracleError(i, xp, value)
     if problem.r == 1:
         ledger.fmin_evals += 1
-        ledger.note_value(value, certified=True)
+        ledger.note_value(value)
     return value
 
 
-def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x, tie_tol: float = 0.0) -> FminResult:
+def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> FminResult:
     """Evaluate all components at ``x`` and identify the active set.
 
     Charges ``r`` component evaluations and one full objective evaluation to
     the ledger.  Ties in the active set are identified by exact floating-point
-    equality unless a nonnegative absolute ``tie_tol`` is supplied for noisy
-    oracles (off by default).
+    equality.
     """
     xp = problem.box.project(x)
     ledger._charge_fmin()
@@ -257,8 +244,8 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x, tie_tol: float = 0.0)
             raise OracleError(comp.index, xp, v)
         values[comp.index - 1] = v
     value = float(values.min())
-    active = frozenset(int(i) + 1 for i in np.nonzero(values <= value + tie_tol)[0])
-    ledger.note_value(value, certified=True)
+    active = frozenset(int(i) + 1 for i in np.nonzero(values == value)[0])
+    ledger.note_value(value)
     return FminResult(value, active, values)
 
 

@@ -29,9 +29,12 @@ default the reduction ratio is estimated from the working component alone (a
 certified underestimate) for up to ``nrhomax`` consecutive candidate
 evaluations before a full evaluation is forced.  Sample maintenance is
 single-point exchange: productive trust-region points enter the sample
-directly, anything else triggers a geometry-improvement step.  Index swaps
+directly, anything else triggers one geometry step (``_geometry_step``), which
+resamples the point farthest from the base.  The same step repairs a stale
+sample and replaces a trust-region step too short to evaluate.  Index swaps
 rebuild the sample values for the new component at the unchanged point
-locations (n+1 evaluations).
+locations (n+1 evaluations).  Every iteration reports a :class:`StepOutcome`
+built from the committed state by ``_outcome``.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ class SolverConfig:
 
     The thresholds follow common trust-region practice and are configuration,
     not contract; ``beta = 1``, ``delta_min = 1e-8`` and ``nrhomax = 3`` are
-    the tuned defaults.  ``maxalt`` and ``maxcrit`` default to n when left as
-    None.  ``budget`` caps the total number of component evaluations.
+    the tuned defaults.  ``maxcrit`` is derived from n and the radii when left
+    as None.  ``budget`` caps the total number of component evaluations.
     """
 
     beta: float = 1.0
@@ -106,10 +109,8 @@ class SolverConfig:
     Gamma_max: int = 3
     nrhomax: int = 3
     delta_min: float = 1e-8
-    maxalt: int | None = None
     maxcrit: int | None = None
     budget: int | None = None
-    theta_diag: float = 0.01
     use_cheap_rho: bool = True
 
     def __post_init__(self):
@@ -127,11 +128,6 @@ class SolverConfig:
             raise ValueError("nrhomax must be at least 1")
         if not self.delta_min > 0:
             raise ValueError("delta_min must be positive")
-        if not self.theta_diag > 0:
-            raise ValueError("theta_diag must be positive")
-
-    def maxalt_for(self, n: int) -> int:
-        return self.maxalt if self.maxalt is not None else n
 
     def maxcrit_for(self, n: int) -> int:
         # The stationarity measure is frozen while consecutive criticality
@@ -166,26 +162,30 @@ class SolverState:
 
 @dataclass
 class StepOutcome:
-    """Snapshot of one iteration, sufficient to replay the radii state machine."""
+    """Snapshot of one iteration, sufficient to replay the radii state machine.
 
-    k: int
+    The fields after ``evals_total`` describe the trust-region candidate and
+    keep their "no candidate" defaults when none was evaluated.
+    """
+
     kind: str
-    rho: float
-    rho_hat: float
-    rho_defined: bool     # a trust-region candidate was evaluated
-    rho_was_cheap: bool
-    index_swapped: bool
-    d: np.ndarray
-    full_length: bool
-    adjusted: bool
-    radii_frozen: bool    # geometry iteration that left both radii unchanged
     pi: float
+    d: np.ndarray
     delta: float          # post-update sample radius
     Delta: float          # post-update trust-region radius
     Gamma: int
     index: int
     fx: float
     evals_total: int
+    k: int = -1           # set by solve
+    rho: float = 0.0
+    rho_hat: float = 0.0
+    rho_defined: bool = False    # a trust-region candidate was evaluated
+    rho_was_cheap: bool = False
+    index_swapped: bool = False
+    full_length: bool = False
+    adjusted: bool = False
+    radii_frozen: bool = False   # geometry iteration that left both radii unchanged
 
     def record(self) -> dict:
         return {
@@ -214,13 +214,10 @@ class SolveResult:
     i_final: int = 1
     problem_name: str = ""
 
-    def history_records(self) -> list:
-        return [outcome.record() for outcome in self.history]
-
     def write_history_jsonl(self, path):
         with open(path, "w") as fh:
-            for rec in self.history_records():
-                fh.write(json.dumps(rec, sort_keys=True))
+            for outcome in self.history:
+                fh.write(json.dumps(outcome.record(), sort_keys=True))
                 fh.write("\n")
 
 
@@ -274,41 +271,61 @@ def _repair_cap(n: int) -> int:
     return 2 * n
 
 
+def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
+             **candidate) -> StepOutcome:
+    """The committed iteration's snapshot; ``candidate`` holds the trial fields."""
+    return StepOutcome(
+        kind=kind, pi=pi, d=np.asarray(d, dtype=float).copy(), delta=state.delta,
+        Delta=state.Delta, Gamma=state.Gamma, index=state.i, fx=state.fx,
+        evals_total=ledger.total_component_evals, **candidate,
+    )
+
+
+def _geometry_step(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
+                   stale: bool):
+    """Resample one point of the sample within ``delta`` of the base.
+
+    The target is the point farthest from the base.  On stale geometry it is
+    overwritten in place (the base never moves); otherwise the new point goes
+    through the sample exchange.  Returns the geometry step and whether its
+    point entered the sample.
+    """
+    target = select_target_for_altmov(state.sample)
+    d_alt, flat = altmov_linear(state.sample, problem.box, state.delta, target)
+    if flat:
+        return d_alt, False
+    x_alt = problem.box.project(state.sample.base + d_alt)
+    f_alt = eval_component(problem, ledger, state.i, x_alt)
+    try:
+        if stale:
+            replace_point(state.sample, target, x_alt, f_alt)
+        else:
+            exchange_point(state.sample, x_alt, f_alt)
+    except PointRejectedError:
+        _log.debug("geometry point rejected by the sample exchange")
+        return d_alt, False
+    return d_alt, True
+
+
 def _geometry_iteration(state: SolverState, problem: LovoProblem,
                         config: SolverConfig, ledger: EvalLedger,
                         pi: float, stale: bool) -> StepOutcome:
-    """Geometry-improvement iteration: one sample point is resampled.
+    """Geometry-improvement iteration without a trust-region candidate.
 
     On stale geometry the farthest point is forcibly replaced and the radii
     stay put (repair work carries no evidence about the radii); on fresh
     geometry there is nothing left to repair at this scale, so both radii
-    shrink instead.  State is only mutated once every fallible operation has
-    succeeded, so a run recovering from a mid-iteration failure never sees a
+    shrink instead.  The state is only committed once the model is rebuilt,
+    so a run recovering from a mid-iteration failure never sees a
     half-applied iteration.
     """
-    box = problem.box
-    target = select_target_for_altmov(state.sample)
-    d_alt, flat = altmov_linear(state.sample, box, state.delta, target)
-    repaired = False
-    if not flat:
-        x_alt = box.project(state.sample.base + d_alt)
-        f_alt = eval_component(problem, ledger, state.i, x_alt)
-        if problem.r > 1:
-            ledger.note_value(f_alt, certified=False)
-        try:
-            if stale:
-                replace_point(state.sample, target, x_alt, f_alt)
-            else:
-                exchange_point(state.sample, x_alt, f_alt)
-            repaired = True
-        except PointRejectedError:
-            _log.debug("geometry point rejected by the sample exchange")
+    d_alt, placed = _geometry_step(state, problem, ledger, stale)
     model = build_model(state.sample)
 
     # commit; frozen repairs are gate maintenance, not the "no further
     # improvement" iterations the stall counter watches, so they age their
     # own streak instead
-    frozen = stale and repaired
+    frozen = stale and placed
     state.model = model
     state.x = state.sample.base.copy()
     state.fx = float(state.sample.values[0])
@@ -319,14 +336,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem,
         state.repair_streak = 0
         state.consec_alt += 1
     state.consec_crit = 0
-    return StepOutcome(
-        k=-1, kind=KIND_ALTMOV, rho=0.0, rho_hat=0.0, rho_defined=False,
-        rho_was_cheap=False, index_swapped=False,
-        d=np.asarray(d_alt, dtype=float).copy(), full_length=False,
-        adjusted=False, radii_frozen=frozen, pi=pi, delta=state.delta,
-        Delta=state.Delta, Gamma=state.Gamma, index=state.i, fx=state.fx,
-        evals_total=ledger.total_component_evals,
-    )
+    return _outcome(state, ledger, KIND_ALTMOV, pi, d_alt, radii_frozen=frozen)
 
 
 def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
@@ -342,13 +352,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         state.consec_crit += 1
         state.consec_alt = 0
         state.repair_streak = 0
-        return StepOutcome(
-            k=-1, kind=KIND_CRITICALITY, rho=0.0, rho_hat=0.0, rho_defined=False,
-            rho_was_cheap=False, index_swapped=False, d=np.zeros(problem.n),
-            full_length=False, adjusted=False, radii_frozen=False, pi=pi,
-            delta=state.delta, Delta=state.Delta, Gamma=state.Gamma,
-            index=state.i, fx=state.fx, evals_total=ledger.total_component_evals,
-        )
+        return _outcome(state, ledger, KIND_CRITICALITY, pi, np.zeros(problem.n))
 
     # --- geometry gate: after a poor reduction ratio, a sample point far
     # outside the trust region is the usual culprit; repair before stepping
@@ -369,8 +373,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         # Short or non-descending steps are not worth an evaluation.
         return _geometry_iteration(state, problem, config, ledger, pi, stale=False)
 
-    if not check_sufficient_decrease(state.model, d, pi, state.Delta,
-                                     config.theta_diag):
+    if not check_sufficient_decrease(state.model, d, pi, state.Delta):
         _log.warning("trust-region step failed the sufficient-decrease "
                      "diagnostic (pi=%.3e, Delta=%.3e)", pi, state.Delta)
     x_new = box.project(state.x + d)
@@ -391,7 +394,6 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         assert rho_hat <= rho
     else:
         f_insert = eval_component(problem, ledger, state.i, x_new)
-        ledger.note_value(f_insert, certified=False)
         rho = rho_hat = (state.fx - f_insert) / predicted
         cheap = True
 
@@ -423,8 +425,6 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # --- sample maintenance: insert the productive trust-region point, or
     # take a geometry-improvement step within the sample radius.
     inserted = False
-    did_altmov = False
-    d_step = d
     if rho > 0.0:
         try:
             exchange_point(state.sample, x_new, f_insert)
@@ -443,19 +443,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
             # ride on another component's decrease).
             promote_to_base(state.sample, row)
     if not inserted:
-        target = select_target_for_altmov(state.sample)
-        d_alt, flat = altmov_linear(state.sample, box, state.delta, target)
-        if not flat:
-            x_alt = box.project(state.sample.base + d_alt)
-            f_alt = eval_component(problem, ledger, state.i, x_alt)
-            if problem.r > 1:
-                ledger.note_value(f_alt, certified=False)
-            try:
-                exchange_point(state.sample, x_alt, f_alt)
-            except PointRejectedError:
-                _log.debug("geometry point rejected by the sample exchange")
-        did_altmov = True
-        d_step = d_alt
+        d, _ = _geometry_step(state, problem, ledger, stale=False)
         swapped = False
         i_next = state.i
 
@@ -475,7 +463,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     state.x = state.sample.base.copy()
     state.fx = float(state.sample.values[0])
     _update_radii(state, radii_factor, radii_factor, config)
-    if did_altmov:
+    if not inserted:
         kind = KIND_ALTMOV
         state.consec_alt += 1
     else:
@@ -491,14 +479,9 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     if state.delta > state.Delta:
         _log.warning("sample radius %.3e exceeds trust-region radius %.3e",
                      state.delta, state.Delta)
-    return StepOutcome(
-        k=-1, kind=kind, rho=rho, rho_hat=rho_hat, rho_defined=True,
-        rho_was_cheap=cheap, index_swapped=swapped,
-        d=np.asarray(d_step, dtype=float).copy(), full_length=full_length,
-        adjusted=adjusted, radii_frozen=False, pi=pi,
-        delta=state.delta, Delta=state.Delta, Gamma=state.Gamma,
-        index=state.i, fx=state.fx, evals_total=ledger.total_component_evals,
-    )
+    return _outcome(state, ledger, kind, pi, d, rho=rho, rho_hat=rho_hat,
+                    rho_defined=True, rho_was_cheap=cheap, index_swapped=swapped,
+                    full_length=full_length, adjusted=adjusted)
 
 
 def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfig,
@@ -509,10 +492,9 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
     delta_min)``: ``delta_min`` while ``|fx|`` is below about 45, and
     ``0.1 * sqrt(eps * |fx|)`` above.  A run succeeds once the sample radius
     and the scaled stationarity measure are both at or below the floor.  It
-    stalls when both radii sit at the floor and the last ``maxalt``
-    iterations were geometry steps, taken because the trust-region step was
-    short, did not descend on the model, or raised the working component:
-    there is no room for improvement left in the sample at the smallest
+    stalls when both radii sit at the floor and the last n iterations were
+    geometry steps, taken because the trust-region step was short, did not
+    descend on the model, or raised the working component: there is no room for improvement left in the sample at the smallest
     radius where its values still resolve a gradient.  Long runs of
     consecutive criticality iterations (more than ``maxcrit``) and budget
     exhaustion terminate the run as safety valves.
@@ -524,7 +506,7 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
     if (
         state.delta <= floor
         and state.Delta <= floor
-        and state.consec_alt >= config.maxalt_for(problem.n)
+        and state.consec_alt >= problem.n
     ):
         return STATUS_STALLED
     if state.consec_crit > config.maxcrit_for(problem.n):

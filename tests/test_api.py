@@ -1,0 +1,54 @@
+"""The public surface: ``lovotr.__all__`` is what the README documents."""
+
+import re
+from pathlib import Path
+
+import lovotr
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+DOCUMENTED = [
+    "BudgetExceededError", "ComponentOracle", "DataProfile", "EvalLedger",
+    "FeasibleBox", "GeometryError", "HS_CATALOG", "LovoProblem", "MW_REGISTRY",
+    "OracleError", "RunTrace", "SolveResult", "SolverConfig", "StepOutcome",
+    "data_profile", "default_f_l", "emit", "gen_hs", "gen_mw", "gen_qd",
+    "load_problem", "qd_instance", "run_campaign", "save_problem", "solve",
+    "summarize_simplex_gradients",
+]
+
+
+def _section(heading):
+    start = README.index(heading + "\n")
+    end = README.find("\n##", start + len(heading))
+    return README[start:end if end >= 0 else None]
+
+
+def test_all_is_the_documented_list():
+    assert sorted(lovotr.__all__) == sorted(DOCUMENTED)
+    assert len(set(lovotr.__all__)) == len(lovotr.__all__)
+
+
+def test_readme_public_api_lists_exactly_all():
+    text = _section("### Public API")
+    bullets = text[text.index("\n* "):text.index("\n\n", text.index("\n* "))]
+    listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", bullets)
+    assert sorted(listed) == sorted(lovotr.__all__)
+
+
+def test_every_name_resolves():
+    for name in lovotr.__all__:
+        assert getattr(lovotr, name) is not None, name
+
+
+def test_quick_start_runs_on_top_level_names():
+    text = _section("## Library quick start")
+    code = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    used = set(re.findall(r"\blovotr\.(\w+)", code))
+    assert used and used <= set(lovotr.__all__)
+    namespace = {"__name__": "quick_start"}
+    exec(compile(code, "README quick start", "exec"), namespace)
+    result = namespace["result"]
+    assert isinstance(result, lovotr.SolveResult)
+    assert result.status in ("success", "stalled", "budget_exhausted",
+                             "maxcrit_exceeded")
+    assert result.ledger.total_component_evals <= 2000 + 1

@@ -72,7 +72,8 @@ class TestRunCampaign:
             "bomb", [ComponentOracle(1, bomb)], FeasibleBox([0], [1]), [0.5]
         )
         traces = run_campaign([bad], SolverConfig())
-        assert traces[0].status.startswith("error:")
+        assert traces[0].status.startswith("error:OracleError: ")
+        assert "component 1 returned non-finite value nan" in traces[0].status
 
     def test_fmin_and_component_rules_coincide_for_single_component(self):
         problems = gen_qd(3, 1, seed=8, count=2)

@@ -1,5 +1,7 @@
 import json
+import math
 
+from lovotr.bench import DataProfile, emit, summarize_simplex_gradients
 from lovotr.cli import main
 from lovotr.problem import load_problem
 
@@ -61,3 +63,32 @@ def test_config_file_and_sample_dump(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert records and {"problem", "k", "points", "values",
                         "model_index", "condition_estimate"} <= set(records[0])
+
+
+def _table_rows(text):
+    lines = text.strip().splitlines()
+    assert lines[0] == "fraction,kappa"
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
+def test_table_counts_unsolved_problems(tmp_path, capsys):
+    # profile CSVs list only the solved problems: 2 of 4 here
+    profile = DataProfile(tau=1e-5, n_problems=4,
+                          solve_kappas={"a": 1.0, "b": 2.0, "c": None, "d": None})
+    fractions = [0.5, 0.75, 1.0]
+    expected = summarize_simplex_gradients(profile, fractions)
+    assert expected == [(0.5, 2.0), (0.75, math.inf), (1.0, math.inf)]
+    path = emit(profile, tmp_path / "profile.csv")
+    assert main(["bench", "table", "--profile", path,
+                 "--fractions", "0.5,0.75,1.0"]) == 0
+    assert _table_rows(capsys.readouterr().out) == expected
+
+
+def test_table_of_empty_profile_is_unreachable(tmp_path, capsys):
+    profile = DataProfile(tau=1e-5, n_problems=3,
+                          solve_kappas={"a": None, "b": None, "c": None})
+    path = emit(profile, tmp_path / "profile.csv")
+    assert main(["bench", "table", "--profile", path,
+                 "--fractions", "0.2,1.0"]) == 0
+    assert _table_rows(capsys.readouterr().out) == [(0.2, math.inf),
+                                                    (1.0, math.inf)]

@@ -128,12 +128,6 @@ class TestEvalFmin:
         assert ledger.fmin_evals == 1
         assert ledger.total_component_evals == 3
 
-    def test_tie_tolerance(self):
-        problem = make_problem([lambda x: 1.0, lambda x: 1.0 + 1e-9], [0], [1], [0.5])
-        assert eval_fmin(problem, EvalLedger(2), [0.5]).active == {1}
-        res = eval_fmin(problem, EvalLedger(2), [0.5], tie_tol=1e-8)
-        assert res.active == {1, 2}
-
 
 class TestChooseImin:
     def test_sticky(self):
@@ -164,23 +158,15 @@ class TestLedger:
     def test_trace_monotone(self):
         ledger = EvalLedger(2)
         ledger.component_evals[0] = 1
-        ledger.note_value(5.0, certified=True)
+        ledger.note_value(5.0)
         ledger.component_evals[0] = 3
-        ledger.note_value(7.0, certified=True)  # not an improvement
+        ledger.note_value(7.0)  # not an improvement
         ledger.component_evals[0] = 6
-        ledger.note_value(4.0, certified=True)
+        ledger.note_value(4.0)
         values = [p.value for p in ledger.trace]
         counts = [p.t_component for p in ledger.trace]
         assert values == [5.0, 4.0]
         assert counts == sorted(set(counts))
-
-    def test_provisional_tracks_upper_bounds(self):
-        ledger = EvalLedger(2)
-        ledger.note_value(5.0, certified=True)
-        ledger.note_value(4.5, certified=False)
-        ledger.note_value(4.8, certified=False)
-        assert ledger.best_certified == 5.0
-        assert ledger.best_provisional == 4.5
 
     def test_component_budget_enforced(self):
         problem = make_problem([lambda x: 1.0], [0], [1], [0.5])

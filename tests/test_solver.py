@@ -140,10 +140,49 @@ class TestIterationPhases:
             x=sample.base.copy(), i=1, delta=1.0, Delta=1.0, Gamma=0,
             fx=0.0, sample=sample, model=build_model(sample),
         )
+        before = ledger.total_component_evals
         outcome = iterate(state, problem, config, ledger)
         assert not outcome.index_swapped
         assert np.array_equal(state.x, [5.0, 5.0])
         assert state.delta == config.tau1  # failed step shrinks the radii
+        # the rejected candidate falls back to one geometry step
+        assert outcome.kind == "altmov" and outcome.rho_defined
+        assert ledger.total_component_evals - before == 2
+
+    def test_stale_sample_is_repaired_with_frozen_radii(self):
+        # after a poor ratio, a sample point beyond 2 * Delta is replaced
+        # before stepping again; the radii and the base stay put
+        problem = single_quadratic(2, [8, 8])
+        config = SolverConfig()
+        state, ledger = self.make_state(problem, config)
+        state.delta, state.Delta = 0.25, 0.4
+        state.model_doubted = True
+        points = state.sample.points.copy()
+        before = ledger.total_component_evals
+        outcome = iterate(state, problem, config, ledger)
+        assert outcome.kind == "altmov" and outcome.radii_frozen
+        assert not outcome.rho_defined
+        assert (state.delta, state.Delta) == (0.25, 0.4)
+        assert np.array_equal(state.x, points[0])
+        assert ledger.total_component_evals - before == 1
+        # both offsets lie 1 from the base; the tie goes to the last row
+        assert np.array_equal(state.sample.points[:2], points[:2])
+        assert not np.array_equal(state.sample.points[2], points[2])
+        assert np.linalg.norm(state.sample.points[2] - points[0]) <= 0.25
+
+    def test_short_step_shrinks_both_radii(self):
+        # the box clips the trust-region step to a quarter of Delta, which is
+        # not worth an evaluation: a geometry step on a fresh sample shrinks
+        comps = [ComponentOracle(1, lambda x: float(np.sum((np.asarray(x) - 20.0) ** 2)))]
+        problem = LovoProblem("corner", comps, FeasibleBox([0, 0], [10, 10]),
+                              [9.9, 9.9])
+        config = SolverConfig(delta0=0.1, Delta0=1.0)
+        state, ledger = self.make_state(problem, config)
+        outcome = iterate(state, problem, config, ledger)
+        assert outcome.kind == "altmov"
+        assert not outcome.rho_defined and not outcome.radii_frozen
+        assert state.delta == 0.1 * config.tau1
+        assert state.Delta == 1.0 * config.tau1
 
 
 class TestStopping:
