@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,7 +28,16 @@ def _load_config(path) -> SolverConfig:
     if path is None:
         return SolverConfig()
     with open(path) as fh:
-        return SolverConfig(**json.load(fh))
+        settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise SystemExit(f"{path}: expected a JSON object of solver settings")
+    unknown = sorted(set(settings) - {f.name for f in dataclasses.fields(SolverConfig)})
+    if unknown:
+        raise SystemExit(f"{path}: unknown solver setting(s): {', '.join(unknown)}")
+    try:
+        return SolverConfig(**settings)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def _cmd_gen_qd(args) -> int:
@@ -40,6 +50,8 @@ def _cmd_gen_qd(args) -> int:
 
 
 def _load_problems(directory) -> list:
+    if not os.path.isdir(directory):
+        raise SystemExit(f"problem directory {directory} does not exist")
     problems = []
     for name in sorted(os.listdir(directory)):
         if name.endswith(".problem.json"):
@@ -102,7 +114,9 @@ def _read_profile_csv(path) -> bench.DataProfile:
     """The profile a CSV holds; its rows list only the solved problems.
 
     The last row's solved fraction is (rows / problems), which gives back the
-    number of problems; an empty profile has none solved out of none.
+    number of problems; an empty profile has none solved out of none.  A CSV
+    whose rows carry more than one tau holds several profiles (``bench.emit``
+    of a dict writes them all into one file) and is refused.
     """
     kappas = []
     tau = math.nan
@@ -113,6 +127,10 @@ def _read_profile_csv(path) -> bench.DataProfile:
             raise SystemExit(f"{path} is not a profile CSV")
         for line in fh:
             tau_text, kappa_text, fraction_text = line.strip().split(",")
+            if kappas and float(tau_text) != tau:
+                raise SystemExit(f"{path} holds profiles at more than one tau "
+                                 f"({tau:g} and {float(tau_text):g}); "
+                                 "emit one profile per CSV")
             tau = float(tau_text)
             kappas.append(float(kappa_text))
             fraction = float(fraction_text)

@@ -3,21 +3,25 @@
 The sample set holds n+1 affinely independent feasible points, the first one
 being the base point (the solver's current iterate), together with the values
 of the working component there.  The determined linear model is obtained by
-solving the (n+1)x(n+1) interpolation system with rows ``[1, (y - base)^T]``
-through a QR factorization, which is retained on the sample set and reused for
-Lagrange-polynomial queries.  Factorizations are recomputed from scratch on
-every change: at the dimensions handled here (n <= 12 across the shipped test
-sets) the O(n^3) cost is irrelevant, and incremental updates are left as
-future work.
+solving the (n+1)x(n+1) interpolation system with rows ``[1, (y - base)^T]``.
+The sample set caches the inverse of that matrix together with its condition
+number, the ratio of its extreme singular values; the model coefficients and
+every Lagrange polynomial (the columns of the inverse) are read from the
+cache until the sample changes.  The inverse comes from a Householder QR
+factorization made by direct LAPACK calls: at n <= 12 the factorization itself
+takes microseconds and the generic scipy wrappers cost several times more.
+It is recomputed from scratch on every change; incremental updates are left
+as future work.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dtrtrs
 
 from .errors import GeometryError, PointRejectedError
 from .problem import as_vector, eval_component
@@ -111,17 +115,35 @@ class SampleSet:
         return self._factorize()[1]
 
     def _factorize(self):
-        """Inverse of the interpolation matrix via QR, with a condition estimate."""
+        """Cached ``(inverse, cond)`` of the interpolation matrix.
+
+        ``cond`` is the ratio of the largest to the smallest singular value
+        (``inf`` when the smallest is zero).  A matrix with a non-finite
+        entry, a condition number beyond ``CONDITION_LIMIT`` or a failed
+        LAPACK call raises ``GeometryError``.  The inverse is ``R^-1 Q^T``
+        from the QR factorization ``dgeqrf``/``dorgqr``; ``dtrtrs`` reads
+        only the upper triangle of the packed factor.
+        """
         if self._basis is None:
             m = self.interpolation_matrix()
-            cond = float(np.linalg.cond(m))
-            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            if not np.isfinite(m).all():
+                raise GeometryError("interpolation system has non-finite entries")
+            _, sv, _, info = dgesdd(m, compute_uv=0)
+            if info != 0:
+                raise GeometryError(f"SVD of the interpolation system failed ({info=})")
+            cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
+            if cond > CONDITION_LIMIT:
                 raise GeometryError(
                     f"interpolation system is numerically singular (cond={cond:.3e}); "
                     "the sample set needs a geometry-improvement step"
                 )
-            q, rmat = scipy.linalg.qr(m)
-            inv = scipy.linalg.solve_triangular(rmat, q.T)
+            qr, tau, _, info = dgeqrf(m)
+            if info == 0:
+                q, _, info = dorgqr(qr, tau)
+            if info == 0:
+                inv, info = dtrtrs(qr, q.T)
+            if info != 0:
+                raise GeometryError(f"QR of the interpolation system failed ({info=})")
             self._basis = (inv, cond)
         return self._basis
 

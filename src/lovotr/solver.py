@@ -158,6 +158,20 @@ class SolverState:
     consec_alt: int = 0
     repair_streak: int = 0       # consecutive frozen geometry repairs
     model_doubted: bool = False  # last evaluated step had a poor ratio
+    _pi: tuple = field(default=(None, 0.0), init=False, repr=False)
+
+    def stationarity(self, box) -> float:
+        """``model_stationarity`` of ``model``, computed once per model.
+
+        The value is kept with the model it belongs to, so ``check_stopping``
+        and the next ``iterate`` share it, and assigning a new model makes it
+        stale.
+        """
+        model, pi = self._pi
+        if model is not self.model:
+            pi = model_stationarity(self.model, box)
+            self._pi = (self.model, pi)
+        return pi
 
 
 @dataclass
@@ -343,7 +357,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
             ledger: EvalLedger) -> StepOutcome:
     """Run exactly one iteration, mutating ``state`` and ``ledger``."""
     box = problem.box
-    pi = model_stationarity(state.model, box)
+    pi = state.stationarity(box)
 
     # --- criticality phase: radii shrink, nothing is evaluated.
     if state.delta > config.beta * pi:
@@ -494,12 +508,13 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
     and the scaled stationarity measure are both at or below the floor.  It
     stalls when both radii sit at the floor and the last n iterations were
     geometry steps, taken because the trust-region step was short, did not
-    descend on the model, or raised the working component: there is no room for improvement left in the sample at the smallest
-    radius where its values still resolve a gradient.  Long runs of
-    consecutive criticality iterations (more than ``maxcrit``) and budget
-    exhaustion terminate the run as safety valves.
+    descend on the model, or raised the working component: there is no room
+    for improvement left in the sample at the smallest radius where its
+    values still resolve a gradient.  Long runs of consecutive criticality
+    iterations (more than ``maxcrit``) and budget exhaustion terminate the
+    run as safety valves.
     """
-    pi = model_stationarity(state.model, problem.box)
+    pi = state.stationarity(problem.box)
     floor = radius_floor(state.fx, config.delta_min)
     if state.delta <= floor and config.beta * pi <= floor:
         return STATUS_SUCCESS

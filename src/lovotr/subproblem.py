@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import GeometryError
-from .model import LinearModel, SampleSet, lagrange_polynomials
+from .model import LinearModel, SampleSet
 
 # ||d|| = Delta is tested with this relative slack; exact equality is
 # meaningless in floating point.
@@ -35,22 +35,21 @@ def _trace_projected_path(base, direction, box, radius) -> np.ndarray:
     ``||d(t)|| = radius``, or the path's limit point once all moving
     coordinates are pinned at their bounds.
     """
-    n = base.size
-    d = np.zeros(n)
-    moving = direction != 0.0
+    d = np.zeros(base.size)
+    v = direction.copy()  # velocity; a coordinate's entry is zeroed when it pins
 
     # Breakpoint of each coordinate: the t at which it reaches its bound.
-    t_break = np.full(n, np.inf)
-    up = moving & (direction > 0)
-    dn = moving & (direction < 0)
+    # Fixed coordinates get NaN, which sorts after every moving one, even one
+    # whose breakpoint overflowed to inf.
+    t_break = np.full(base.size, np.nan)
+    up = direction > 0
+    dn = direction < 0
     t_break[up] = (box.upper[up] - base[up]) / direction[up]
     t_break[dn] = (box.lower[dn] - base[dn]) / direction[dn]
 
-    order = [int(j) for j in np.argsort(t_break) if moving[j]]
     t_cur = 0.0
-    for j in order + [None]:
+    for j in np.argsort(t_break)[:np.count_nonzero(direction)].tolist() + [None]:
         t_next = math.inf if j is None else max(t_break[j], t_cur)
-        v = np.where(moving, direction, 0.0)
         a = float(v @ v)
         if a > 0.0 and t_next > t_cur:
             # First s with ||d + s v|| = radius on this segment.
@@ -71,12 +70,12 @@ def _trace_projected_path(base, direction, box, radius) -> np.ndarray:
             break
         # Pin the coordinate exactly at its bound.
         d[j] = (box.upper[j] if direction[j] > 0 else box.lower[j]) - base[j]
-        moving[j] = False
+        v[j] = 0.0
         t_cur = t_next
 
     # Roundoff guards: the endpoint must be feasible and inside the ball.
     d = np.clip(base + d, box.lower, box.upper) - base
-    norm = float(np.linalg.norm(d))
+    norm = math.sqrt(d @ d)
     if norm > radius:
         d *= radius / norm
     return d
@@ -133,7 +132,9 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int,
     both signed projected-gradient paths (the same construction as the
     trust-region step) and the better endpoint is returned; this is exact when
     the box is inactive and a two-endpoint heuristic once it clips.  Ties go to
-    the positive direction.
+    the positive direction.  The polynomial is column ``target_index`` of the
+    sample's cached inverse, or ``lagrange[target_index]`` when a list of
+    Lagrange polynomials is passed.
 
     Returns ``(d, flat)``; ``flat`` signals that both paths were clipped to
     zero length, so the sample cannot be improved within this radius.
@@ -142,18 +143,23 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int,
         raise ValueError(f"target index {target_index} outside 1..{sample.npt - 1}")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ell = (lagrange if lagrange is not None else lagrange_polynomials(sample))[target_index]
-    w = ell.grad
+    if lagrange is None:
+        inv, _ = sample._factorize()
+        c, w = float(inv[0, target_index]), inv[1:, target_index]
+    else:
+        c, w = lagrange[target_index].c, lagrange[target_index].grad
     if not np.any(w):
         raise GeometryError(
             f"Lagrange polynomial of point {target_index} has zero gradient; "
             "the sample set must be rebuilt"
         )
     base = sample.base
+
+    def weight(d):  # |l_target(base + d)|
+        return abs(c + float(w @ ((base + d) - base)))
+
     d_plus = _trace_projected_path(base, w, box, delta)
     d_minus = _trace_projected_path(base, -w, box, delta)
-    v_plus = abs(ell.value(base + d_plus))
-    v_minus = abs(ell.value(base + d_minus))
-    d = d_plus if v_plus >= v_minus else d_minus
+    d = d_plus if weight(d_plus) >= weight(d_minus) else d_minus
     flat = not (np.any(d_plus) or np.any(d_minus))
     return d, flat

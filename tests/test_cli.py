@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from lovotr.bench import DataProfile, emit, summarize_simplex_gradients
 from lovotr.cli import main
 from lovotr.problem import load_problem
@@ -92,3 +94,49 @@ def test_table_of_empty_profile_is_unreachable(tmp_path, capsys):
                  "--fractions", "0.2,1.0"]) == 0
     assert _table_rows(capsys.readouterr().out) == [(0.2, math.inf),
                                                     (1.0, math.inf)]
+
+
+def test_table_refuses_a_csv_of_several_profiles(tmp_path, capsys):
+    # emit writes every profile of a dict into one CSV with no tag column;
+    # read as one profile it would mix taus and counts
+    loose = DataProfile(tau=0.1, n_problems=4,
+                        solve_kappas={"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
+    tight = DataProfile(tau=1e-5, n_problems=4,
+                        solve_kappas={"a": 5.0, "b": None, "c": None, "d": None})
+    path = emit({"loose": loose, "tight": tight}, tmp_path / "profiles.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "table", "--profile", path, "--fractions", "0.25,0.5"])
+    message = str(exc.value)
+    assert "more than one tau" in message and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+def _one_problem(tmp_path):
+    problems = tmp_path / "problems"
+    main(["gen-qd", "--n", "2", "--r", "1", "--seed", "3",
+          "--count", "1", "--out", str(problems)])
+    return problems
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"nrhomax": 2, "maxalt": 5}, "maxalt"),
+    ({"tau1": 0.9, "tau2": 0.5}, "tau1"),
+], ids=["unknown-key", "bad-ordering"])
+def test_bad_config_exits_with_one_line(tmp_path, settings, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "--problems", str(_one_problem(tmp_path)),
+              "--config", str(cfg), "--out", str(tmp_path / "traces")])
+    message = str(exc.value)
+    assert named in message and str(cfg) in message and "\n" not in message
+    assert not (tmp_path / "traces").exists()
+
+
+def test_missing_problem_directory_exits_with_one_line(tmp_path):
+    missing = tmp_path / "nowhere"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "--problems", str(missing),
+              "--out", str(tmp_path / "traces")])
+    message = str(exc.value)
+    assert str(missing) in message and "\n" not in message

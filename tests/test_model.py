@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import central_diff_gradient
 from lovotr.errors import GeometryError, PointRejectedError
 from lovotr.model import (
+    CONDITION_LIMIT,
     SampleSet,
     build_model,
     exchange_point,
@@ -107,9 +110,61 @@ class TestBuildModel:
             assert err <= 1e-10 * (1 + np.abs(vals).max())
 
     def test_singular_sample_rejected(self):
-        s = sample_from([[0, 0], [1, 0], [1, 0]], [0, 1, 1])
-        with pytest.raises(GeometryError):
-            build_model(s)
+        # a repeated point, and a zero column (smallest singular value 0);
+        # neither may warn on the way
+        for pts in ([[0, 0], [1, 0], [1, 0]], [[0, 0], [1, 0], [2, 0]]):
+            s = sample_from(pts, [0, 1, 1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GeometryError, match="singular"):
+                    build_model(s)
+
+
+class TestFactorization:
+    @staticmethod
+    def scipy_inverse(m):
+        q, rmat = scipy.linalg.qr(m)
+        return scipy.linalg.solve_triangular(rmat, q.T)
+
+    def test_inverse_matches_scipy_qr_bit_for_bit(self, rng):
+        checked = 0
+        for n in range(2, 13):
+            for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+                base = rng.uniform(-5, 5, n)
+                random_pts = base + scale * rng.standard_normal((n + 1, n))
+                near = random_pts.copy()
+                near[2] = near[1] + 1e-2 * scale * rng.standard_normal(n)
+                for pts in (random_pts, near):
+                    s = sample_from(pts, np.zeros(n + 1))
+                    m = s.interpolation_matrix()
+                    inv, cond = s._factorize()
+                    assert np.array_equal(inv, self.scipy_inverse(m))
+                    assert cond == pytest.approx(np.linalg.cond(m), rel=1e-6)
+                    checked += 1
+        assert checked == 11 * 5 * 2
+
+    def test_non_finite_sample_raises(self):
+        for bad in (np.nan, np.inf):
+            s = sample_from([[0, 0], [1, 0], [0, bad]], [0, 1, 2])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GeometryError, match="non-finite"):
+                    s._factorize()
+
+    def test_condition_limit_is_sharp(self):
+        # cond of [[0, 0], [1, 0], [0, h]] is nearly proportional to 1 / h
+        def sample(h):
+            return sample_from([[0, 0], [1, 0], [0, h]], [0, 1, 2])
+
+        k = np.linalg.cond(sample(1e-6).interpolation_matrix()) * 1e-6
+        above, below = sample(k / 1.001e12), sample(k / 0.999e12)
+        assert CONDITION_LIMIT < np.linalg.cond(above.interpolation_matrix()) < 1.01e12
+        assert 0.99e12 < np.linalg.cond(below.interpolation_matrix()) < CONDITION_LIMIT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="singular"):
+                above._factorize()
+            assert below.condition_estimate() < CONDITION_LIMIT
 
 
 class TestLagrange:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -332,6 +333,42 @@ class TestSolve:
         values = [p.value for p in result.ledger.trace]
         assert all(a > b for a, b in zip(values, values[1:])) or len(values) == 1
         assert all(np.all(q >= 0.0) and np.all(q <= 10.0) for q in queries)
+
+    @pytest.mark.parametrize("problem, config, kind", [
+        (gen_qd(3, 3, seed=2, count=1)[0],
+         SolverConfig(budget=1500, use_cheap_rho=False), "index_swapped"),
+        (gen_hs(HS_CATALOG, ["hs5", "hs38"]), SolverConfig(budget=1500),
+         "criticality"),
+    ], ids=["qd-swap", "hs-criticality"])
+    def test_stationarity_once_per_committed_model(self, monkeypatch, problem,
+                                                    config, kind):
+        # every model the loop commits comes from build_model or
+        # rebuild_for_index; criticality iterations keep the model they saw
+        import lovotr.solver as solver_module
+
+        calls = Counter()
+
+        def count(name):
+            fn = getattr(solver_module, name)
+
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name] += 1
+                return result
+
+            monkeypatch.setattr(solver_module, name, counted)
+
+        for name in ("model_stationarity", "build_model", "rebuild_for_index",
+                     "_recover_geometry"):
+            count(name)
+        result = solve(problem, config)
+        criticality = sum(o.kind == "criticality" for o in result.history)
+        assert criticality if kind == "criticality" else any(
+            o.index_swapped for o in result.history)
+        models = calls["build_model"] + calls["rebuild_for_index"]
+        assert models == (result.iterations - criticality + 1
+                          + calls["_recover_geometry"])
+        assert calls["model_stationarity"] == models
 
     def test_rho_hat_never_exceeds_rho(self):
         problem = gen_qd(4, 4, seed=17, count=1)[0]

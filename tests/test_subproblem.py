@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from lovotr.errors import GeometryError
-from lovotr.model import AffineFunction, LinearModel, SampleSet, model_stationarity
+from lovotr.model import (
+    AffineFunction,
+    LinearModel,
+    SampleSet,
+    lagrange_polynomials,
+    model_stationarity,
+)
 from lovotr.problem import FeasibleBox
 from lovotr.subproblem import (
+    _trace_projected_path,
     altmov_linear,
     check_sufficient_decrease,
     select_target_for_altmov,
@@ -37,6 +44,45 @@ def grid_best_step(g, base, box, Delta, points_per_dim):
     return float(obj.min())
 
 
+def reference_trace(base, direction, box, radius):
+    """The path trace written plainly: every moving coordinate is filtered
+    from a full sort, and the direction is rebuilt on every segment."""
+    n = base.size
+    d = np.zeros(n)
+    moving = direction != 0.0
+    t_break = np.full(n, np.inf)
+    up = moving & (direction > 0)
+    dn = moving & (direction < 0)
+    t_break[up] = (box.upper[up] - base[up]) / direction[up]
+    t_break[dn] = (box.lower[dn] - base[dn]) / direction[dn]
+    order = [int(j) for j in np.argsort(t_break) if moving[j]]
+    t_cur = 0.0
+    for j in order + [None]:
+        t_next = math.inf if j is None else max(t_break[j], t_cur)
+        v = np.where(moving, direction, 0.0)
+        a = float(v @ v)
+        if a > 0.0 and t_next > t_cur:
+            b = 2.0 * float(d @ v)
+            c = float(d @ d) - radius * radius
+            disc = b * b - 4.0 * a * c
+            if disc >= 0.0:
+                s = (-b + math.sqrt(disc)) / (2.0 * a)
+                if 0.0 <= s <= t_next - t_cur:
+                    d = d + s * v
+                    break
+            d = d + (t_next - t_cur) * v
+        if j is None:
+            break
+        d[j] = (box.upper[j] if direction[j] > 0 else box.lower[j]) - base[j]
+        moving[j] = False
+        t_cur = t_next
+    d = np.clip(base + d, box.lower, box.upper) - base
+    norm = float(np.linalg.norm(d))
+    if norm > radius:
+        d *= radius / norm
+    return d
+
+
 class TestTrsbox:
     def test_ball_binds_in_the_interior(self):
         box = FeasibleBox([0, 0], [10, 10])
@@ -57,6 +103,28 @@ class TestTrsbox:
     def test_zero_gradient(self):
         box = FeasibleBox([0], [1])
         assert np.array_equal(trsbox_linear(model([0.5], [0.0]), box, 1.0), [0.0])
+
+    def test_trace_matches_plain_reference(self, rng):
+        # bases on a bound with the direction pointing out (pinned at t = 0),
+        # zero direction entries and radii from inside to beyond the box
+        for _ in range(400):
+            n = int(rng.integers(1, 13))
+            lower = rng.uniform(-3, 0, n)
+            upper = lower + rng.uniform(0.1, 4, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(lower, upper)
+            direction = rng.standard_normal(n)
+            at_lower = rng.random(n) < 0.2
+            at_upper = ~at_lower & (rng.random(n) < 0.2)
+            base[at_lower], base[at_upper] = lower[at_lower], upper[at_upper]
+            direction[at_lower] = -np.abs(direction[at_lower])
+            direction[at_upper] = np.abs(direction[at_upper])
+            direction[rng.random(n) < 0.15] = 0.0
+            if not np.any(direction):
+                continue
+            radius = float(10.0 ** rng.uniform(-3, 1))
+            got = _trace_projected_path(base, direction, box, radius)
+            assert np.array_equal(got, reference_trace(base, direction, box, radius))
 
     def test_feasible_and_short_enough(self, rng):
         for _ in range(300):
@@ -177,13 +245,35 @@ class TestAltmov:
         # the returned endpoint maximizes the polynomial among both paths
         box = FeasibleBox([0], [10])
         s = two_point_sample()
-        from lovotr.model import lagrange_polynomials
-
         ell = lagrange_polynomials(s)[1]
         d, _ = altmov_linear(s, box, 1.0, 1)
         v = abs(ell.value(s.base + d))
         for other in ([1.0], [0.0], [-0.0]):
             assert v >= abs(ell.value(np.asarray(other))) - 1e-12
+
+    def test_cached_column_matches_lagrange_list(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            lower = rng.uniform(-3, 0, n)
+            upper = lower + rng.uniform(0.5, 4, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(lower, upper)
+            on_bound = rng.random(n) < 0.3  # some coordinates start on a bound
+            base[on_bound] = np.where(rng.random(n) < 0.5, lower, upper)[on_bound]
+            pts = np.vstack([base] + [
+                np.clip(base + rng.normal(0, 0.5, n), lower, upper)
+                for _ in range(n)
+            ])
+            s = SampleSet(pts, np.zeros(n + 1), 1)
+            try:
+                ell = lagrange_polynomials(s)
+            except GeometryError:
+                continue
+            target = int(rng.integers(1, n + 1))
+            delta = float(10.0 ** rng.uniform(-2, 0.5))
+            d, flat = altmov_linear(s, box, delta, target)
+            d_list, flat_list = altmov_linear(s, box, delta, target, lagrange=ell)
+            assert np.array_equal(d, d_list) and flat == flat_list
 
     def test_degenerate_polynomial_raises(self):
         box = FeasibleBox([0], [10])
