@@ -218,49 +218,44 @@ def _format_number(x: float) -> str:
 
 
 def emit(obj, path, fmt: str | None = None) -> str:
-    """Write a profile (or dict of tagged profiles) or a summary table to ``path``.
+    """Write a profile, a dict of tagged profiles or a summary table to ``path``.
 
     ``fmt`` is one of ``csv``, ``json``, ``svg``; by default it is inferred
-    from the file extension.  Output is deterministic: emitting the same
-    object twice yields byte-identical files.
+    from the file extension.  A CSV or JSON file holds one profile; a dict of
+    profiles is drawn in one SVG and refused (``ValueError``) in the other
+    formats.  Output is deterministic: emitting the same object twice yields
+    byte-identical files.
     """
     if fmt is None:
         fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     if fmt not in ("csv", "json", "svg"):
         raise ValueError(f"unknown format {fmt!r}")
 
-    if isinstance(obj, DataProfile):
-        profiles = {"": obj}
-    elif isinstance(obj, dict) and all(isinstance(v, DataProfile) for v in obj.values()):
-        profiles = obj
-    elif isinstance(obj, list):  # summary table
+    if isinstance(obj, list):  # summary table
         return _emit_table(obj, path, fmt)
-    else:
+    if isinstance(obj, dict) and all(isinstance(v, DataProfile) for v in obj.values()):
+        if fmt != "svg":
+            raise ValueError(f"a dict of profiles is emitted as svg only, not {fmt}; "
+                             "emit one profile per csv or json file")
+        text = render_profile_svg(obj)
+    elif not isinstance(obj, DataProfile):
         raise TypeError(f"cannot emit object of type {type(obj).__name__}")
-
-    if fmt == "csv":
+    elif fmt == "csv":
         lines = ["tau,kappa,solved_fraction"]
-        for tag in sorted(profiles):
-            for tau, kappa, frac in profiles[tag].rows():
-                lines.append(
-                    f"{_format_number(tau)},{_format_number(kappa)},{_format_number(frac)}"
-                )
+        for tau, kappa, frac in obj.rows():
+            lines.append(
+                f"{_format_number(tau)},{_format_number(kappa)},{_format_number(frac)}"
+            )
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         doc = {
-            tag: {
-                "tau": prof.tau,
-                "n_problems": prof.n_problems,
-                "solve_kappas": {
-                    name: prof.solve_kappas[name] for name in sorted(prof.solve_kappas)
-                },
-            }
-            for tag, prof in profiles.items()
+            "tau": obj.tau,
+            "n_problems": obj.n_problems,
+            "solve_kappas": obj.solve_kappas,
         }
-        text = json.dumps(doc if len(profiles) > 1 or "" not in profiles else doc[""],
-                          indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        text = render_profile_svg(profiles)
+        text = render_profile_svg({"": obj})
     with open(path, "w") as fh:
         fh.write(text)
     return str(path)

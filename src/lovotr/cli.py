@@ -115,8 +115,9 @@ def _read_profile_csv(path) -> bench.DataProfile:
 
     The last row's solved fraction is (rows / problems), which gives back the
     number of problems; an empty profile has none solved out of none.  A CSV
-    whose rows carry more than one tau holds several profiles (``bench.emit``
-    of a dict writes them all into one file) and is refused.
+    whose rows carry more than one tau mixes several profiles and is refused:
+    ``bench.emit`` writes one profile per CSV, but the file may come from
+    elsewhere.
     """
     kappas = []
     tau = math.nan

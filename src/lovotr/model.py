@@ -5,13 +5,15 @@ being the base point (the solver's current iterate), together with the values
 of the working component there.  The determined linear model is obtained by
 solving the (n+1)x(n+1) interpolation system with rows ``[1, (y - base)^T]``.
 The sample set caches the inverse of that matrix together with its condition
-number, the ratio of its extreme singular values; the model coefficients and
-every Lagrange polynomial (the columns of the inverse) are read from the
-cache until the sample changes.  The inverse comes from a Householder QR
-factorization made by direct LAPACK calls: at n <= 12 the factorization itself
-takes microseconds and the generic scipy wrappers cost several times more.
-It is recomputed from scratch on every change; incremental updates are left
-as future work.
+number, the ratio of its extreme singular values.  Column ``j`` of the inverse
+holds the coefficients of the affine Lagrange polynomial ``l_j`` (1 at point
+``j``, 0 at the others), so ``[1, (x - base)^T] @ inverse`` gives every
+``l_j(x)`` at once; the model coefficients, the sample exchange and the
+geometry step all read the cache.  The inverse depends on the points only and
+comes from a Householder QR factorization made by direct LAPACK calls: at
+n <= 12 the factorization itself takes microseconds and the generic scipy
+wrappers cost several times more.  It is recomputed from scratch whenever a
+point moves; incremental updates are left as future work.
 """
 
 from __future__ import annotations
@@ -46,23 +48,6 @@ class LinearModel:
     def value(self, x) -> float:
         x = as_vector(x, n=self.base.size)
         return self.b + float(self.g @ (x - self.base))
-
-
-@dataclass
-class AffineFunction:
-    """Affine function ``c + w . (x - base)``; used for Lagrange polynomials."""
-
-    c: float
-    w: np.ndarray
-    base: np.ndarray
-
-    def value(self, x) -> float:
-        x = as_vector(x, n=self.base.size)
-        return self.c + float(self.w @ (x - self.base))
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.w
 
 
 class SampleSet:
@@ -101,7 +86,11 @@ class SampleSet:
         return self.points[0]
 
     def touch(self):
-        """Invalidate cached factorizations after any in-place modification."""
+        """Invalidate the cached factorization after a point moved.
+
+        The factorization depends on the points only: writing new values
+        (a coincident-point refresh, a change of working component) keeps it.
+        """
         self._basis = None
 
     def interpolation_matrix(self) -> np.ndarray:
@@ -148,8 +137,7 @@ class SampleSet:
         return self._basis
 
     def find_row(self, x) -> int | None:
-        """Index of the row exactly equal to ``x``, or None."""
-        x = as_vector(x, n=self.n)
+        """Index of the row exactly equal to the vector ``x``, or None."""
         hits = np.nonzero((self.points == x).all(axis=1))[0]
         return int(hits[0]) if hits.size else None
 
@@ -220,21 +208,12 @@ def build_model(sample: SampleSet) -> LinearModel:
     return LinearModel(b=float(coeffs[0]), g=coeffs[1:].copy(), base=sample.base.copy())
 
 
-def lagrange_polynomials(sample: SampleSet) -> list:
-    """Affine Lagrange basis: ``l_j`` is 1 at point ``j`` and 0 at the others."""
-    inv, _ = sample._factorize()
-    base = sample.base.copy()
-    return [
-        AffineFunction(c=float(inv[0, j]), w=inv[1:, j].copy(), base=base)
-        for j in range(sample.npt)
-    ]
-
-
 def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
+    """All Lagrange values ``l_j(x)``, j = 0..n, at the vector ``x``."""
     inv, _ = sample._factorize()
     row = np.empty(sample.npt)
     row[0] = 1.0
-    row[1:] = as_vector(x, n=sample.n) - sample.base
+    row[1:] = x - sample.base
     return row @ inv
 
 
@@ -247,20 +226,22 @@ def promote_to_base(sample: SampleSet, row: int):
     sample.touch()
 
 
-def exchange_point(sample: SampleSet, x_new, f_new: float) -> SampleSet:
+def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
     """Insert ``(x_new, f_new)`` into the sample, removing one existing point.
 
-    The removed point maximizes ``|l_t(x_new)| * ||y_t - x_best||^2`` where
-    ``x_best`` is the point with the smallest value after insertion; ties go to
-    the largest index (older points sit at low indices after base swaps).  Two
-    points are protected from removal: the current best point, unless the
-    candidate improves on it, and the base point, unless the candidate improves
-    on the base value, in which case the base slot is handed to the candidate
-    and the old base is kept where the removed point sat.
+    Every row ``t`` is scored at once as ``|l_t(x_new)| * ||y_t - x_best||^2``,
+    where ``x_best`` is the point with the smallest value after insertion, and
+    the outgoing row is the last maximum among the admissible rows (older
+    points sit at low indices after base swaps).  A row is admissible when its
+    Lagrange weight ``|l_t(x_new)|`` reaches ``MIN_LAGRANGE_WEIGHT`` and it is
+    not protected: the current best point is, unless the candidate improves on
+    it, and so is the base point, unless the candidate improves on the base
+    value, in which case the base slot is handed to the candidate and the old
+    base is kept where the removed point sat.  With no admissible row the
+    candidate is rejected (``PointRejectedError``).
 
     A candidate coinciding with an existing point refreshes that point's value
-    and changes nothing else.  A candidate whose admissible Lagrange weights
-    all fall below ``MIN_LAGRANGE_WEIGHT`` is rejected.
+    and changes nothing else.  Returns the row where ``x_new`` sits afterwards.
     """
     x_new = as_vector(x_new, n=sample.n, name="x_new")
     f_new = float(f_new)
@@ -268,48 +249,39 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> SampleSet:
     row = sample.find_row(x_new)
     if row is not None:
         sample.values[row] = f_new
-        sample.touch()
-        return sample
+        return row
 
-    lag = _lagrange_values_at(sample, x_new)
+    weight = np.abs(_lagrange_values_at(sample, x_new))
     best_old = int(np.argmin(sample.values))
     improves_best = f_new < sample.values[best_old]
     improves_base = f_new < sample.values[0]
 
-    candidates = []
-    for t in range(sample.npt):
-        if t == best_old and not improves_best:
-            continue
-        if t == 0 and not improves_base:
-            continue
-        if abs(lag[t]) < MIN_LAGRANGE_WEIGHT:
-            continue
-        candidates.append(t)
-    if not candidates:
+    admissible = weight >= MIN_LAGRANGE_WEIGHT
+    if not improves_best:
+        admissible[best_old] = False
+    if not improves_base:
+        admissible[0] = False
+    if not admissible.any():
         raise PointRejectedError(
             "candidate point adds no interpolation information; "
             "take a geometry-improvement step instead"
         )
 
     x_best = x_new if improves_best else sample.points[best_old]
-    t_out, best_score = None, -1.0
-    for t in candidates:  # ties fall to the largest index
-        score = abs(lag[t]) * float(np.sum((sample.points[t] - x_best) ** 2))
-        if score >= best_score:
-            t_out, best_score = t, score
+    score = weight * np.sum((sample.points - x_best) ** 2, axis=1)
+    score[~admissible] = -1.0
+    t_out = int(np.flatnonzero(score == score.max())[-1])  # ties: the last row
 
-    if improves_base and t_out != 0:
+    if improves_base:
         # Keep the old base in the vacated slot and center the set on the
         # candidate, which now carries the smallest base-slot value.
         sample.points[t_out] = sample.points[0]
         sample.values[t_out] = sample.values[0]
-        sample.points[0] = x_new
-        sample.values[0] = f_new
-    else:
-        sample.points[t_out] = x_new
-        sample.values[t_out] = f_new
+        t_out = 0
+    sample.points[t_out] = x_new
+    sample.values[t_out] = f_new
     sample.touch()
-    return sample
+    return t_out
 
 
 def replace_point(sample: SampleSet, row: int, x_new, f_new: float) -> SampleSet:
@@ -328,7 +300,6 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float) -> SampleSet
     existing = sample.find_row(x_new)
     if existing is not None:
         sample.values[existing] = float(f_new)
-        sample.touch()
         return sample
     lag = _lagrange_values_at(sample, x_new)
     if abs(lag[row]) < MIN_LAGRANGE_WEIGHT:
@@ -355,7 +326,6 @@ def rebuild_for_index(sample: SampleSet, problem, ledger, new_index: int):
         values[j] = eval_component(problem, ledger, new_index, sample.points[j])
     sample.values = values
     sample.model_index = new_index
-    sample.touch()
     return sample, build_model(sample)
 
 

@@ -185,8 +185,7 @@ class EvalLedger:
         # The batch of r component evaluations below may straddle the boundary.
         if self.exhausted():
             raise BudgetExceededError(f"evaluation budget of {self.budget} reached")
-        for i in range(1, self.r + 1):
-            self.component_evals[i - 1] += 1
+        self.component_evals += 1
         self.fmin_evals += 1
 
     @property

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -202,17 +202,10 @@ class StepOutcome:
     radii_frozen: bool = False   # geometry iteration that left both radii unchanged
 
     def record(self) -> dict:
-        return {
-            "k": self.k,
-            "kind": self.kind,
-            "rho": self.rho,
-            "rho_cheap": self.rho_was_cheap,
-            "delta": self.delta,
-            "Delta": self.Delta,
-            "index": self.index,
-            "fx": self.fx,
-            "evals_total": self.evals_total,
-        }
+        """Every field under its name, ``d`` as a list: a JSON-ready row."""
+        rec = {f.name: getattr(self, f.name) for f in fields(self)}
+        rec["d"] = self.d.tolist()
+        return rec
 
 
 @dataclass
@@ -438,25 +431,22 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
 
     # --- sample maintenance: insert the productive trust-region point, or
     # take a geometry-improvement step within the sample radius.
-    inserted = False
+    row = None  # where the candidate sits in the sample, once inserted
     if rho > 0.0:
         try:
-            exchange_point(state.sample, x_new, f_insert)
-            inserted = True
+            row = exchange_point(state.sample, x_new, f_insert)
         except PointRejectedError:
             if accepted:
                 # A sample set that cannot admit an accepted point needs the
                 # caller's geometry recovery, not a silent reclassification.
                 raise
             _log.debug("trust-region point rejected by the sample exchange")
-    if inserted and accepted:
-        row = state.sample.find_row(x_new)
-        if row is not None and row != 0:
-            # Acceptance makes the candidate the new iterate even when the
-            # working component alone did not improve (a certified swap can
-            # ride on another component's decrease).
-            promote_to_base(state.sample, row)
-    if not inserted:
+    if accepted and row not in (None, 0):
+        # Acceptance makes the candidate the new iterate even when the
+        # working component alone did not improve (a certified swap can ride
+        # on another component's decrease).
+        promote_to_base(state.sample, row)
+    if row is None:
         d, _ = _geometry_step(state, problem, ledger, stale=False)
         swapped = False
         i_next = state.i
@@ -477,7 +467,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     state.x = state.sample.base.copy()
     state.fx = float(state.sample.values[0])
     _update_radii(state, radii_factor, radii_factor, config)
-    if not inserted:
+    if row is None:
         kind = KIND_ALTMOV
         state.consec_alt += 1
     else:

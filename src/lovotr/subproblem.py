@@ -117,24 +117,18 @@ def check_sufficient_decrease(model: LinearModel, d, pi: float, Delta: float,
 def select_target_for_altmov(sample: SampleSet) -> int:
     """Index of the non-base sample point farthest from the base (ties: largest index)."""
     dist = np.linalg.norm(sample.points[1:] - sample.base, axis=1)
-    best, t = -1.0, 1
-    for j, dj in enumerate(dist, start=1):
-        if dj >= best:
-            best, t = float(dj), j
-    return t
+    return dist.size - int(np.argmax(dist[::-1]))  # last maximum, as a row 1..n
 
 
-def altmov_linear(sample: SampleSet, box, delta: float, target_index: int,
-                  lagrange=None):
+def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     """Geometry-improvement step maximizing ``|l_target|`` within ``delta`` of the base.
 
     The affine Lagrange polynomial of the replacement target is pushed along
     both signed projected-gradient paths (the same construction as the
     trust-region step) and the better endpoint is returned; this is exact when
     the box is inactive and a two-endpoint heuristic once it clips.  Ties go to
-    the positive direction.  The polynomial is column ``target_index`` of the
-    sample's cached inverse, or ``lagrange[target_index]`` when a list of
-    Lagrange polynomials is passed.
+    the positive direction.  The polynomial's constant term and gradient are
+    column ``target_index`` of the sample's cached inverse.
 
     Returns ``(d, flat)``; ``flat`` signals that both paths were clipped to
     zero length, so the sample cannot be improved within this radius.
@@ -143,11 +137,8 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int,
         raise ValueError(f"target index {target_index} outside 1..{sample.npt - 1}")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if lagrange is None:
-        inv, _ = sample._factorize()
-        c, w = float(inv[0, target_index]), inv[1:, target_index]
-    else:
-        c, w = lagrange[target_index].c, lagrange[target_index].grad
+    inv, _ = sample._factorize()
+    c, w = float(inv[0, target_index]), inv[1:, target_index]
     if not np.any(w):
         raise GeometryError(
             f"Lagrange polynomial of point {target_index} has zero gradient; "

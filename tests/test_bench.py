@@ -193,6 +193,17 @@ class TestEmit:
         emit(profiles, path)
         assert path.read_text().count("<polyline") == 2
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_profile_dict_is_svg_only(self, tmp_path, suffix):
+        profiles = {
+            "x": DataProfile(1e-1, 1, {"a": 2.0}),
+            "y": DataProfile(1e-5, 1, {"a": 5.0}),
+        }
+        path = tmp_path / f"x.{suffix}"
+        with pytest.raises(ValueError, match="svg only"):
+            emit(profiles, path)
+        assert not path.exists()
+
     def test_json_roundtrippable(self, tmp_path):
         import json
 

@@ -97,15 +97,14 @@ def test_table_of_empty_profile_is_unreachable(tmp_path, capsys):
 
 
 def test_table_refuses_a_csv_of_several_profiles(tmp_path, capsys):
-    # emit writes every profile of a dict into one CSV with no tag column;
+    # emit writes one profile per CSV, but a hand-made file may hold two;
     # read as one profile it would mix taus and counts
-    loose = DataProfile(tau=0.1, n_problems=4,
-                        solve_kappas={"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
-    tight = DataProfile(tau=1e-5, n_problems=4,
-                        solve_kappas={"a": 5.0, "b": None, "c": None, "d": None})
-    path = emit({"loose": loose, "tight": tight}, tmp_path / "profiles.csv")
+    path = tmp_path / "profiles.csv"
+    path.write_text("tau,kappa,solved_fraction\n"
+                    "0.1,1,0.25\n0.1,2,0.5\n0.1,3,0.75\n0.1,4,1\n"
+                    "1e-05,5,0.25\n")
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "table", "--profile", path, "--fractions", "0.25,0.5"])
+        main(["bench", "table", "--profile", str(path), "--fractions", "0.25,0.5"])
     message = str(exc.value)
     assert "more than one tau" in message and "\n" not in message
     assert capsys.readouterr().out == ""

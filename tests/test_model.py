@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from conftest import central_diff_gradient
 from lovotr.errors import GeometryError, PointRejectedError
 from lovotr.model import (
     CONDITION_LIMIT,
+    MIN_LAGRANGE_WEIGHT,
     SampleSet,
+    _lagrange_values_at,
     build_model,
     exchange_point,
     initial_sample,
-    lagrange_polynomials,
     model_stationarity,
     promote_to_base,
     rebuild_for_index,
@@ -170,44 +172,195 @@ class TestFactorization:
 class TestLagrange:
     def test_one_dimensional_basis(self):
         s = sample_from([[0], [1]], [0, 0])
-        l0, l1 = lagrange_polynomials(s)
         for x in (0.0, 0.3, 1.0, 2.5):
-            assert l0.value([x]) == pytest.approx(1 - x, abs=1e-12)
-            assert l1.value([x]) == pytest.approx(x, abs=1e-12)
+            l0, l1 = _lagrange_values_at(s, np.array([x]))
+            assert l0 == pytest.approx(1 - x, abs=1e-12)
+            assert l1 == pytest.approx(x, abs=1e-12)
 
     def test_barycentric_on_simplex(self):
         s = sample_from([[0, 0], [1, 0], [0, 1]], [0, 0, 0])
-        ell = lagrange_polynomials(s)
-        assert ell[1].value([0.7, 0.1]) == pytest.approx(0.7, abs=1e-12)
+        assert _lagrange_values_at(s, np.array([0.7, 0.1]))[1] == pytest.approx(
+            0.7, abs=1e-12)
 
     def test_partition_of_unity(self, rng):
         pts = rng.uniform(0, 5, (4, 3))
         s = sample_from(pts, np.zeros(4))
-        ell = lagrange_polynomials(s)
         for _ in range(10):
             x = rng.uniform(-3, 8, 3)
-            assert sum(e.value(x) for e in ell) == pytest.approx(1.0, abs=1e-10)
+            assert sum(_lagrange_values_at(s, x)) == pytest.approx(1.0, abs=1e-10)
 
     def test_kronecker_property(self, rng):
         pts = rng.uniform(0, 5, (5, 4))
         s = sample_from(pts, np.zeros(5))
-        ell = lagrange_polynomials(s)
-        for j, e in enumerate(ell):
-            for mth, p in enumerate(pts):
-                assert e.value(p) == pytest.approx(float(j == mth), abs=1e-9)
+        for mth, p in enumerate(pts):
+            for j, value in enumerate(_lagrange_values_at(s, p)):
+                assert value == pytest.approx(float(j == mth), abs=1e-9)
 
     def test_gradient_duality(self, rng):
-        # model gradient equals the value-weighted sum of basis gradients
+        # model gradient equals the value-weighted sum of basis gradients,
+        # which are rows 1..n of the inverse interpolation matrix
         pts = rng.uniform(0, 2, (4, 3))
         vals = rng.uniform(-5, 5, 4)
         s = sample_from(pts, vals)
         m = build_model(s)
-        ell = lagrange_polynomials(s)
-        g_dual = sum(v * e.grad for v, e in zip(vals, ell))
+        inv, _ = s._factorize()
+        g_dual = sum(v * inv[1:, j] for j, v in enumerate(vals))
         assert m.g == pytest.approx(g_dual, abs=1e-9)
 
 
+def reference_exchange(sample, x_new, f_new):
+    """The exchange one row at a time: the loop form of ``exchange_point``.
+
+    Returns the row where ``x_new`` sits afterwards, found by searching the
+    sample for it.
+    """
+    x_new = np.asarray(x_new, dtype=float)
+    f_new = float(f_new)
+    row = sample.find_row(x_new)
+    if row is not None:
+        sample.values[row] = f_new
+        sample.touch()
+        return row
+
+    lag = _lagrange_values_at(sample, x_new)
+    best_old = int(np.argmin(sample.values))
+    improves_best = f_new < sample.values[best_old]
+    improves_base = f_new < sample.values[0]
+    candidates = []
+    for t in range(sample.npt):
+        if t == best_old and not improves_best:
+            continue
+        if t == 0 and not improves_base:
+            continue
+        if abs(lag[t]) < MIN_LAGRANGE_WEIGHT:
+            continue
+        candidates.append(t)
+    if not candidates:
+        raise PointRejectedError("no admissible row")
+
+    x_best = x_new if improves_best else sample.points[best_old]
+    t_out, best_score = None, -1.0
+    for t in candidates:
+        score = abs(lag[t]) * float(np.sum((sample.points[t] - x_best) ** 2))
+        if score >= best_score:
+            t_out, best_score = t, score
+    if improves_base and t_out != 0:
+        sample.points[t_out] = sample.points[0]
+        sample.values[t_out] = sample.values[0]
+        sample.points[0] = x_new
+        sample.values[0] = f_new
+    else:
+        sample.points[t_out] = x_new
+        sample.values[t_out] = f_new
+    sample.touch()
+    return sample.find_row(x_new)
+
+
+def random_exchange_case(rng):
+    """A nonsingular sample and a candidate, drawn to hit every exchange branch.
+
+    Half the samples are coordinate stencils ``base + s_j e_j`` on an integer
+    grid with grid candidates.  Their cache holds the exact inverse (QR
+    rounding would break most ties), so Lagrange values are simple fractions
+    and scores tie exactly.  Values repeat so that the best row and the
+    improvement tests see ties too.  The other candidates are copies of a
+    sample point or a sample point moved by about 1e-17, whose Lagrange
+    weights at the other rows are negligible.
+    """
+    n = int(rng.integers(1, 13))
+    values = (rng.integers(0, 4, n + 1).astype(float) if rng.random() < 0.5
+              else rng.uniform(-1, 1, n + 1))
+    grid = rng.random() < 0.5
+    if grid:
+        base = rng.integers(0, 4, n).astype(float)
+        steps = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
+        pts = np.vstack([base, base + np.diag(steps)])
+        sample = sample_from(pts, values)
+        inv = np.zeros((n + 1, n + 1))
+        inv[0, 0] = 1.0
+        inv[1:, 0] = -1.0 / steps
+        inv[1:, 1:] = np.diag(1.0 / steps)
+        sample._basis = (inv, sample.condition_estimate())
+    else:
+        while True:
+            pts = rng.uniform(-1, 1, (n + 1, n))
+            sample = sample_from(pts, values)
+            try:
+                sample._factorize()
+                break
+            except GeometryError:
+                continue
+
+    mode = rng.integers(0, 4) if rng.random() < 0.5 else 0
+    if mode == 0:
+        x_new = (rng.integers(-1, 5, n).astype(float) if grid
+                 else rng.uniform(-1, 1, n))
+    elif mode == 1:
+        x_new = pts[0] + rng.uniform(-1, 1, n)
+    elif mode == 2:
+        x_new = pts[rng.integers(0, n + 1)].copy()
+    else:
+        x_new = pts[rng.integers(0, n + 1)] + 1e-17 * rng.standard_normal(n)
+    f_choice = rng.integers(0, 4)
+    if f_choice == 0:
+        f_new = values.min() - 1.0
+    elif f_choice == 1:
+        f_new = float(rng.choice(values))
+    elif f_choice == 2:
+        f_new = float(rng.uniform(values.min(), values.max() + 1e-9))
+    else:
+        f_new = values.max() + 1.0
+    return sample, x_new, f_new
+
+
+def exchange_case_tags(sample, x_new, f_new):
+    """The branches of the exchange that a case exercises, for coverage counts."""
+    if sample.find_row(x_new) is not None:
+        return {"coincident"}
+    best_old = int(np.argmin(sample.values))
+    improves_best = f_new < sample.values[best_old]
+    improves_base = f_new < sample.values[0]
+    weight = np.abs(_lagrange_values_at(sample, x_new))
+    admissible = weight >= MIN_LAGRANGE_WEIGHT
+    admissible[best_old] &= improves_best
+    admissible[0] &= improves_base
+    if not admissible.any():
+        return {"rejected"}
+    x_best = x_new if improves_best else sample.points[best_old]
+    scores = (weight * np.sum((sample.points - x_best) ** 2, axis=1))[admissible]
+    tags = set()
+    if np.count_nonzero(scores == scores.max()) > 1:
+        tags.add("score tie")
+    if best_old != 0 and not improves_best:
+        tags.add("best protected")
+    if improves_base:
+        tags.add("takes base")
+    else:
+        tags.add("base protected")
+    return tags
+
+
 class TestExchange:
+    def test_matches_reference_loop(self, rng):
+        seen = Counter()
+        for _ in range(3000):
+            sample, x_new, f_new = random_exchange_case(rng)
+            ref = sample_from(sample.points.copy(), sample.values.copy())
+            ref._basis = sample._basis
+            seen.update(exchange_case_tags(sample, x_new, f_new))
+            try:
+                expected = reference_exchange(ref, x_new, f_new)
+            except PointRejectedError:
+                with pytest.raises(PointRejectedError):
+                    exchange_point(sample, x_new, f_new)
+            else:
+                assert exchange_point(sample, x_new, f_new) == expected
+            assert np.array_equal(sample.points, ref.points)
+            assert np.array_equal(sample.values, ref.values)
+        for case in ("rejected", "score tie", "best protected", "base protected",
+                     "takes base", "coincident"):
+            assert seen[case] >= 25, (case, seen)
+
     def test_insert_better_point_one_dim(self):
         # scores tie at 0.5 each; the tie goes to the larger index and the
         # improving candidate takes the base slot
@@ -254,10 +407,9 @@ class TestExchange:
             except PointRejectedError:
                 continue
             assert np.isfinite(s.condition_estimate())
-            ell = lagrange_polynomials(s)
-            for j, e in enumerate(ell):
-                for mth, p in enumerate(s.points):
-                    assert abs(e.value(p) - float(j == mth)) < 1e-8
+            for mth, p in enumerate(s.points):
+                for j, value in enumerate(_lagrange_values_at(s, p)):
+                    assert abs(value - float(j == mth)) < 1e-8
 
 
 class TestReplacePoint:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
     SolverConfig,
     SolverState,
+    StepOutcome,
     _recover_geometry,
     check_stopping,
     iterate,
@@ -409,8 +412,7 @@ class TestSolve:
         result.write_history_jsonl(path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == result.iterations
-        assert set(records[0]) == {"k", "kind", "rho", "rho_cheap", "delta",
-                                   "Delta", "index", "fx", "evals_total"}
+        assert set(records[0]) == {f.name for f in dataclasses.fields(StepOutcome)}
 
     def test_sample_log_hook(self):
         problem = single_quadratic(2, [3.0, 7.0])
@@ -464,3 +466,19 @@ class TestRadiiReplay:
             assert_radii_replay(config, result.history)
             adjusted, successful = adjustment_counts(result.history)
             assert adjusted <= config.Gamma_max * max(successful, 0) + 0
+
+    def test_exported_history_replays(self, tmp_path):
+        # the JSON lines alone carry what the radii state machine needs
+        problem = gen_qd(2, 3, seed=25, count=1)[0]  # one index swap
+        config = SolverConfig(budget=800)
+        result = solve(problem, config)
+        path = tmp_path / "history.jsonl"
+        result.write_history_jsonl(path)
+        history = [SimpleNamespace(**json.loads(line))
+                   for line in path.read_text().splitlines()]
+        assert len(history) == result.iterations
+        assert any(o.index_swapped for o in history)
+        assert any(o.radii_frozen for o in history)
+        assert_radii_replay(config, history)
+        for o, logged in zip(result.history, history):
+            assert np.array_equal(o.d, logged.d) and o.pi == logged.pi

@@ -5,10 +5,9 @@ import pytest
 
 from lovotr.errors import GeometryError
 from lovotr.model import (
-    AffineFunction,
     LinearModel,
     SampleSet,
-    lagrange_polynomials,
+    _lagrange_values_at,
     model_stationarity,
 )
 from lovotr.problem import FeasibleBox
@@ -245,45 +244,20 @@ class TestAltmov:
         # the returned endpoint maximizes the polynomial among both paths
         box = FeasibleBox([0], [10])
         s = two_point_sample()
-        ell = lagrange_polynomials(s)[1]
         d, _ = altmov_linear(s, box, 1.0, 1)
-        v = abs(ell.value(s.base + d))
+        v = abs(_lagrange_values_at(s, s.base + d)[1])
         for other in ([1.0], [0.0], [-0.0]):
-            assert v >= abs(ell.value(np.asarray(other))) - 1e-12
-
-    def test_cached_column_matches_lagrange_list(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 11))
-            lower = rng.uniform(-3, 0, n)
-            upper = lower + rng.uniform(0.5, 4, n)
-            box = FeasibleBox(lower, upper)
-            base = rng.uniform(lower, upper)
-            on_bound = rng.random(n) < 0.3  # some coordinates start on a bound
-            base[on_bound] = np.where(rng.random(n) < 0.5, lower, upper)[on_bound]
-            pts = np.vstack([base] + [
-                np.clip(base + rng.normal(0, 0.5, n), lower, upper)
-                for _ in range(n)
-            ])
-            s = SampleSet(pts, np.zeros(n + 1), 1)
-            try:
-                ell = lagrange_polynomials(s)
-            except GeometryError:
-                continue
-            target = int(rng.integers(1, n + 1))
-            delta = float(10.0 ** rng.uniform(-2, 0.5))
-            d, flat = altmov_linear(s, box, delta, target)
-            d_list, flat_list = altmov_linear(s, box, delta, target, lagrange=ell)
-            assert np.array_equal(d, d_list) and flat == flat_list
+            assert v >= abs(_lagrange_values_at(s, np.asarray(other))[1]) - 1e-12
 
     def test_degenerate_polynomial_raises(self):
         box = FeasibleBox([0], [10])
         s = two_point_sample()
-        flat_ell = [
-            AffineFunction(1.0, np.zeros(1), np.zeros(1)),
-            AffineFunction(0.0, np.zeros(1), np.zeros(1)),
-        ]
+        inv, cond = s._factorize()
+        flat = inv.copy()
+        flat[:, 1] = 0.0  # l_1 = 0 + 0 . (x - base)
+        s._basis = (flat, cond)
         with pytest.raises(GeometryError):
-            altmov_linear(s, box, 1.0, 1, lagrange=flat_ell)
+            altmov_linear(s, box, 1.0, 1)
 
     def test_bad_target_rejected(self):
         box = FeasibleBox([0], [10])
@@ -304,3 +278,16 @@ class TestSelectTarget:
 
     def test_single_candidate(self):
         assert select_target_for_altmov(two_point_sample()) == 1
+
+    def test_matches_reference_loop(self, rng):
+        # grid points make exact distance ties common
+        for _ in range(500):
+            n = int(rng.integers(1, 8))
+            pts = rng.integers(-2, 3, (n + 1, n)).astype(float)
+            s = SampleSet(pts, np.zeros(n + 1), 1)
+            dist = np.linalg.norm(pts[1:] - pts[0], axis=1)
+            best, expected = -1.0, 1
+            for j, dj in enumerate(dist, start=1):
+                if dj >= best:
+                    best, expected = float(dj), j
+            assert select_target_for_altmov(s) == expected
