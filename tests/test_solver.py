@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     adjustment_counts,
@@ -15,6 +17,10 @@ from lovotr.errors import OracleError
 from lovotr.model import LinearModel, build_model, initial_sample
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
+    STATUS_BUDGET,
+    STATUS_MAXCRIT,
+    STATUS_STALLED,
+    STATUS_SUCCESS,
     SolverConfig,
     SolverState,
     StepOutcome,
@@ -482,3 +488,66 @@ class TestRadiiReplay:
         assert_radii_replay(config, history)
         for o, logged in zip(result.history, history):
             assert np.array_equal(o.d, logged.d) and o.pi == logged.pi
+
+
+@st.composite
+def small_lovo_problems(draw):
+    """Small LOVO problems: thin or wide boxes, starts on bounds, exact ties.
+
+    Component kinds are drawn by hypothesis; the floats come from one drawn
+    seed.  A "copy" repeats the previous quadratic, so the two tie exactly
+    everywhere, and a "constant" never moves.
+    """
+    n = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(["quadratic", "copy", "constant"]),
+                          min_size=1, max_size=5))
+    thin = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = rng.uniform(-2.0, 2.0, n)
+    upper = lower + (rng.uniform(1e-3, 0.5, n) if thin else rng.uniform(0.5, 5.0, n))
+    x0 = rng.uniform(lower, upper)
+    on_lower = rng.random(n) < 0.3
+    on_upper = ~on_lower & (rng.random(n) < 0.3)
+    x0[on_lower], x0[on_upper] = lower[on_lower], upper[on_upper]
+    fns = []
+    for kind in kinds:
+        if kind == "constant" or (kind == "copy" and not fns):
+            fns.append(lambda x, c=float(rng.uniform(-1.0, 1.0)): c)
+        elif kind == "copy":
+            fns.append(fns[-1])
+        else:
+            center = rng.uniform(lower - 1.0, upper + 1.0)
+            weight = rng.uniform(0.1, 10.0, n)
+            fns.append(lambda x, c=center, w=weight: float(w @ (x - c) ** 2))
+    box = FeasibleBox(lower, upper)
+    problem = LovoProblem(
+        "prop", [ComponentOracle(k, fn) for k, fn in enumerate(fns, start=1)],
+        box, x0)
+    return problem, draw(st.integers(50, 300))
+
+
+class TestInvariants:
+    @pytest.mark.filterwarnings("ignore:box is thinner")
+    @given(small_lovo_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_every_iteration_keeps_the_loop_invariants(self, case):
+        problem, budget = case
+        lower, upper = problem.box.lower, problem.box.upper
+        outside = []
+        for comp in problem.components:
+            def checked(x, _fn=comp.fn):
+                if np.any(x < lower) or np.any(x > upper):
+                    outside.append(np.array(x))
+                return _fn(x)
+            comp.fn = checked
+
+        def check(k, outcome, ledger):
+            assert outcome.delta <= outcome.Delta, (k, outcome.delta, outcome.Delta)
+            assert not outside, outside[0]
+            assert ledger.total_component_evals <= budget + problem.r - 1
+
+        result = solve(problem, SolverConfig(budget=budget), callback=check)
+        assert not outside
+        assert result.ledger.total_component_evals <= budget + problem.r - 1
+        assert result.status in (STATUS_SUCCESS, STATUS_STALLED, STATUS_BUDGET,
+                                 STATUS_MAXCRIT)
