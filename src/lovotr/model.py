@@ -331,4 +331,5 @@ def rebuild_for_index(sample: SampleSet, problem, ledger, new_index: int):
 
 def model_stationarity(model: LinearModel, box) -> float:
     """Projected-gradient stationarity measure ``||P(base - g) - base||``."""
-    return float(np.linalg.norm(box.project(model.base - model.g) - model.base))
+    step = box.project(model.base - model.g) - model.base
+    return math.sqrt(step @ step)

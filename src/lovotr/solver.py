@@ -289,15 +289,16 @@ def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
 
 
 def _geometry_step(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
-                   stale: bool):
+                   stale: bool, dist=None):
     """Resample one point of the sample within ``delta`` of the base.
 
-    The target is the point farthest from the base.  On stale geometry it is
-    overwritten in place (the base never moves); otherwise the new point goes
-    through the sample exchange.  Returns the geometry step and whether its
-    point entered the sample.
+    The target is the point farthest from the base; ``dist`` passes in the
+    sample's distances from the base when the caller has them.  On stale
+    geometry the target is overwritten in place (the base never moves);
+    otherwise the new point goes through the sample exchange.  Returns the
+    geometry step and whether its point entered the sample.
     """
-    target = select_target_for_altmov(state.sample)
+    target = select_target_for_altmov(state.sample, dist)
     d_alt, flat = altmov_linear(state.sample, problem.box, state.delta, target)
     if flat:
         return d_alt, False
@@ -316,7 +317,7 @@ def _geometry_step(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
 
 def _geometry_iteration(state: SolverState, problem: LovoProblem,
                         config: SolverConfig, ledger: EvalLedger,
-                        pi: float, stale: bool) -> StepOutcome:
+                        pi: float, stale: bool, dist=None) -> StepOutcome:
     """Geometry-improvement iteration without a trust-region candidate.
 
     On stale geometry the farthest point is forcibly replaced and the radii
@@ -326,7 +327,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem,
     so a run recovering from a mid-iteration failure never sees a
     half-applied iteration.
     """
-    d_alt, placed = _geometry_step(state, problem, ledger, stale)
+    d_alt, placed = _geometry_step(state, problem, ledger, stale, dist)
     model = build_model(state.sample)
 
     # commit; frozen repairs are gate maintenance, not the "no further
@@ -365,15 +366,15 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # outside the trust region is the usual culprit; repair before stepping
     # again rather than shrinking the radii on a meaningless ratio.
     if state.model_doubted and state.repair_streak < _repair_cap(problem.n):
-        far = float(np.max(np.linalg.norm(
-            state.sample.points[1:] - state.sample.base, axis=1)))
-        if far > STALE_FACTOR * state.Delta:
+        diff = state.sample.points[1:] - state.sample.base
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
+        if dist.max() > STALE_FACTOR * state.Delta:
             return _geometry_iteration(state, problem, config, ledger, pi,
-                                       stale=True)
+                                       stale=True, dist=dist)
         state.model_doubted = False
 
     d = trsbox_linear(state.model, box, state.Delta)
-    dnorm = float(np.linalg.norm(d))
+    dnorm = math.sqrt(d @ d)
     full_length = dnorm >= state.Delta * (1.0 - FULL_STEP_RTOL)
     predicted = -float(state.model.g @ d)
     if dnorm < 0.5 * state.Delta or predicted <= 0.0:
@@ -479,10 +480,6 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         else:
             kind = KIND_ACCEPTABLE_ADJUSTED if adjusted else KIND_ACCEPTABLE_PLAIN
     state.consec_crit = 0
-
-    if state.delta > state.Delta:
-        _log.warning("sample radius %.3e exceeds trust-region radius %.3e",
-                     state.delta, state.Delta)
     return _outcome(state, ledger, kind, pi, d, rho=rho, rho_hat=rho_hat,
                     rho_defined=True, rho_was_cheap=cheap, index_swapped=swapped,
                     full_length=full_length, adjusted=adjusted)

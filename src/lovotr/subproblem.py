@@ -9,9 +9,13 @@ tracing the piecewise-linear projected-gradient path
 Each coordinate moves linearly until it reaches its bound (its breakpoint) and
 is pinned there; the trace stops at the first ``t`` where ``||d(t)|| = Delta``
 or where every descending coordinate is pinned, whichever comes first.  The
-path has at most n breakpoints, so the cost is O(n log n), and no iterative
-scheme is required.  The same path construction, run along both signs of a
-Lagrange polynomial's gradient, yields the geometry-improvement step.
+first segment, up to the earliest breakpoint, is closed-form: when the ball is
+met there the step is ``-t g`` at the root ``t`` the segment loop would
+compute, and the loop over the sorted breakpoints runs only when a bound is
+met first.  The path has at most n breakpoints, so the cost is O(n log n), and
+no iterative scheme is required.  The same path construction, run along both
+signs of a Lagrange polynomial's gradient, yields the geometry-improvement
+step.
 """
 
 from __future__ import annotations
@@ -35,18 +39,36 @@ def _trace_projected_path(base, direction, box, radius) -> np.ndarray:
     ``||d(t)|| = radius``, or the path's limit point once all moving
     coordinates are pinned at their bounds.
     """
-    d = np.zeros(base.size)
-    v = direction.copy()  # velocity; a coordinate's entry is zeroed when it pins
-
     # Breakpoint of each coordinate: the t at which it reaches its bound.
     # Fixed coordinates get NaN, which sorts after every moving one, even one
     # whose breakpoint overflowed to inf.
-    t_break = np.full(base.size, np.nan)
-    up = direction > 0
-    dn = direction < 0
-    t_break[up] = (box.upper[up] - base[up]) / direction[up]
-    t_break[dn] = (box.lower[dn] - base[dn]) / direction[dn]
+    t_break = np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
+                        direction, out=np.full(base.size, np.nan),
+                        where=direction != 0.0)
 
+    # First segment in closed form: d(t) = t * direction up to the earliest
+    # breakpoint.  ``s`` is the segment loop's root for d = 0 in the loop's
+    # own arithmetic, so this branch returns exactly what the loop would.
+    a = float(direction @ direction)
+    s = math.sqrt(4.0 * a * (radius * radius)) / (2.0 * a) if a > 0.0 else math.nan
+    t_first = np.fmin.reduce(t_break)  # NaN only when nothing moves
+    if 0.0 < t_first and s <= t_first:
+        d = s * direction
+    else:
+        d = _trace_segments(base, direction, box, radius, t_break)
+
+    # Roundoff guards: the endpoint must be feasible and inside the ball.
+    d = np.minimum(np.maximum(base + d, box.lower), box.upper) - base
+    norm = math.sqrt(d @ d)
+    if norm > radius:
+        d *= radius / norm
+    return d
+
+
+def _trace_segments(base, direction, box, radius, t_break) -> np.ndarray:
+    """The path trace segment by segment, pinning one coordinate per breakpoint."""
+    d = np.zeros(base.size)
+    v = direction.copy()  # velocity; a coordinate's entry is zeroed when it pins
     t_cur = 0.0
     for j in np.argsort(t_break)[:np.count_nonzero(direction)].tolist() + [None]:
         t_next = math.inf if j is None else max(t_break[j], t_cur)
@@ -59,26 +81,18 @@ def _trace_projected_path(base, direction, box, radius) -> np.ndarray:
             if disc >= 0.0:
                 s = (-b + math.sqrt(disc)) / (2.0 * a)
                 if 0.0 <= s <= t_next - t_cur:
-                    d = d + s * v
-                    break
+                    return d + s * v
             if j is None:
                 # Unbounded segment that never meets the radius cannot occur:
                 # ||d|| grows without bound along any nonzero direction.
                 raise AssertionError("unbounded projected-gradient segment")
             d = d + (t_next - t_cur) * v
         if j is None:
-            break
+            return d
         # Pin the coordinate exactly at its bound.
         d[j] = (box.upper[j] if direction[j] > 0 else box.lower[j]) - base[j]
         v[j] = 0.0
         t_cur = t_next
-
-    # Roundoff guards: the endpoint must be feasible and inside the ball.
-    d = np.clip(base + d, box.lower, box.upper) - base
-    norm = math.sqrt(d @ d)
-    if norm > radius:
-        d *= radius / norm
-    return d
 
 
 def trsbox_linear(model: LinearModel, box, Delta: float) -> np.ndarray:
@@ -114,9 +128,15 @@ def check_sufficient_decrease(model: LinearModel, d, pi: float, Delta: float,
     return decrease >= theta * pi * min(pi, Delta, 1.0)
 
 
-def select_target_for_altmov(sample: SampleSet) -> int:
-    """Index of the non-base sample point farthest from the base (ties: largest index)."""
-    dist = np.linalg.norm(sample.points[1:] - sample.base, axis=1)
+def select_target_for_altmov(sample: SampleSet, dist=None) -> int:
+    """Index of the non-base sample point farthest from the base (ties: largest index).
+
+    ``dist`` passes in the distances of rows 1..n from the base when the
+    caller has already computed them.
+    """
+    if dist is None:
+        diff = sample.points[1:] - sample.base
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
     return dist.size - int(np.argmax(dist[::-1]))  # last maximum, as a row 1..n
 
 

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as perfbench/run.py sets: the solver's algebra is n <= 12,
+# where a thread pool costs more than it saves.  BLAS reads these once, when
+# numpy is first imported, so they are set before that import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import math
 
 import numpy as np

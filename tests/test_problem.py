@@ -53,6 +53,25 @@ class TestProjection:
             assert np.array_equal(box.project(px), px)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-15
 
+    def test_matches_np_clip_bitwise(self, rng):
+        # signed zeros in the bounds and the input, points on the bounds,
+        # and sizes on both sides of numpy's vector-loop widths
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            lower = rng.choice([-0.0, 0.0, -1.0, -2.5], n)
+            upper = np.where(rng.random(n) < 0.3, rng.choice([0.0, -0.0], n), 1.5)
+            upper[upper <= lower] = 1.5
+            box = FeasibleBox(lower, upper)
+            x = rng.uniform(-4.0, 4.0, n)
+            on_lower, on_upper = rng.random(n) < 0.2, rng.random(n) < 0.2
+            x[on_lower], x[on_upper] = lower[on_lower], upper[on_upper]
+            odd = rng.random(n) < 0.2
+            x[odd] = rng.choice(specials, int(odd.sum()))
+            got, ref = box.project(x), np.clip(x, lower, upper)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             FeasibleBox([0, 1], [1, 1])
@@ -84,11 +103,15 @@ class TestEvalComponent:
         assert eval_component(problem, ledger, 1, [0.25]) == 3.0
 
     def test_nonfinite_raises(self):
-        problem = make_problem([lambda x: float("nan")], [0], [1], [0.5])
-        ledger = EvalLedger(1)
-        with pytest.raises(OracleError) as err:
-            eval_component(problem, ledger, 1, [0.5])
-        assert err.value.index == 1
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            problem = make_problem([lambda x: 0.0, lambda x, v=bad: v],
+                                   [0], [1], [0.5])
+            with pytest.raises(OracleError) as err:
+                eval_component(problem, EvalLedger(2), 2, [0.5])
+            assert err.value.index == 2
+            with pytest.raises(OracleError) as err:
+                eval_fmin(problem, EvalLedger(2), [0.5])
+            assert err.value.index == 2
 
     def test_bad_index(self):
         problem = make_problem([lambda x: 0.0], [0], [1], [0.5])

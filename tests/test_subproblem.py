@@ -104,6 +104,20 @@ class TestTrsbox:
         assert np.array_equal(trsbox_linear(model([0.5], [0.0]), box, 1.0), [0.0])
 
     def test_trace_matches_plain_reference(self, rng):
+        def assert_same(base, direction, box, radius):
+            got = _trace_projected_path(base, direction, box, radius)
+            ref = reference_trace(base, direction, box, radius)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+        def first_segment(base, direction, box, radius):
+            # (s, t_first) of the trace's closed-form first segment
+            moving = direction != 0.0
+            bound = np.where(direction > 0.0, box.upper, box.lower)
+            t_first = float(np.min((bound[moving] - base[moving]) / direction[moving]))
+            a = float(direction @ direction)
+            return math.sqrt(4.0 * a * (radius * radius)) / (2.0 * a), t_first
+
         # bases on a bound with the direction pointing out (pinned at t = 0),
         # zero direction entries and radii from inside to beyond the box
         for _ in range(400):
@@ -122,8 +136,46 @@ class TestTrsbox:
             if not np.any(direction):
                 continue
             radius = float(10.0 ** rng.uniform(-3, 1))
-            got = _trace_projected_path(base, direction, box, radius)
-            assert np.array_equal(got, reference_trace(base, direction, box, radius))
+            assert_same(base, direction, box, radius)
+
+        # interior balls, most of them stopping on the first segment; signed
+        # zeros in the base and the direction (a zero gradient entry negates
+        # to -0.0)
+        fast = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            lower = rng.uniform(-3, -0.1, n)
+            upper = rng.uniform(0.1, 3, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(0.5 * lower, 0.5 * upper)
+            base[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+            direction = rng.standard_normal(n)
+            direction[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+            if not np.any(direction):
+                continue
+            radius = float(10.0 ** rng.uniform(-4, 0.5))
+            s, t_first = first_segment(base, direction, box, radius)
+            fast += s <= t_first
+            assert_same(base, direction, box, radius)
+        assert fast >= 300
+
+        # balls touching the nearest bound, and one ulp of radius either side:
+        # both sides of the first-segment test are reached
+        sides = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            lower = rng.uniform(-3, -0.1, n)
+            upper = rng.uniform(0.1, 3, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(0.5 * lower, 0.5 * upper)
+            direction = rng.standard_normal(n)
+            _, t_first = first_segment(base, direction, box, 1.0)
+            touch = t_first * math.sqrt(float(direction @ direction))
+            for radius in (np.nextafter(touch, 0.0), touch, np.nextafter(touch, np.inf)):
+                s, _ = first_segment(base, direction, box, float(radius))
+                sides.add(bool(s <= t_first))
+                assert_same(base, direction, box, float(radius))
+        assert sides == {True, False}
 
     def test_feasible_and_short_enough(self, rng):
         for _ in range(300):
@@ -291,3 +343,4 @@ class TestSelectTarget:
                 if dj >= best:
                     best, expected = float(dj), j
             assert select_target_for_altmov(s) == expected
+            assert select_target_for_altmov(s, dist) == expected
