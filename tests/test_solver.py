@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import tempfile
 from collections import Counter
 from types import SimpleNamespace
 
@@ -541,13 +543,31 @@ class TestInvariants:
                 return _fn(x)
             comp.fn = checked
 
+        committed = []  # fx after every iteration, from the starting value
+
         def check(k, outcome, ledger):
             assert outcome.delta <= outcome.Delta, (k, outcome.delta, outcome.Delta)
             assert not outside, outside[0]
             assert ledger.total_component_evals <= budget + problem.r - 1
+            values = [p.value for p in ledger.trace]
+            assert all(a > b for a, b in zip(values, values[1:])), values
+            # the committed value never rises: no shadow best point is needed
+            previous = committed[-1] if committed else values[0]
+            assert outcome.fx <= previous, (k, outcome.fx, previous)
+            committed.append(outcome.fx)
 
-        result = solve(problem, SolverConfig(budget=budget), callback=check)
+        config = SolverConfig(budget=budget)
+        result = solve(problem, config, callback=check)
         assert not outside
         assert result.ledger.total_component_evals <= budget + problem.r - 1
         assert result.status in (STATUS_SUCCESS, STATUS_STALLED, STATUS_BUDGET,
                                  STATUS_MAXCRIT)
+        if result.history:
+            assert result.f_final == result.history[-1].fx
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "history.jsonl")
+            result.write_history_jsonl(path)
+            with open(path) as fh:
+                logged = [SimpleNamespace(**json.loads(line)) for line in fh]
+        assert len(logged) == result.iterations
+        assert_radii_replay(config, logged)
