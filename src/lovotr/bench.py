@@ -31,12 +31,12 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .problem import EvalLedger, LovoProblem
-from .solver import SolverConfig, solve
+from .solver import STATUS_ORACLE, SolverConfig, solve
 
 BUDGET_RULES = ("component", "fmin")
 
@@ -94,9 +94,9 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
 
     The solver is halted at the budget (a trailing full evaluation may
     overshoot a component budget by at most ``r - 1`` single evaluations).  A
-    run that dies on an oracle or geometry failure keeps its trace up to the
-    failure, with ``status`` set to ``error:TypeName: message`` for the
-    exception that ended it.  ``sample_log`` is the solver's per-iteration
+    run that ends in ``oracle_error`` (keeping its ``x_final``) or raises
+    keeps its trace, with ``status`` set to ``error:TypeName: message`` for
+    the exception that ended it.  ``sample_log`` is the solver's per-iteration
     debug hook, called here as ``sample_log(problem_name, k, sample)``.
     """
     if budget_rule not in BUDGET_RULES:
@@ -107,13 +107,14 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
     for problem in problems:
         budget = campaign_budget(problem, n_max, budget_rule)
         ledger = EvalLedger(problem.r, budget=budget, metering=budget_rule)
-        run_config = replace(config, budget=budget)
         log = None
         if sample_log is not None:
             log = lambda k, sample, _name=problem.name: sample_log(_name, k, sample)
         try:
-            result = solve(problem, run_config, ledger=ledger, sample_log=log)
+            result = solve(problem, config, ledger=ledger, sample_log=log)
             status = result.status
+            if status == STATUS_ORACLE:
+                status = f"error:OracleError: {result.error}"
             x_final, i_final = result.x_final, result.i_final
         except Exception as exc:  # failed run: keep the partial trace
             status = f"error:{type(exc).__name__}: {exc}"
@@ -375,7 +376,7 @@ def write_trace(trace: RunTrace, directory):
 def read_traces(directory) -> list:
     traces = []
     for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json") or name == "manifest.json":
+        if not name.endswith(".json"):
             continue
         with open(os.path.join(str(directory), name)) as fh:
             manifest = json.load(fh)

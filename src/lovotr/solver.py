@@ -34,7 +34,8 @@ resamples the point farthest from the base.  The same step repairs a stale
 sample and replaces a trust-region step too short to evaluate.  Index swaps
 rebuild the sample values for the new component at the unchanged point
 locations (n+1 evaluations).  Every iteration reports a :class:`StepOutcome`
-built from the committed state by ``_outcome``.
+built from the committed state by ``_outcome``; every run, however it ends,
+returns the last committed iterate under one of six statuses (``solve``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BudgetExceededError, GeometryError, PointRejectedError
+from .errors import BudgetExceededError, GeometryError, OracleError, PointRejectedError
 from .model import (
     SampleSet,
     build_model,
@@ -61,7 +62,6 @@ from .problem import EvalLedger, LovoProblem, choose_imin, eval_component, eval_
 from .subproblem import (
     FULL_STEP_RTOL,
     altmov_linear,
-    check_sufficient_decrease,
     select_target_for_altmov,
     trsbox_linear,
 )
@@ -84,6 +84,8 @@ STATUS_SUCCESS = "success"
 STATUS_STALLED = "stalled"
 STATUS_BUDGET = "budget_exhausted"
 STATUS_MAXCRIT = "maxcrit_exceeded"
+STATUS_ORACLE = "oracle_error"
+STATUS_GEOMETRY = "geometry_failed"
 
 
 @dataclass
@@ -128,6 +130,10 @@ class SolverConfig:
             raise ValueError("nrhomax must be at least 1")
         if not self.delta_min > 0:
             raise ValueError("delta_min must be positive")
+        if self.maxcrit is not None and self.maxcrit < 0:
+            raise ValueError("maxcrit must be nonnegative")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be at least 1")
 
     def maxcrit_for(self, n: int) -> int:
         # The stationarity measure is frozen while consecutive criticality
@@ -220,6 +226,7 @@ class SolveResult:
     history: list = field(default_factory=list)
     i_final: int = 1
     problem_name: str = ""
+    error: str = ""  # text of the OracleError that ended an oracle_error run
 
     def write_history_jsonl(self, path):
         with open(path, "w") as fh:
@@ -381,9 +388,6 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         # Short or non-descending steps are not worth an evaluation.
         return _geometry_iteration(state, problem, config, ledger, pi, stale=False)
 
-    if not check_sufficient_decrease(state.model, d, pi, state.Delta):
-        _log.warning("trust-region step failed the sufficient-decrease "
-                     "diagnostic (pi=%.3e, Delta=%.3e)", pi, state.Delta)
     x_new = box.project(state.x + d)
     use_full = (
         not config.use_cheap_rho
@@ -555,6 +559,12 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
           sample_log=None) -> SolveResult:
     """Minimize the pointwise minimum of the problem's components over its box.
 
+    The run has one exit.  ``check_stopping`` names its status, or the
+    exception that ended it does: ``BudgetExceededError`` gives
+    ``budget_exhausted``, ``OracleError`` ``oracle_error`` (its text in
+    ``SolveResult.error``), and ``GeometryError`` ``geometry_failed`` (a
+    degenerate initial sample, a failed rebuild, or a second error in a row).
+
     Parameters
     ----------
     problem : LovoProblem
@@ -572,62 +582,48 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     Returns
     -------
     SolveResult
-        Final iterate, status, evaluation ledger and per-iteration history.
+        Whatever the status, ``x_final``, ``f_final`` and ``i_final`` are the
+        last committed ``x``, ``fx`` (which never rises) and ``i``; a run that
+        ends before its initial sample is built reports ``problem.x0`` and
+        the ledger's best certified value (``inf`` if none).
     """
     config = config if config is not None else SolverConfig()
     if ledger is None:
         ledger = EvalLedger(problem.r, budget=config.budget)
 
-    best_x = problem.x0.copy()
-    best_f = np.inf
+    state = None
+    history = []
+    error = ""
     try:
         state = _initial_state(problem, config, ledger)
-    except BudgetExceededError:
-        return SolveResult(x_final=best_x, f_final=ledger.best_certified,
-                           status=STATUS_BUDGET, iterations=0, ledger=ledger,
-                           i_final=1, problem_name=problem.name)
-    best_x, best_f = state.x.copy(), state.fx
-
-    history = []
-    status = None
-    k = 0
-    geometry_failed = False
-    while status is None:
-        try:
-            outcome = iterate(state, problem, config, ledger)
-        except BudgetExceededError:
-            status = STATUS_BUDGET
-            break
-        except GeometryError:
-            if geometry_failed:
-                status = STATUS_STALLED
-                break
-            geometry_failed = True
+        status = None
+        while status is None:
             try:
-                _recover_geometry(state, problem, config, ledger)
-            except BudgetExceededError:
-                status = STATUS_BUDGET
-                break
+                outcome = iterate(state, problem, config, ledger)
             except GeometryError:
-                status = STATUS_STALLED
-                break
-            continue
-        geometry_failed = False
-        outcome.k = k
-        history.append(outcome)
-        if state.fx < best_f:
-            best_x, best_f = state.x.copy(), state.fx
-        if callback is not None:
-            callback(k, outcome, ledger)
-        if sample_log is not None:
-            sample_log(k, state.sample)
-        k += 1
-        status = check_stopping(state, problem, config, ledger)
+                # a second consecutive failure leaves through the handler
+                _recover_geometry(state, problem, config, ledger)
+                outcome = iterate(state, problem, config, ledger)
+            outcome.k = len(history)
+            history.append(outcome)
+            if callback is not None:
+                callback(outcome.k, outcome, ledger)
+            if sample_log is not None:
+                sample_log(outcome.k, state.sample)
+            status = check_stopping(state, problem, config, ledger)
+    except BudgetExceededError:
+        status = STATUS_BUDGET
+    except OracleError as exc:
+        status, error = STATUS_ORACLE, str(exc)
+    except GeometryError:
+        status = STATUS_GEOMETRY
 
-    if state.fx <= best_f:
-        best_x, best_f = state.x.copy(), state.fx
+    if state is None:
+        x, fx, i = problem.x0.copy(), ledger.best_certified, 1
+    else:
+        x, fx, i = state.x.copy(), state.fx, state.i
     return SolveResult(
-        x_final=best_x, f_final=best_f, status=status, iterations=k,
-        ledger=ledger, history=history, i_final=state.i,
-        problem_name=problem.name,
+        x_final=x, f_final=fx, status=status, iterations=len(history),
+        ledger=ledger, history=history, i_final=i, problem_name=problem.name,
+        error=error,
     )

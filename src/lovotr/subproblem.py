@@ -117,9 +117,9 @@ def check_sufficient_decrease(model: LinearModel, d, pi: float, Delta: float,
 
         m(base) - m(base + d) >= theta * pi * min(pi, Delta, 1)
 
-    (the Hessian term in the general denominator is zero).  This is a runtime
-    diagnostic: the exact path trace satisfies it for any positive ``theta``
-    small enough, and callers warn rather than abort when it fails.
+    (the Hessian term in the general denominator is zero).  The solver does
+    not call it: the exact path trace satisfies it for any positive ``theta``
+    small enough, which acceptance criterion 5 audits over 1000 steps.
     """
     v = np.asarray(d, dtype=float)
     if v.shape != model.base.shape:

@@ -61,7 +61,7 @@ class TestRunCampaign:
             assert all(a > b for a, b in zip(values, values[1:])) or len(values) <= 1
             assert counts[-1] <= t.budget + t.r_p
             assert t.status in ("success", "stalled", "budget_exhausted",
-                                "maxcrit_exceeded")
+                                "maxcrit_exceeded", "geometry_failed")
             assert t.x_final is not None
 
     def test_failed_run_is_flagged(self):
@@ -226,6 +226,7 @@ class TestEmit:
 class TestTraceFiles:
     def test_write_read_roundtrip(self, tmp_path):
         problems = gen_qd(2, 2, seed=4, count=2)
+        problems[0].name = "manifest"  # a name once mistaken for a campaign file
         traces = run_campaign(problems, SolverConfig())
         for t in traces:
             write_trace(t, tmp_path)

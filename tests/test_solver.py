@@ -15,12 +15,14 @@ from conftest import (
     assert_radii_replay,
     central_diff_gradient,
 )
-from lovotr.errors import OracleError
+from lovotr.errors import GeometryError
 from lovotr.model import LinearModel, build_model, initial_sample
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
     STATUS_BUDGET,
+    STATUS_GEOMETRY,
     STATUS_MAXCRIT,
+    STATUS_ORACLE,
     STATUS_STALLED,
     STATUS_SUCCESS,
     SolverConfig,
@@ -72,6 +74,8 @@ class TestConfigValidation:
         dict(Gamma_max=0),
         dict(nrhomax=0),
         dict(delta_min=0.0),
+        dict(maxcrit=-1),
+        dict(budget=0),
     ])
     def test_orderings_enforced(self, bad):
         with pytest.raises(ValueError):
@@ -395,7 +399,7 @@ class TestSolve:
         assert result.ledger.total_component_evals <= 10 + problem.r
         assert problem.box.contains(result.x_final)
 
-    def test_oracle_failure_propagates(self):
+    def test_oracle_failure_ends_in_oracle_error(self):
         calls = [0]
 
         def flaky(x):
@@ -407,8 +411,38 @@ class TestSolve:
         problem = LovoProblem(
             "flaky", [ComponentOracle(1, flaky)], FeasibleBox([0, 0], [10, 10]), [5, 5]
         )
-        with pytest.raises(OracleError):
-            solve(problem, SolverConfig(budget=500))
+        result = solve(problem, SolverConfig(budget=500))
+        assert result.status == STATUS_ORACLE
+        assert "component 1 returned non-finite value nan" in result.error
+        assert calls[0] == 21 and result.history
+        # the last committed iterate, not the failed query
+        assert result.f_final == result.history[-1].fx < result.ledger.trace[0].value
+        assert result.f_final == np.sum((result.x_final - 3.3) ** 2)
+        assert problem.box.contains(result.x_final)
+
+    @pytest.mark.filterwarnings("ignore:box is thinner")
+    @pytest.mark.parametrize("cause", ["initial", "repeat", "recovery"])
+    def test_geometry_failure_is_named(self, monkeypatch, cause):
+        import lovotr.solver as solver_module
+
+        def fail(*args):
+            raise GeometryError("degenerate")
+
+        if cause == "initial":
+            # offsets of 5e-14 and 1: the interpolation system is singular
+            comps = [ComponentOracle(1, lambda x: float(x @ x))]
+            problem = LovoProblem("thin", comps, FeasibleBox([0, 0], [1e-13, 10]),
+                                  [0, 5])
+        else:
+            problem = single_quadratic(2, [3.0, 7.0])
+            monkeypatch.setattr(solver_module, "iterate", fail)
+            if cause == "recovery":
+                monkeypatch.setattr(solver_module, "_recover_geometry", fail)
+        result = solve(problem, SolverConfig(budget=100))
+        assert result.status == STATUS_GEOMETRY and not result.error
+        assert result.iterations == 0
+        assert np.array_equal(result.x_final, problem.x0)
+        assert result.f_final == result.ledger.trace[0].value
 
     def test_callback_and_history_export(self, tmp_path):
         problem = single_quadratic(2, [3.0, 7.0])
@@ -530,17 +564,20 @@ def small_lovo_problems(draw):
 
 class TestInvariants:
     @pytest.mark.filterwarnings("ignore:box is thinner")
-    @given(small_lovo_problems())
+    @given(small_lovo_problems(), st.none() | st.integers(1, 400))
     @settings(max_examples=60, deadline=None)
-    def test_every_iteration_keeps_the_loop_invariants(self, case):
+    def test_every_iteration_keeps_the_loop_invariants(self, case, nan_at):
+        # nan_at: the oracle call, counted over all components, that returns NaN
         problem, budget = case
         lower, upper = problem.box.lower, problem.box.upper
         outside = []
+        calls = [0]
         for comp in problem.components:
             def checked(x, _fn=comp.fn):
+                calls[0] += 1
                 if np.any(x < lower) or np.any(x > upper):
                     outside.append(np.array(x))
-                return _fn(x)
+                return float("nan") if calls[0] == nan_at else _fn(x)
             comp.fn = checked
 
         committed = []  # fx after every iteration, from the starting value
@@ -561,7 +598,10 @@ class TestInvariants:
         assert not outside
         assert result.ledger.total_component_evals <= budget + problem.r - 1
         assert result.status in (STATUS_SUCCESS, STATUS_STALLED, STATUS_BUDGET,
-                                 STATUS_MAXCRIT)
+                                 STATUS_MAXCRIT, STATUS_ORACLE, STATUS_GEOMETRY)
+        assert (result.status == STATUS_ORACLE) == (calls[0] == nan_at)
+        assert bool(result.error) == (result.status == STATUS_ORACLE)
+        assert problem.box.contains(result.x_final)
         if result.history:
             assert result.f_final == result.history[-1].fx
         with tempfile.TemporaryDirectory() as tmp:
