@@ -226,7 +226,7 @@ class TestEmit:
 class TestTraceFiles:
     def test_write_read_roundtrip(self, tmp_path):
         problems = gen_qd(2, 2, seed=4, count=2)
-        problems[0].name = "manifest"  # a name once mistaken for a campaign file
+        problems[0].name = "manifest"  # its trace is written to manifest.json
         traces = run_campaign(problems, SolverConfig())
         for t in traces:
             write_trace(t, tmp_path)
