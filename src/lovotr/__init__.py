@@ -12,7 +12,7 @@ layers underneath stay importable from their modules:
 * :mod:`lovotr.subproblem` -- trust-region and geometry steps on box-and-ball;
 * :mod:`lovotr.solver` -- the iteration loop, configuration and results;
 * :mod:`lovotr.testsets` -- QD / HS-combo / least-squares-block generators;
-* :mod:`lovotr.bench` -- budgeted campaigns, data profiles, CSV/JSON/SVG output.
+* :mod:`lovotr.bench` -- budgeted campaigns, data profiles, CSV/SVG output.
 """
 
 from .bench import (

@@ -22,7 +22,8 @@ first ``t`` where
 with ``f_L`` the reference value per problem (by default the best value found
 by any participating run, optionally overridden with known values).  The data
 profile is the running fraction of problems solved as a function of the
-simplex-gradient budget.
+simplex-gradient budget; its summary table gives the smallest budget that
+reaches each of a few solved fractions.
 """
 
 from __future__ import annotations
@@ -210,35 +211,36 @@ def summarize_simplex_gradients(profile: DataProfile, fractions: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Emission: CSV / JSON / SVG, all byte-deterministic for identical inputs.
+# Emission: CSV / SVG, all byte-deterministic for identical inputs.
 
 def _format_number(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    return format(x, ".10g")
+    return "inf" if x == math.inf else format(x, ".10g")
 
 
-def emit(obj, path, fmt: str | None = None) -> str:
+def emit(obj, path) -> str:
     """Write a profile, a dict of tagged profiles or a summary table to ``path``.
 
-    ``fmt`` is one of ``csv``, ``json``, ``svg``; by default it is inferred
-    from the file extension.  A CSV or JSON file holds one profile; a dict of
-    profiles is drawn in one SVG and refused (``ValueError``) in the other
-    formats.  Output is deterministic: emitting the same object twice yields
-    byte-identical files.
+    The format, ``csv`` or ``svg``, is the file extension.  A profile is
+    written as CSV or SVG, a dict of profiles is drawn in one SVG and a
+    summary table is written as CSV; any other pairing is refused
+    (``ValueError``).  Output is deterministic: emitting the same object twice
+    yields byte-identical files.
     """
-    if fmt is None:
-        fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
-    if fmt not in ("csv", "json", "svg"):
-        raise ValueError(f"unknown format {fmt!r}")
-
-    if isinstance(obj, list):  # summary table
-        return _emit_table(obj, path, fmt)
+    fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     if isinstance(obj, dict) and all(isinstance(v, DataProfile) for v in obj.values()):
         if fmt != "svg":
             raise ValueError(f"a dict of profiles is emitted as svg only, not {fmt}; "
-                             "emit one profile per csv or json file")
+                             "emit one profile per csv file")
         text = render_profile_svg(obj)
+    elif fmt not in ("csv", "svg"):
+        raise ValueError(f"unknown format {fmt!r}")
+    elif isinstance(obj, list):  # summary table
+        if fmt != "csv":
+            raise ValueError("summary tables are emitted as csv only")
+        lines = ["fraction,kappa"]
+        for fraction, kappa in obj:
+            lines.append(f"{_format_number(fraction)},{_format_number(kappa)}")
+        text = "\n".join(lines) + "\n"
     elif not isinstance(obj, DataProfile):
         raise TypeError(f"cannot emit object of type {type(obj).__name__}")
     elif fmt == "csv":
@@ -248,34 +250,8 @@ def emit(obj, path, fmt: str | None = None) -> str:
                 f"{_format_number(tau)},{_format_number(kappa)},{_format_number(frac)}"
             )
         text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        doc = {
-            "tau": obj.tau,
-            "n_problems": obj.n_problems,
-            "solve_kappas": obj.solve_kappas,
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         text = render_profile_svg({"": obj})
-    with open(path, "w") as fh:
-        fh.write(text)
-    return str(path)
-
-
-def _emit_table(table: list, path, fmt: str) -> str:
-    if fmt == "svg":
-        raise ValueError("summary tables are emitted as csv or json only")
-    if fmt == "csv":
-        lines = ["fraction,kappa"]
-        for fraction, kappa in table:
-            lines.append(f"{_format_number(fraction)},{_format_number(kappa)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(
-            [{"fraction": fr, "kappa": (None if math.isinf(k) else k)}
-             for fr, k in table],
-            indent=2,
-        ) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
     return str(path)
@@ -284,17 +260,16 @@ def _emit_table(table: list, path, fmt: str) -> str:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_profile_svg(profiles: dict, width=640, height=480, kappa_max=None) -> str:
+def render_profile_svg(profiles: dict) -> str:
     """Minimal static SVG: one step polyline per tagged profile, labeled axes."""
+    width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 20, 50
     pw, ph = width - ml - mr, height - mt - mb
-    if kappa_max is None:
-        kappa_max = 0.0
-        for prof in profiles.values():
-            kappas, _ = prof.curve()
-            if kappas.size:
-                kappa_max = max(kappa_max, float(kappas[-1]))
-        kappa_max = max(kappa_max, 1.0)
+    kappa_max = 1.0
+    for prof in profiles.values():
+        kappas, _ = prof.curve()
+        if kappas.size:
+            kappa_max = max(kappa_max, float(kappas[-1]))
 
     def sx(kappa):
         return ml + pw * min(kappa, kappa_max) / kappa_max
@@ -374,14 +349,25 @@ def write_trace(trace: RunTrace, directory):
 
 
 def read_traces(directory) -> list:
+    """Traces ``write_trace`` wrote; a stray ``.json`` file raises ``ValueError``."""
     traces = []
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(str(directory), name)) as fh:
-            manifest = json.load(fh)
+        path = os.path.join(str(directory), name)
+        with open(path) as fh:
+            try:
+                manifest = json.load(fh)
+            except ValueError:  # not JSON, or not text
+                manifest = None
+        if not (isinstance(manifest, dict)
+                and {"problem", "n", "r", "budget"} <= manifest.keys()):
+            raise ValueError(f"{path} is not a trace manifest")
+        csv_path = path[:-5] + ".csv"
+        if not os.path.isfile(csv_path):
+            raise ValueError(f"{path} is a trace manifest without its CSV {csv_path}")
         samples = []
-        with open(os.path.join(str(directory), name[:-5] + ".csv")) as fh:
+        with open(csv_path) as fh:
             reader = csv.reader(fh)
             next(reader)
             for row in reader:

@@ -3,7 +3,10 @@
     lovotr gen-qd --n 10 --r 25 --seed 7 --count 50 --out problems/
     lovotr bench run --problems problems/ --budget-rule component --out traces/
     lovotr bench profile --traces traces/ --tau 1e-1,1e-3,1e-5,1e-7 --out profiles/
-    lovotr bench table --profile profiles/profile_tau1e-05.csv --fractions 0.2,0.4,0.6
+
+``bench profile`` writes, per tau, the profile ``profile_tau{tau}.csv`` and its
+budget table ``table_tau{tau}.csv`` at ``TABLE_FRACTIONS``.  Bad input exits with
+one line naming the file at fault.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import bench, testsets
 from .problem import load_problem, save_problem
 from .solver import SolverConfig
+
+TABLE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.85)
 
 
 def _parse_floats(text: str) -> list:
@@ -53,9 +57,19 @@ def _load_problems(directory) -> list:
     if not os.path.isdir(directory):
         raise SystemExit(f"problem directory {directory} does not exist")
     problems = []
+    seen = {}  # trace file stem -> (problem file, problem name)
     for name in sorted(os.listdir(directory)):
-        if name.endswith(".problem.json"):
-            problems.append(load_problem(os.path.join(directory, name)))
+        if not name.endswith(".problem.json"):
+            continue
+        path = os.path.join(directory, name)
+        problem = load_problem(path)
+        stem = bench._safe_name(problem.name)
+        if stem in seen:
+            other_path, other = seen[stem]
+            raise SystemExit(f"problems {other!r} ({other_path}) and {problem.name!r} "
+                             f"({path}) would both write the trace {stem}.csv")
+        seen[stem] = path, problem.name
+        problems.append(problem)
     if not problems:
         raise SystemExit(f"no *.problem.json files in {directory}")
     return problems
@@ -92,11 +106,19 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_profile(args) -> int:
-    traces = bench.read_traces(args.traces)
+    try:
+        traces = bench.read_traces(args.traces)
+    except (OSError, ValueError) as exc:  # no such directory, or a stray file
+        raise SystemExit(str(exc)) from None
+    if not traces:
+        raise SystemExit(f"no trace manifests in {args.traces}")
     overrides = None
     if args.f_l:
-        with open(args.f_l) as fh:
-            overrides = json.load(fh)
+        try:
+            with open(args.f_l) as fh:
+                overrides = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"reference-value file {args.f_l}: {exc}") from None
     f_l_table = bench.default_f_l(traces, overrides)
     os.makedirs(args.out, exist_ok=True)
     for tau in _parse_floats(args.tau):
@@ -105,52 +127,10 @@ def _cmd_bench_profile(args) -> int:
         bench.emit(profile, stem + ".csv")
         if args.svg:
             bench.emit(profile, stem + ".svg")
+        table = bench.summarize_simplex_gradients(profile, TABLE_FRACTIONS)
+        bench.emit(table, os.path.join(args.out, f"table_tau{tau:g}.csv"))
         print(f"tau={tau:g}: solved fraction at budget 100 is "
               f"{profile.fraction_at(100.0):.3f}")
-    return 0
-
-
-def _read_profile_csv(path) -> bench.DataProfile:
-    """The profile a CSV holds; its rows list only the solved problems.
-
-    The last row's solved fraction is (rows / problems), which gives back the
-    number of problems; an empty profile has none solved out of none.  A CSV
-    whose rows carry more than one tau mixes several profiles and is refused:
-    ``bench.emit`` writes one profile per CSV, but the file may come from
-    elsewhere.
-    """
-    kappas = []
-    tau = math.nan
-    fraction = 1.0
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "tau,kappa,solved_fraction":
-            raise SystemExit(f"{path} is not a profile CSV")
-        for line in fh:
-            tau_text, kappa_text, fraction_text = line.strip().split(",")
-            if kappas and float(tau_text) != tau:
-                raise SystemExit(f"{path} holds profiles at more than one tau "
-                                 f"({tau:g} and {float(tau_text):g}); "
-                                 "emit one profile per CSV")
-            tau = float(tau_text)
-            kappas.append(float(kappa_text))
-            fraction = float(fraction_text)
-    return bench.DataProfile(
-        tau=tau, n_problems=round(len(kappas) / fraction),
-        solve_kappas={f"p{idx}": k for idx, k in enumerate(kappas)},
-    )
-
-
-def _cmd_bench_table(args) -> int:
-    profile = _read_profile_csv(args.profile)
-    table = bench.summarize_simplex_gradients(profile, _parse_floats(args.fractions))
-    if args.out:
-        bench.emit(table, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print("fraction,kappa")
-        for fraction, kappa in table:
-            print(f"{fraction:g},{'inf' if math.isinf(kappa) else format(kappa, '.10g')}")
     return 0
 
 
@@ -182,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSONL file receiving per-iteration sample-set dumps")
     run.set_defaults(fn=_cmd_bench_run)
 
-    prof = bench_sub.add_parser("profile", help="compute data profiles from traces")
+    prof = bench_sub.add_parser("profile", help="data profiles and budget tables")
     prof.add_argument("--traces", required=True)
     prof.add_argument("--tau", default="1e-1,1e-3,1e-5,1e-7")
     prof.add_argument("--out", required=True)
@@ -190,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON file of per-problem reference values")
     prof.add_argument("--svg", action="store_true")
     prof.set_defaults(fn=_cmd_bench_profile)
-
-    table = bench_sub.add_parser("table", help="budget summary from a profile CSV")
-    table.add_argument("--profile", required=True)
-    table.add_argument("--fractions", default="0.2,0.4,0.6,0.8,0.85")
-    table.add_argument("--out", default=None)
-    table.set_defaults(fn=_cmd_bench_table)
 
     return parser
 

@@ -270,16 +270,8 @@ def choose_imin(active, previous_index: int | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # JSON serialization.  Generated problems carry a generator record and are
-# rebuilt through the factory registered for their kind; analytic test
-# functions are referenced by registry name inside the generator params.
-
-_GENERATOR_REGISTRY: dict = {}
-
-
-def register_generator(kind: str, factory):
-    """Register ``factory(params) -> LovoProblem`` for generator ``kind``."""
-    _GENERATOR_REGISTRY[kind] = factory
-
+# rebuilt as ``testsets.GENERATORS[kind](params)``; analytic test functions
+# are referenced by registry name inside the generator params.
 
 def problem_to_dict(problem: LovoProblem) -> dict:
     if problem.generator is None:
@@ -296,11 +288,11 @@ def problem_to_dict(problem: LovoProblem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> LovoProblem:
-    from . import testsets  # noqa: F401  (populates the registry)
+    from .testsets import GENERATORS  # testsets builds on this module
 
     gen = doc["generator"]
     try:
-        factory = _GENERATOR_REGISTRY[gen["kind"]]
+        factory = GENERATORS[gen["kind"]]
     except KeyError:
         raise ValueError(f"unknown generator kind {gen['kind']!r}") from None
     problem = factory(gen["params"])

@@ -453,8 +453,6 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         promote_to_base(state.sample, row)
     if row is None:
         d, _ = _geometry_step(state, problem, ledger, stale=False)
-        swapped = False
-        i_next = state.i
 
     # --- model rebuild (certified index swap) or incremental update.
     if swapped:

@@ -36,12 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import (
-    ComponentOracle,
-    FeasibleBox,
-    LovoProblem,
-    register_generator,
-)
+from .problem import ComponentOracle, FeasibleBox, LovoProblem
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -517,6 +512,4 @@ def _mw_factory(params: dict) -> LovoProblem:
                   params.get("start_scale", 1.0))
 
 
-register_generator("qd", _qd_factory)
-register_generator("hs", _hs_factory)
-register_generator("mw", _mw_factory)
+GENERATORS = {"qd": _qd_factory, "hs": _hs_factory, "mw": _mw_factory}

@@ -204,23 +204,20 @@ class TestEmit:
             emit(profiles, path)
         assert not path.exists()
 
-    def test_json_roundtrippable(self, tmp_path):
-        import json
-
-        profile = DataProfile(1e-5, 2, {"a": 3.0, "b": None})
-        path = tmp_path / "p.json"
-        emit(profile, path)
-        doc = json.loads(path.read_text())
-        assert doc["tau"] == 1e-5 and doc["solve_kappas"]["b"] is None
-
     def test_table_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         emit([(0.6, 7.0), (0.9, math.inf)], path)
         assert path.read_text() == "fraction,kappa\n0.6,7\n0.9,inf\n"
+        with pytest.raises(ValueError, match="csv only"):
+            emit([(0.6, 7.0)], tmp_path / "t.svg")
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit(DataProfile(1e-5, 0, {}), tmp_path / "p.txt")
+        for suffix in ("txt", "json"):
+            for obj in (DataProfile(1e-5, 0, {}), [(0.6, 7.0)]):
+                path = tmp_path / f"p.{suffix}"
+                with pytest.raises(ValueError):
+                    emit(obj, path)
+                assert not path.exists()
 
 
 class TestTraceFiles:

@@ -1,9 +1,10 @@
 import json
-import math
+import shutil
 
 import pytest
 
-from lovotr.bench import DataProfile, emit, summarize_simplex_gradients
+from lovotr import cli
+from lovotr.bench import RunTrace, write_trace
 from lovotr.cli import main
 from lovotr.problem import load_problem
 
@@ -36,19 +37,15 @@ def test_full_pipeline(tmp_path, capsys):
 
     assert main(["bench", "profile", "--traces", str(traces),
                  "--tau", "1e-1,1e-5", "--out", str(profiles), "--svg"]) == 0
-    assert len(sorted(profiles.glob("*.csv"))) == 2
-    assert len(sorted(profiles.glob("*.svg"))) == 2
-
-    profile_csv = sorted(profiles.glob("*.csv"))[0]
-    assert main(["bench", "table", "--profile", str(profile_csv),
-                 "--fractions", "0.5,1.0"]) == 0
-    out = capsys.readouterr().out
-    assert "fraction,kappa" in out
-
-    table_csv = tmp_path / "table.csv"
-    assert main(["bench", "table", "--profile", str(profile_csv),
-                 "--fractions", "0.5", "--out", str(table_csv)]) == 0
-    assert table_csv.read_text().startswith("fraction,kappa")
+    assert len(sorted(profiles.glob("profile_tau*.csv"))) == 2
+    assert len(sorted(profiles.glob("profile_tau*.svg"))) == 2
+    assert "tau=1e-05: solved fraction" in capsys.readouterr().out
+    tables = sorted(profiles.glob("table_tau*.csv"))
+    assert [t.name for t in tables] == ["table_tau0.1.csv", "table_tau1e-05.csv"]
+    lines = tables[0].read_text().splitlines()
+    assert lines[0] == "fraction,kappa"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.2", "0.4", "0.6",
+                                                         "0.8", "0.85"]
 
 
 def test_config_file_and_sample_dump(tmp_path):
@@ -67,46 +64,73 @@ def test_config_file_and_sample_dump(tmp_path):
                         "model_index", "condition_estimate"} <= set(records[0])
 
 
-def _table_rows(text):
-    lines = text.strip().splitlines()
-    assert lines[0] == "fraction,kappa"
-    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+def _write_traces(directory, kappas):
+    """One n=1, r=1 trace per kappa, from f(x0) = 10 down to 0 at that kappa.
+
+    A trace whose kappa is None stays at 10; with the reference value 0 it
+    never solves the problem.  Returns the ``--f-l`` file setting f_L = 0.
+    """
+    directory.mkdir()
+    for idx, kappa in enumerate(kappas):
+        samples = [(1, 10.0)] + ([] if kappa is None else [(round(2 * kappa), 0.0)])
+        write_trace(RunTrace(problem_name=f"p{idx}", n_p=1, r_p=1,
+                             metering="component", budget=200, f_x0=10.0,
+                             samples=samples, status="success"), directory)
+    f_l = directory.parent / "f_l.json"
+    f_l.write_text(json.dumps({f"p{idx}": 0.0 for idx in range(len(kappas))}))
+    return f_l
 
 
-def test_table_counts_unsolved_problems(tmp_path, capsys):
-    # profile CSVs list only the solved problems: 2 of 4 here
-    profile = DataProfile(tau=1e-5, n_problems=4,
-                          solve_kappas={"a": 1.0, "b": 2.0, "c": None, "d": None})
-    fractions = [0.5, 0.75, 1.0]
-    expected = summarize_simplex_gradients(profile, fractions)
-    assert expected == [(0.5, 2.0), (0.75, math.inf), (1.0, math.inf)]
-    path = emit(profile, tmp_path / "profile.csv")
-    assert main(["bench", "table", "--profile", path,
-                 "--fractions", "0.5,0.75,1.0"]) == 0
-    assert _table_rows(capsys.readouterr().out) == expected
+def _profile_table(tmp_path, kappas):
+    f_l = _write_traces(tmp_path / "traces", kappas)
+    profiles = tmp_path / "profiles"
+    assert main(["bench", "profile", "--traces", str(tmp_path / "traces"),
+                 "--tau", "1e-5", "--f-l", str(f_l), "--out", str(profiles)]) == 0
+    return (profiles / "table_tau1e-05.csv").read_text()
 
 
-def test_table_of_empty_profile_is_unreachable(tmp_path, capsys):
-    profile = DataProfile(tau=1e-5, n_problems=3,
-                          solve_kappas={"a": None, "b": None, "c": None})
-    path = emit(profile, tmp_path / "profile.csv")
-    assert main(["bench", "table", "--profile", path,
-                 "--fractions", "0.2,1.0"]) == 0
-    assert _table_rows(capsys.readouterr().out) == [(0.2, math.inf),
-                                                    (1.0, math.inf)]
+def test_table_counts_unsolved_problems(tmp_path):
+    # 2 of 4 problems solved: 40% of them need 2 simplex gradients, 60% never
+    assert cli.TABLE_FRACTIONS == (0.2, 0.4, 0.6, 0.8, 0.85)
+    assert _profile_table(tmp_path, [1.0, 2.0, None, None]) == (
+        "fraction,kappa\n0.2,1\n0.4,2\n0.6,inf\n0.8,inf\n0.85,inf\n")
 
 
-def test_table_refuses_a_csv_of_several_profiles(tmp_path, capsys):
-    # emit writes one profile per CSV, but a hand-made file may hold two;
-    # read as one profile it would mix taus and counts
-    path = tmp_path / "profiles.csv"
-    path.write_text("tau,kappa,solved_fraction\n"
-                    "0.1,1,0.25\n0.1,2,0.5\n0.1,3,0.75\n0.1,4,1\n"
-                    "1e-05,5,0.25\n")
+def test_table_of_empty_profile_is_unreachable(tmp_path):
+    assert _profile_table(tmp_path, [None, None, None]) == (
+        "fraction,kappa\n0.2,inf\n0.4,inf\n0.6,inf\n0.8,inf\n0.85,inf\n")
+
+
+@pytest.mark.parametrize("fault", ["missing-dir", "empty-dir", "not-json",
+                                   "not-a-manifest", "no-csv", "missing-f-l"])
+def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
+    traces = tmp_path / "traces"
+    args = ["bench", "profile", "--traces", str(traces),
+            "--out", str(tmp_path / "profiles")]
+    named = traces
+    if fault != "missing-dir":
+        f_l = _write_traces(traces, [1.0])
+    if fault == "empty-dir":
+        for path in traces.iterdir():
+            path.unlink()
+    elif fault == "not-json":
+        named = traces / "notes.json"
+        named.write_text("not json\n")
+    elif fault == "not-a-manifest":
+        named = traces / "notes.json"
+        named.write_text(json.dumps({"author": "someone"}))
+    elif fault == "no-csv":
+        (traces / "p0.csv").unlink()
+        named = traces / "p0.json"
+    elif fault == "missing-f-l":
+        named = f_l
+        f_l.unlink()
+        args += ["--f-l", str(f_l)]
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "table", "--profile", str(path), "--fractions", "0.25,0.5"])
+        main(args)
     message = str(exc.value)
-    assert "more than one tau" in message and "\n" not in message
+    assert str(named) in message and "\n" not in message
+    assert not (tmp_path / "profiles").exists()
     assert capsys.readouterr().out == ""
 
 
@@ -139,3 +163,31 @@ def test_missing_problem_directory_exits_with_one_line(tmp_path):
               "--out", str(tmp_path / "traces")])
     message = str(exc.value)
     assert str(missing) in message and "\n" not in message
+
+
+@pytest.mark.parametrize("names", [None, ("qd a", "qd_a")],
+                         ids=["copied-file", "same-safe-name"])
+def test_problems_sharing_a_trace_file_exit_with_one_line(tmp_path, monkeypatch,
+                                                          names):
+    problems = tmp_path / "problems"
+    main(["gen-qd", "--n", "2", "--r", "1", "--seed", "3",
+          "--count", "2", "--out", str(problems)])
+    first = sorted(problems.glob("*.problem.json"))[0]
+    if names is None:  # the name is rebuilt from the generator, not the file
+        shutil.copy(first, problems / "zz-copy.problem.json")
+        names = (load_problem(first).name,) * 2
+    else:
+        renamed = iter(names)
+
+        def load_renamed(path):
+            problem = load_problem(path)
+            problem.name = next(renamed)
+            return problem
+
+        monkeypatch.setattr(cli, "load_problem", load_renamed)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "--problems", str(problems),
+              "--out", str(tmp_path / "traces")])
+    message = str(exc.value)
+    assert all(repr(name) in message for name in names) and "\n" not in message
+    assert not (tmp_path / "traces").exists()

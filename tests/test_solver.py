@@ -531,12 +531,15 @@ def small_lovo_problems(draw):
     """Small LOVO problems: thin or wide boxes, starts on bounds, exact ties.
 
     Component kinds are drawn by hypothesis; the floats come from one drawn
-    seed.  A "copy" repeats the previous quadratic, so the two tie exactly
-    everywhere, and a "constant" never moves.
+    seed.  A "copy" repeats the previous component, so the two tie exactly
+    everywhere, and a "constant" never moves.  Constants lie above the lowest
+    quadratic at x0, so a quadratic is the working component and the run takes
+    trust-region steps whenever there is one; without one, they lie in (-1, 1).
     """
     n = draw(st.integers(1, 6))
-    kinds = draw(st.lists(st.sampled_from(["quadratic", "copy", "constant"]),
-                          min_size=1, max_size=5))
+    # quadratics are drawn twice as often as each other kind
+    kinds = draw(st.lists(st.sampled_from(["quadratic", "quadratic", "copy",
+                                           "constant"]), min_size=1, max_size=5))
     thin = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lower = rng.uniform(-2.0, 2.0, n)
@@ -545,16 +548,23 @@ def small_lovo_problems(draw):
     on_lower = rng.random(n) < 0.3
     on_upper = ~on_lower & (rng.random(n) < 0.3)
     x0[on_lower], x0[on_upper] = lower[on_lower], upper[on_upper]
+
+    def quadratic():
+        center = rng.uniform(lower - 1.0, upper + 1.0)
+        weight = rng.uniform(0.1, 10.0, n)
+        return lambda x, c=center, w=weight: float(w @ (x - c) ** 2)
+
+    quadratics = [quadratic() if kind == "quadratic" else None for kind in kinds]
+    q0 = min((q(x0) for q in quadratics if q is not None), default=None)
+    low, high = (-1.0, 1.0) if q0 is None else (q0, 2.0 * q0 + 1.0)
     fns = []
-    for kind in kinds:
-        if kind == "constant" or (kind == "copy" and not fns):
-            fns.append(lambda x, c=float(rng.uniform(-1.0, 1.0)): c)
-        elif kind == "copy":
+    for kind, quadratic in zip(kinds, quadratics):
+        if quadratic is not None:
+            fns.append(quadratic)
+        elif kind == "copy" and fns:
             fns.append(fns[-1])
         else:
-            center = rng.uniform(lower - 1.0, upper + 1.0)
-            weight = rng.uniform(0.1, 10.0, n)
-            fns.append(lambda x, c=center, w=weight: float(w @ (x - c) ** 2))
+            fns.append(lambda x, c=float(rng.uniform(low, high)): c)
     box = FeasibleBox(lower, upper)
     problem = LovoProblem(
         "prop", [ComponentOracle(k, fn) for k, fn in enumerate(fns, start=1)],
