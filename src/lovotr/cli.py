@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -28,11 +29,22 @@ def _parse_floats(text: str) -> list:
     return [float(part) for part in text.split(",") if part]
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _load_config(path) -> SolverConfig:
     if path is None:
         return SolverConfig()
-    with open(path) as fh:
-        settings = json.load(fh)
+    try:
+        with open(path) as fh:
+            settings = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"solver settings file {path}: {exc}") from None
     if not isinstance(settings, dict):
         raise SystemExit(f"{path}: expected a JSON object of solver settings")
     unknown = sorted(set(settings) - {f.name for f in dataclasses.fields(SolverConfig)})
@@ -119,6 +131,10 @@ def _cmd_bench_profile(args) -> int:
                 overrides = json.load(fh)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"reference-value file {args.f_l}: {exc}") from None
+        if not (isinstance(overrides, dict)
+                and all(map(_is_finite_number, overrides.values()))):
+            raise SystemExit(f"reference-value file {args.f_l}: expected a JSON object "
+                             "mapping problem names to finite numbers")
     f_l_table = bench.default_f_l(traces, overrides)
     os.makedirs(args.out, exist_ok=True)
     for tau in _parse_floats(args.tau):

@@ -4,16 +4,20 @@ The sample set holds n+1 affinely independent feasible points, the first one
 being the base point (the solver's current iterate), together with the values
 of the working component there.  The determined linear model is obtained by
 solving the (n+1)x(n+1) interpolation system with rows ``[1, (y - base)^T]``.
-The sample set caches the inverse of that matrix together with its condition
-number, the ratio of its extreme singular values.  Column ``j`` of the inverse
+The sample set caches the inverse of that matrix; its condition number, the
+ratio of its extreme singular values, is computed from an SVD only on demand
+(``condition_estimate``) and cached with the inverse.  Column ``j`` of the inverse
 holds the coefficients of the affine Lagrange polynomial ``l_j`` (1 at point
 ``j``, 0 at the others), so ``[1, (x - base)^T] @ inverse`` gives every
 ``l_j(x)`` at once; the model coefficients, the sample exchange and the
 geometry step all read the cache.  The inverse depends on the points only and
 comes from a Householder QR factorization made by direct LAPACK calls: at
 n <= 12 the factorization itself takes microseconds and the generic scipy
-wrappers cost several times more.  It is recomputed from scratch whenever a
-point moves; incremental updates are left as future work.
+wrappers cost several times more.  The build accepts the system without an
+SVD when the bound ``||M||_F ||M^-1||_F >= cond(M)``, read off the inverse,
+is far below ``CONDITION_LIMIT``; only a system the bound cannot settle pays
+for the SVD.  The inverse is recomputed from scratch whenever a point moves;
+incremental updates are left as future work.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ from .problem import as_vector, eval_component
 # Interpolation systems with condition estimates beyond this are treated as
 # singular: the caller must repair the geometry before trusting the model.
 CONDITION_LIMIT = 1e12
+
+# A build whose bound ||M||_F^2 ||M^-1||_F^2 on cond(M)^2 is at most this
+# passes the condition test without an SVD.  The factor 100 of headroom
+# covers the rounding in the computed inverse and in the SVD's own estimate.
+CERTIFIED_BOUND_SQ = (CONDITION_LIMIT / 100) ** 2
 
 # A candidate whose Lagrange weight falls below this adds no information to
 # the sample set and cannot safely replace any point.
@@ -71,7 +80,8 @@ class SampleSet:
         if self.values.shape != (self.points.shape[0],):
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
-        self._basis = None
+        self._basis = None  # inverse of the interpolation matrix
+        self._cond = None  # its SVD condition number, once computed
 
     @property
     def n(self) -> int:
@@ -91,7 +101,7 @@ class SampleSet:
         The factorization depends on the points only: writing new values
         (a coincident-point refresh, a change of working component) keeps it.
         """
-        self._basis = None
+        self._basis = self._cond = None
 
     def interpolation_matrix(self) -> np.ndarray:
         """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning."""
@@ -101,44 +111,52 @@ class SampleSet:
         return m
 
     def condition_estimate(self) -> float:
-        return self._factorize()[1]
+        """Ratio of the largest to the smallest singular value (``inf`` if singular).
 
-    def _factorize(self):
-        """Cached ``(inverse, cond)`` of the interpolation matrix.
+        Raises ``GeometryError`` as the factorization does.  The SVD runs at
+        most once per factorization; its value is cached with the inverse.
+        """
+        self._factorize()
+        if self._cond is None:
+            self._cond = _svd_condition(self.interpolation_matrix())
+        return self._cond
 
-        ``cond`` is the ratio of the largest to the smallest singular value
-        (``inf`` when the smallest is zero).  A matrix with a non-finite
-        entry, a condition number beyond ``CONDITION_LIMIT`` or a failed
-        LAPACK call raises ``GeometryError``.  The inverse is ``R^-1 Q^T``
-        from the QR factorization ``dgeqrf``/``dorgqr``; ``dtrtrs`` reads
-        only the upper triangle of the packed factor.
+    def _factorize(self) -> np.ndarray:
+        """Cached inverse of the interpolation matrix.
+
+        A matrix with a non-finite entry, a condition number beyond
+        ``CONDITION_LIMIT`` or a failed LAPACK call raises ``GeometryError``.
+        The inverse is ``R^-1 Q^T`` from the QR factorization
+        ``dgeqrf``/``dorgqr``; ``dtrtrs`` reads only the upper triangle of the
+        packed factor.  The condition test is certified by the bound
+        ``||M||_F ||M^-1||_F``, which is at least ``cond(M)``: at or below
+        ``CONDITION_LIMIT / 100`` the SVD condition number cannot come near
+        the limit, so the SVD is skipped and ``condition_estimate`` computes
+        it on demand.  Otherwise (a larger or non-finite bound, or a failed
+        QR) the SVD decides, and its failure, a singular system and a failed
+        QR raise in that order.
         """
         if self._basis is None:
             m = self.interpolation_matrix()
-            if not np.isfinite(m).all():
+            if not np.logical_and.reduce(np.isfinite(m), axis=None):
                 raise GeometryError("interpolation system has non-finite entries")
-            _, sv, _, info = dgesdd(m, compute_uv=0)
-            if info != 0:
-                raise GeometryError(f"SVD of the interpolation system failed ({info=})")
-            cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
-            if cond > CONDITION_LIMIT:
-                raise GeometryError(
-                    f"interpolation system is numerically singular (cond={cond:.3e}); "
-                    "the sample set needs a geometry-improvement step"
-                )
             qr, tau, _, info = dgeqrf(m)
             if info == 0:
                 q, _, info = dorgqr(qr, tau)
             if info == 0:
                 inv, info = dtrtrs(qr, q.T)
+            cond = None
+            if info != 0 or not (_frobenius_sq(m) * _frobenius_sq(inv)
+                                 <= CERTIFIED_BOUND_SQ):
+                cond = _svd_condition(m)
             if info != 0:
                 raise GeometryError(f"QR of the interpolation system failed ({info=})")
-            self._basis = (inv, cond)
+            self._basis, self._cond = inv, cond
         return self._basis
 
     def find_row(self, x) -> int | None:
         """Index of the row exactly equal to the vector ``x``, or None."""
-        hits = np.nonzero((self.points == x).all(axis=1))[0]
+        hits = np.nonzero(np.logical_and.reduce(self.points == x, axis=1))[0]
         return int(hits[0]) if hits.size else None
 
     def to_debug_dict(self) -> dict:
@@ -152,6 +170,26 @@ class SampleSet:
             "model_index": self.model_index,
             "condition_estimate": cond,
         }
+
+
+def _frobenius_sq(a) -> float:
+    """Squared Frobenius norm; BLAS overflows to inf without a numpy warning."""
+    flat = a.ravel("K")  # a view for C- and Fortran-ordered arrays alike
+    return float(flat @ flat)
+
+
+def _svd_condition(m) -> float:
+    """``cond(m)`` from ``dgesdd``; ``GeometryError`` if beyond ``CONDITION_LIMIT``."""
+    _, sv, _, info = dgesdd(m, compute_uv=0)
+    if info != 0:
+        raise GeometryError(f"SVD of the interpolation system failed ({info=})")
+    cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
+    if cond > CONDITION_LIMIT:
+        raise GeometryError(
+            f"interpolation system is numerically singular (cond={cond:.3e}); "
+            "the sample set needs a geometry-improvement step"
+        )
+    return cond
 
 
 def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) -> SampleSet:
@@ -203,14 +241,14 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
 
 def build_model(sample: SampleSet) -> LinearModel:
     """Solve the interpolation system and return the determined linear model."""
-    inv, _ = sample._factorize()
+    inv = sample._factorize()
     coeffs = inv @ sample.values
     return LinearModel(b=float(coeffs[0]), g=coeffs[1:].copy(), base=sample.base.copy())
 
 
 def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
     """All Lagrange values ``l_j(x)``, j = 0..n, at the vector ``x``."""
-    inv, _ = sample._factorize()
+    inv = sample._factorize()
     row = np.empty(sample.npt)
     row[0] = 1.0
     row[1:] = x - sample.base

@@ -174,7 +174,7 @@ class EvalLedger:
 
     @property
     def total_component_evals(self) -> int:
-        return int(self.component_evals.sum())
+        return int(np.add.reduce(self.component_evals))  # .sum() minus its wrapper
 
     def exhausted(self) -> bool:
         if self.budget is None:

@@ -42,9 +42,10 @@ def _trace_projected_path(base, direction, box, radius) -> np.ndarray:
     # Breakpoint of each coordinate: the t at which it reaches its bound.
     # Fixed coordinates get NaN, which sorts after every moving one, even one
     # whose breakpoint overflowed to inf.
-    t_break = np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
-                        direction, out=np.full(base.size, np.nan),
-                        where=direction != 0.0)
+    t_break = np.empty(base.size)
+    t_break.fill(math.nan)
+    np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
+              direction, out=t_break, where=direction != 0.0)
 
     # First segment in closed form: d(t) = t * direction up to the earliest
     # breakpoint.  ``s`` is the segment loop's root for d = 0 in the loop's
@@ -104,7 +105,7 @@ def trsbox_linear(model: LinearModel, box, Delta: float) -> np.ndarray:
     """
     if Delta <= 0:
         raise ValueError("Delta must be positive")
-    if not np.any(model.g):
+    if not np.logical_or.reduce(model.g):  # np.any without its Python wrapper
         return np.zeros_like(model.g)
     return _trace_projected_path(model.base, -model.g, box, Delta)
 
@@ -157,9 +158,9 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
         raise ValueError(f"target index {target_index} outside 1..{sample.npt - 1}")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    inv, _ = sample._factorize()
+    inv = sample._factorize()
     c, w = float(inv[0, target_index]), inv[1:, target_index]
-    if not np.any(w):
+    if not np.logical_or.reduce(w):
         raise GeometryError(
             f"Lagrange polynomial of point {target_index} has zero gradient; "
             "the sample set must be rebuilt"
@@ -172,5 +173,5 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     d_plus = _trace_projected_path(base, w, box, delta)
     d_minus = _trace_projected_path(base, -w, box, delta)
     d = d_plus if weight(d_plus) >= weight(d_minus) else d_minus
-    flat = not (np.any(d_plus) or np.any(d_minus))
+    flat = not (np.logical_or.reduce(d_plus) or np.logical_or.reduce(d_minus))
     return d, flat

@@ -1,6 +1,8 @@
 import json
+import math
 import shutil
 
+import numpy as np
 import pytest
 
 from lovotr import cli
@@ -62,6 +64,11 @@ def test_config_file_and_sample_dump(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert records and {"problem", "k", "points", "values",
                         "model_index", "condition_estimate"} <= set(records[0])
+    for record in records:  # computed on demand, it still reports the SVD value
+        points = np.asarray(record["points"])
+        m = np.hstack([np.ones((len(points), 1)), points - points[0]])
+        cond = record["condition_estimate"]
+        assert math.isfinite(cond) and cond == pytest.approx(np.linalg.cond(m), rel=1e-6)
 
 
 def _write_traces(directory, kappas):
@@ -102,7 +109,8 @@ def test_table_of_empty_profile_is_unreachable(tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["missing-dir", "empty-dir", "not-json",
-                                   "not-a-manifest", "no-csv", "missing-f-l"])
+                                   "not-a-manifest", "no-csv", "missing-f-l",
+                                   "f-l-list", "f-l-string", "f-l-nan"])
 def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     traces = tmp_path / "traces"
     args = ["bench", "profile", "--traces", str(traces),
@@ -125,6 +133,11 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     elif fault == "missing-f-l":
         named = f_l
         f_l.unlink()
+        args += ["--f-l", str(f_l)]
+    elif fault.startswith("f-l-"):
+        named = f_l
+        f_l.write_text({"f-l-list": "[1]", "f-l-string": '{"p0": "x"}',
+                        "f-l-nan": '{"p0": NaN}'}[fault])
         args += ["--f-l", str(f_l)]
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -153,6 +166,19 @@ def test_bad_config_exits_with_one_line(tmp_path, settings, named):
               "--config", str(cfg), "--out", str(tmp_path / "traces")])
     message = str(exc.value)
     assert named in message and str(cfg) in message and "\n" not in message
+    assert not (tmp_path / "traces").exists()
+
+
+@pytest.mark.parametrize("fault", ["missing", "not-json"])
+def test_unreadable_config_file_exits_with_one_line(tmp_path, fault):
+    cfg = tmp_path / "cfg.json"
+    if fault == "not-json":
+        cfg.write_text("nrhomax = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "--problems", str(_one_problem(tmp_path)),
+              "--config", str(cfg), "--out", str(tmp_path / "traces")])
+    message = str(exc.value)
+    assert str(cfg) in message and "\n" not in message
     assert not (tmp_path / "traces").exists()
 
 

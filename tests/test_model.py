@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lovotr.model
 from conftest import central_diff_gradient
 from lovotr.errors import GeometryError, PointRejectedError
 from lovotr.model import (
@@ -139,8 +140,9 @@ class TestFactorization:
                 for pts in (random_pts, near):
                     s = sample_from(pts, np.zeros(n + 1))
                     m = s.interpolation_matrix()
-                    inv, cond = s._factorize()
+                    inv = s._factorize()
                     assert np.array_equal(inv, self.scipy_inverse(m))
+                    cond = s.condition_estimate()
                     assert cond == pytest.approx(np.linalg.cond(m), rel=1e-6)
                     checked += 1
         assert checked == 11 * 5 * 2
@@ -167,6 +169,67 @@ class TestFactorization:
             with pytest.raises(GeometryError, match="singular"):
                 above._factorize()
             assert below.condition_estimate() < CONDITION_LIMIT
+
+    def test_certificate_decides_as_the_svd(self, rng):
+        # random, near-coincident and scaled samples with cond from 1 to 1e13:
+        # the build raises exactly when the SVD condition number is beyond the
+        # limit, whichever path (certificate or SVD) settles it
+        paths = Counter()
+        decades = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            base = rng.uniform(-5, 5, n)
+            pts = base + rng.standard_normal((n + 1, n))
+            kind = rng.choice(["random", "near", "scaled"])
+            if kind == "near":  # for n = 1 the moved point is the base
+                gap = 10.0 ** rng.uniform(-14, 0)
+                pts[2 % (n + 1)] = pts[1] + gap * rng.standard_normal(n)
+            elif kind == "scaled":
+                pts = base + 10.0 ** rng.uniform(-13, 1) * (pts - base)
+            s = sample_from(pts, np.zeros(n + 1))
+            m = s.interpolation_matrix()
+            cond = np.linalg.cond(m)
+            decades.add(int(math.log10(min(cond, 1e13))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if cond > CONDITION_LIMIT:
+                    with pytest.raises(GeometryError, match="singular"):
+                        s._factorize()
+                    paths["rejected"] += 1
+                    continue
+                inv = s._factorize()
+            assert np.array_equal(inv, self.scipy_inverse(m))
+            paths["certified" if s._cond is None else "svd"] += 1
+            assert s.condition_estimate() == pytest.approx(cond, rel=1e-6)
+        assert decades == set(range(14))
+        assert min(paths["certified"], paths["svd"], paths["rejected"]) >= 10
+
+    def test_well_conditioned_build_skips_the_svd(self, rng, monkeypatch):
+        calls = []
+        real_dgesdd = lovotr.model.dgesdd
+
+        def counted_dgesdd(*args, **kwargs):
+            calls.append(args)
+            return real_dgesdd(*args, **kwargs)
+
+        monkeypatch.setattr(lovotr.model, "dgesdd", counted_dgesdd)
+        for n in range(1, 13):
+            # a perturbed coordinate stencil: cond(M) is a small multiple of 1
+            steps = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+            base = rng.uniform(-5, 5, n)
+            s = sample_from(np.vstack([base, base + steps]), rng.uniform(-1, 1, n + 1))
+            m = s.interpolation_matrix()
+            assert np.linalg.cond(m) < 1e3
+            build_model(s)
+            _lagrange_values_at(s, s.base)
+            assert calls == []
+            assert s.condition_estimate() == pytest.approx(np.linalg.cond(m), rel=1e-6)
+            assert s.condition_estimate() == s.condition_estimate()
+            assert len(calls) == 1  # computed once, then cached with the inverse
+            s.touch()
+            build_model(s)
+            assert len(calls) == 1
+            calls.clear()
 
 
 class TestLagrange:
@@ -203,7 +266,7 @@ class TestLagrange:
         vals = rng.uniform(-5, 5, 4)
         s = sample_from(pts, vals)
         m = build_model(s)
-        inv, _ = s._factorize()
+        inv = s._factorize()
         g_dual = sum(v * inv[1:, j] for j, v in enumerate(vals))
         assert m.g == pytest.approx(g_dual, abs=1e-9)
 
@@ -280,7 +343,8 @@ def random_exchange_case(rng):
         inv[0, 0] = 1.0
         inv[1:, 0] = -1.0 / steps
         inv[1:, 1:] = np.diag(1.0 / steps)
-        sample._basis = (inv, sample.condition_estimate())
+        sample.condition_estimate()  # the stencil passes the condition test
+        sample._basis = inv
     else:
         while True:
             pts = rng.uniform(-1, 1, (n + 1, n))
@@ -346,7 +410,7 @@ class TestExchange:
         for _ in range(3000):
             sample, x_new, f_new = random_exchange_case(rng)
             ref = sample_from(sample.points.copy(), sample.values.copy())
-            ref._basis = sample._basis
+            ref._basis, ref._cond = sample._basis, sample._cond
             seen.update(exchange_case_tags(sample, x_new, f_new))
             try:
                 expected = reference_exchange(ref, x_new, f_new)

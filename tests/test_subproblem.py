@@ -304,10 +304,9 @@ class TestAltmov:
     def test_degenerate_polynomial_raises(self):
         box = FeasibleBox([0], [10])
         s = two_point_sample()
-        inv, cond = s._factorize()
-        flat = inv.copy()
+        flat = s._factorize().copy()
         flat[:, 1] = 0.0  # l_1 = 0 + 0 . (x - base)
-        s._basis = (flat, cond)
+        s._basis = flat
         with pytest.raises(GeometryError):
             altmov_linear(s, box, 1.0, 1)
 
