@@ -121,6 +121,15 @@ class QdInstance:
 
             return ComponentOracle(index=i, fn=fn)
 
+        # Python's 5.0 ** i, as each oracle computes it, not numpy's power.
+        offsets = np.array([5.0 ** i for i in range(1, self.r + 1)])
+        a, b = self.a, self.b
+
+        def eval_all(x):
+            # vecdot runs each row through the kernel of the oracles' ``_a @ v``
+            # (einsum and add.reduce sum in other orders and differ in bits).
+            return offsets + 0.5 * np.vecdot(a, (np.asarray(x, float) - b) ** 2)
+
         box = FeasibleBox(np.zeros(self.n), np.full(self.n, 10.0))
         return LovoProblem(
             name=f"qd-r{self.r}-n{self.n}-s{self.seed}-p{self.ordinal:03d}",
@@ -132,6 +141,7 @@ class QdInstance:
                 "params": {"n": self.n, "r": self.r, "seed": self.seed,
                            "ordinal": self.ordinal},
             },
+            eval_all=eval_all,
         )
 
 
@@ -493,6 +503,14 @@ def gen_mw(function_id: str, n: int, r: int, start_scale: float = 1.0) -> LovoPr
 
         return ComponentOracle(index=pos, fn=fn)
 
+    spans = [(int(blk[0]), int(blk[-1]) + 1) for blk in blocks]
+
+    def eval_all(x, _res=family.residuals):
+        # One residual vector for all r blocks; each block's dot runs on the
+        # same contiguous values as its oracle's, so the sums are the same.
+        res = _res(np.asarray(x, dtype=float))
+        return np.array([res[s:e] @ res[s:e] for s, e in spans])
+
     x0 = box.project(family.start(n) * start_scale)
     return LovoProblem(
         name=f"mw-{function_id}-n{n}-r{r}",
@@ -504,6 +522,7 @@ def gen_mw(function_id: str, n: int, r: int, start_scale: float = 1.0) -> LovoPr
             "params": {"function_id": function_id, "n": n, "r": r,
                        "start_scale": start_scale},
         },
+        eval_all=eval_all,
     )
 
 

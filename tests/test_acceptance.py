@@ -30,20 +30,33 @@ def report(number, description, ok):
     assert ok, f"criterion {number} failed: {description}"
 
 
-def _wrap_with_box_check(problem, violations):
+def _wrap_with_box_check(problem, violations, batch_calls):
+    """Box-checked copy of a QD problem, its batch oracle included.
+
+    The copy's ``eval_all`` is the shipped one behind the same check, so full
+    evaluations take the batch path that uninstrumented runs take.
+    """
     lower, upper = problem.box.lower, problem.box.upper
+
+    def checked(x, index):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < lower) or np.any(x > upper):
+            violations.append((problem.name, index, x.copy()))
+        return x
 
     def guard(comp):
         def fn(x, _c=comp):
-            x = np.asarray(x, dtype=float)
-            if np.any(x < lower) or np.any(x > upper):
-                violations.append((problem.name, _c.index, x.copy()))
-            return _c(x)
+            return _c(checked(x, _c.index))
 
         return ComponentOracle(comp.index, fn)
 
+    def eval_all(x):
+        batch_calls[0] += 1
+        return problem.eval_all(checked(x, "all"))
+
     return LovoProblem(problem.name, [guard(c) for c in problem.components],
-                       problem.box, problem.x0, generator=problem.generator)
+                       problem.box, problem.x0, generator=problem.generator,
+                       eval_all=eval_all)
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +65,17 @@ def campaign():
     traces = {}
     instances = {}
     violations = []
+    batch_calls = [0]
     for r in R_VALUES:
         problems = []
         for ordinal in range(COUNT):
             inst = qd_instance(10, r, SEED, ordinal)
-            problem = _wrap_with_box_check(inst.to_problem(), violations)
+            problem = _wrap_with_box_check(inst.to_problem(), violations, batch_calls)
             instances[problem.name] = inst
             problems.append(problem)
         traces[r] = run_campaign(problems, SolverConfig())
-    return {"traces": traces, "instances": instances, "violations": violations}
+    return {"traces": traces, "instances": instances, "violations": violations,
+            "batch_calls": batch_calls[0]}
 
 
 def qd_floor(value):
@@ -159,9 +174,12 @@ def test_criterion_8_monotone_traces_and_feasibility(campaign):
             if any(a <= b for a, b in zip(values, values[1:])):
                 monotone = False
     violations = campaign["violations"]
+    # the full evaluations went through the checked batch oracle
+    batched = campaign["batch_calls"] > 0
     report(8, f"certified traces monotone and zero box violations across "
               f"{sum(len(t) for t in campaign['traces'].values())} runs "
-              f"({len(violations)} violations)", monotone and not violations)
+              f"({len(violations)} violations, {campaign['batch_calls']} batch "
+              f"evaluations)", monotone and not violations and batched)
 
 
 def test_criterion_4_single_component_sanity():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,20 @@ from lovotr.problem import (
     problem_from_dict,
     problem_to_dict,
 )
+from lovotr.solver import SolverConfig, solve
 from lovotr.testsets import gen_qd, qd_instance
 
 
-def make_problem(fns, lower, upper, x0):
+def make_problem(fns, lower, upper, x0, eval_all=None):
     comps = [ComponentOracle(i + 1, fn) for i, fn in enumerate(fns)]
-    return LovoProblem("test", comps, FeasibleBox(lower, upper), x0)
+    return LovoProblem("test", comps, FeasibleBox(lower, upper), x0, eval_all=eval_all)
+
+
+def rebind_all(problem):
+    """Wrap every component's ``fn`` in place, as a tracer does."""
+    for comp in problem.components:
+        comp.fn = lambda x, _fn=comp.fn: _fn(x)
+    return problem
 
 
 class TestProjection:
@@ -103,15 +113,34 @@ class TestEvalComponent:
         assert eval_component(problem, ledger, 1, [0.25]) == 3.0
 
     def test_nonfinite_raises(self):
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            problem = make_problem([lambda x: 0.0, lambda x, v=bad: v],
-                                   [0], [1], [0.5])
+        # (component values, the index a full evaluation must name): one bad
+        # value, and bad values at k and k + 2, where the lowest one is named.
+        # Each case runs through the component loop and through an eval_all
+        # that returns the same values at once.
+        nonfinite = (float("nan"), float("inf"), -float("inf"))
+        cases = [([0.0, bad], 2) for bad in nonfinite]
+        cases += [([1.0, bad, 2.0, other, 3.0], 2)
+                  for bad in nonfinite for other in nonfinite]
+        for values, index in cases:
+            calls = []
+            fns = [lambda x, v=v: calls.append(v) or v for v in values]
+            loop = make_problem(fns, [0], [1], [0.5])
+            batch = make_problem(fns, [0], [1], [0.5],
+                                 eval_all=lambda x, v=values: np.array(v))
             with pytest.raises(OracleError) as err:
-                eval_component(problem, EvalLedger(2), 2, [0.5])
-            assert err.value.index == 2
-            with pytest.raises(OracleError) as err:
-                eval_fmin(problem, EvalLedger(2), [0.5])
-            assert err.value.index == 2
+                eval_component(loop, EvalLedger(len(values)), index, [0.5])
+            assert err.value.index == index
+            raised = []
+            for problem in (loop, batch):
+                calls.clear()
+                ledger = EvalLedger(len(values))
+                with pytest.raises(OracleError) as err:
+                    eval_fmin(problem, ledger, [0.5])
+                assert err.value.index == index
+                assert list(ledger.component_evals) == [1] * len(values)
+                raised.append((repr(err.value.value), len(calls)))
+            # the loop stops at the bad component; the batch calls no component
+            assert raised == [(repr(values[index - 1]), index), (repr(values[index - 1]), 0)]
 
     def test_bad_index(self):
         problem = make_problem([lambda x: 0.0], [0], [1], [0.5])
@@ -150,6 +179,97 @@ class TestEvalFmin:
         assert list(ledger.component_evals) == [1, 1, 1]
         assert ledger.fmin_evals == 1
         assert ledger.total_component_evals == 3
+
+
+class TestBatchOracle:
+    """``eval_fmin`` through ``LovoProblem.eval_all`` against the component loop."""
+
+    @staticmethod
+    def counted(problem):
+        """Same problem with every ``fn`` counting its calls, ``eval_all`` kept."""
+        calls = Counter()
+
+        def counting(comp):
+            def fn(x, _comp=comp):
+                calls[_comp.index] += 1
+                return _comp.fn(x)
+
+            return ComponentOracle(comp.index, fn)
+
+        clone = LovoProblem(problem.name, [counting(c) for c in problem.components],
+                            problem.box, problem.x0, eval_all=problem.eval_all)
+        return clone, calls
+
+    def test_fmin_results_match_the_loop(self, rng):
+        for n, r in ((1, 1), (2, 7), (10, 10), (10, 100), (12, 33)):
+            inst = qd_instance(n, r, 20240817, n)
+            batched, looped = inst.to_problem(), rebind_all(inst.to_problem())
+            batch_calls = [0]
+            eval_all = batched.eval_all
+
+            def counting_eval_all(x):
+                batch_calls[0] += 1
+                return eval_all(x)
+
+            batched.eval_all = counting_eval_all  # a field, not a component fn
+            ledgers = [EvalLedger(r, budget=25 * r), EvalLedger(r, budget=25 * r)]
+            # points outside the box are projected first; the rows of b give
+            # each component's floor value; 30 or more points overrun the budget
+            points = [rng.uniform(-2.0, 12.0, n) for _ in range(30)] + list(inst.b)
+            for x in points:
+                got = []
+                for problem, ledger in zip((batched, looped), ledgers):
+                    try:
+                        got.append(eval_fmin(problem, ledger, x))
+                    except BudgetExceededError:
+                        got.append(None)
+                if got[0] is None:
+                    assert got[1] is None
+                    continue
+                a, b = got
+                assert a.value == b.value and a.active == b.active
+                assert a.component_values.tobytes() == b.component_values.tobytes()
+            assert np.array_equal(ledgers[0].component_evals, ledgers[1].component_evals)
+            assert ledgers[0].fmin_evals == ledgers[1].fmin_evals == 25
+            assert ledgers[0].trace == ledgers[1].trace
+            assert batch_calls[0] == 25
+
+    def test_solve_histories_match_the_loop(self):
+        inst = qd_instance(6, 25, 20240817, 2)
+        results = [solve(problem, SolverConfig(budget=1500, use_cheap_rho=False))
+                   for problem in (inst.to_problem(), rebind_all(inst.to_problem()))]
+        a, b = results
+        assert a.ledger.fmin_evals > 10
+        assert [repr(o) for o in a.history] == [repr(o) for o in b.history]
+        assert a.status == b.status and repr(a.f_final) == repr(b.f_final)
+        assert np.array_equal(a.ledger.component_evals, b.ledger.component_evals)
+        assert a.ledger.trace == b.ledger.trace
+
+    def test_rebound_fn_turns_the_batch_off(self):
+        problem, calls = self.counted(qd_instance(4, 6, 11, 0).to_problem())
+        eval_fmin(problem, EvalLedger(6), [1.0, 2.0, 3.0, 4.0])
+        assert not calls  # one eval_all call, no component call
+        built = problem.components[2].fn
+        problem.components[2].fn = lambda x: built(x)
+        for _ in range(3):
+            eval_fmin(problem, EvalLedger(6), [1.0, 2.0, 3.0, 4.0])
+        assert calls == {i: 3 for i in range(1, 7)}
+        problem.components[2].fn = lambda x: float("nan")
+        with pytest.raises(OracleError) as err:
+            eval_fmin(problem, EvalLedger(6), [1.0, 2.0, 3.0, 4.0])
+        assert err.value.index == 3
+        # restoring the function the problem was built with restores the batch
+        calls.clear()
+        problem.components[2].fn = built
+        eval_fmin(problem, EvalLedger(6), [1.0, 2.0, 3.0, 4.0])
+        assert not calls
+
+    def test_replaced_component_turns_the_batch_off(self):
+        problem, calls = self.counted(qd_instance(3, 4, 11, 1).to_problem())
+        problem.components[0] = ComponentOracle(1, lambda x: -1.0)
+        res = eval_fmin(problem, EvalLedger(4), [5.0, 5.0, 5.0])
+        assert res.value == -1.0 and res.active == {1}
+        assert calls == {2: 1, 3: 1, 4: 1}
 
 
 class TestChooseImin:

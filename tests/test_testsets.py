@@ -25,6 +25,30 @@ from lovotr.testsets import (
 )
 
 
+def box_points(box, rng, count):
+    """Random interior points, box corners, and points with some coordinates on a bound."""
+    lo, hi = box.lower, box.upper
+    n = lo.size
+    points = [rng.uniform(lo, hi) for _ in range(count)]
+    corners = [np.zeros(n, bool), np.ones(n, bool)] + list(rng.random((14, n)) < 0.5)
+    points += [np.where(c, hi, lo) for c in corners]
+    for _ in range(count // 2):
+        x = rng.uniform(lo, hi)
+        on = rng.random(n) < 0.5
+        x[on] = np.where(rng.random(n) < 0.5, lo, hi)[on]
+        points.append(x)
+    return points
+
+
+def assert_batch_is_bitwise(problem, points):
+    """``eval_all`` equals the component oracles bit for bit at every point."""
+    for x in points:
+        got = problem.eval_all(x)
+        ref = np.array([c.fn(x) for c in problem.components])
+        assert got.dtype == np.float64 and got.shape == (problem.r,)
+        assert got.tobytes() == ref.tobytes(), (problem.name, x, got - ref)
+
+
 class TestPrng:
     def test_splitmix_reference_vector(self):
         # published first output of splitmix64 seeded with 0
@@ -88,6 +112,30 @@ class TestQd:
         assert np.array_equal(problem.box.lower, np.zeros(4))
         assert np.array_equal(problem.box.upper, np.full(4, 10.0))
         assert np.array_equal(problem.x0, np.full(4, 5.0))
+
+    def test_batch_is_bitwise(self, rng):
+        # eval_fmin trusts eval_all to be the oracles bit for bit; a numpy whose
+        # vecdot sums in another order than ``a @ v`` fails here (see below)
+        # instead of moving the benchmark digests
+        for n in range(1, 13):
+            for r in (1, 2, 5, 10, 37, 100):
+                inst = qd_instance(n, r, seed=20240817, ordinal=n)
+                problem = inst.to_problem()
+                assert_batch_is_bitwise(problem, box_points(problem.box, rng, 40) + list(inst.b))
+
+    def test_batch_points_tell_summation_orders_apart(self, rng):
+        # The test above has teeth: at its random points a left-to-right sum
+        # of the same products, one other order, differs from eval_all.
+        for n in range(2, 13):
+            inst = qd_instance(n, 100, seed=20240817, ordinal=n)
+            problem = inst.to_problem()
+            offsets = np.array([5.0 ** i for i in range(1, 101)])
+            differs = 0
+            for x in box_points(problem.box, rng, 40):
+                terms = inst.a * (x - inst.b) ** 2
+                in_order = offsets + 0.5 * np.array([sum(row) for row in terms])
+                differs += in_order.tobytes() != problem.eval_all(x).tobytes()
+            assert differs > 0, n
 
     def test_roundtrip_bit_identical(self, rng):
         problem = gen_qd(5, 6, seed=13, count=2)[1]
@@ -232,6 +280,20 @@ class TestMw:
                 assert eval_component(problem, la, i, x) == eval_component(
                     clone, lb, i, x
                 )
+
+    def test_batch_is_bitwise(self, rng):
+        checked = 0
+        for name, family in MW_REGISTRY.items():
+            for n in range(1, 13):
+                if not family.check_n(n):
+                    continue
+                for r in range(1, family.residual_count(n) + 1):
+                    for scale in (1.0, 10.0):
+                        problem = gen_mw(name, n, r, start_scale=scale)
+                        points = [problem.x0] + box_points(problem.box, rng, 2)
+                        assert_batch_is_bitwise(problem, points)
+                        checked += 1
+        assert checked > 1000
 
     def test_families_are_finite_on_the_box(self, rng):
         for name, family in MW_REGISTRY.items():
