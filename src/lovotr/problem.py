@@ -149,7 +149,7 @@ class LovoProblem:
 
         List equality tests each pair for identity first, and a function
         equals only itself, so this is an identity check on the ``r``
-        functions; at r = 100 it is the cheapest form measured, about half the
+        functions; at r = 100 it is the cheapest form measured, under half the
         cost of ``all(map(operator.is_, ...))``.
         """
         if self.eval_all is not None and [c.fn for c in self.components] == self._built_fns:
