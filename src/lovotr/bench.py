@@ -83,8 +83,9 @@ def campaign_budget(problem: LovoProblem, n_max: int, budget_rule: str) -> int:
     raise ValueError(f"unknown budget rule {budget_rule!r}")
 
 
-def _trace_from_ledger(ledger: EvalLedger, metering: str) -> list:
-    return [(point.t_fmin if metering == "fmin" else point.t_component, point.value)
+def _trace_from_ledger(ledger: EvalLedger) -> list:
+    fmin = ledger.metering == "fmin"
+    return [(point.t_fmin if fmin else point.t_component, point.value)
             for point in ledger.trace]
 
 
@@ -120,7 +121,7 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
         except Exception as exc:  # failed run: keep the partial trace
             status = f"error:{type(exc).__name__}: {exc}"
             x_final, i_final = None, 1
-        certified = _trace_from_ledger(ledger, budget_rule)
+        certified = _trace_from_ledger(ledger)
         trace = RunTrace(
             problem_name=problem.name, n_p=problem.n, r_p=problem.r,
             metering=budget_rule, budget=budget,

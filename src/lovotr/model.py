@@ -6,7 +6,7 @@ of the working component there.  The determined linear model is obtained by
 solving the (n+1)x(n+1) interpolation system with rows ``[1, (y - base)^T]``.
 The sample set caches the inverse of that matrix; its condition number, the
 ratio of its extreme singular values, is computed from an SVD only on demand
-(``condition_estimate``) and cached with the inverse.  Column ``j`` of the inverse
+(``condition_estimate``).  Column ``j`` of the inverse
 holds the coefficients of the affine Lagrange polynomial ``l_j`` (1 at point
 ``j``, 0 at the others), so ``[1, (x - base)^T] @ inverse`` gives every
 ``l_j(x)`` at once; the model coefficients, the sample exchange and the
@@ -54,10 +54,6 @@ class LinearModel:
     g: np.ndarray
     base: np.ndarray
 
-    def value(self, x) -> float:
-        x = as_vector(x, n=self.base.size)
-        return self.b + float(self.g @ (x - self.base))
-
 
 class SampleSet:
     """n+1 interpolation points with component values; ``points[0]`` is the base.
@@ -81,7 +77,6 @@ class SampleSet:
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
         self._basis = None  # inverse of the interpolation matrix
-        self._cond = None  # its SVD condition number, once computed
 
     @property
     def n(self) -> int:
@@ -101,7 +96,7 @@ class SampleSet:
         The factorization depends on the points only: writing new values
         (a coincident-point refresh, a change of working component) keeps it.
         """
-        self._basis = self._cond = None
+        self._basis = None
 
     def interpolation_matrix(self) -> np.ndarray:
         """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning."""
@@ -113,13 +108,11 @@ class SampleSet:
     def condition_estimate(self) -> float:
         """Ratio of the largest to the smallest singular value (``inf`` if singular).
 
-        Raises ``GeometryError`` as the factorization does.  The SVD runs at
-        most once per factorization; its value is cached with the inverse.
+        Raises ``GeometryError`` as the factorization does.  The SVD runs on
+        every call; only debug output and tests ask for it.
         """
         self._factorize()
-        if self._cond is None:
-            self._cond = _svd_condition(self.interpolation_matrix())
-        return self._cond
+        return _svd_condition(self.interpolation_matrix())
 
     def _factorize(self) -> np.ndarray:
         """Cached inverse of the interpolation matrix.
@@ -145,13 +138,12 @@ class SampleSet:
                 q, _, info = dorgqr(qr, tau)
             if info == 0:
                 inv, info = dtrtrs(qr, q.T)
-            cond = None
             if info != 0 or not (_frobenius_sq(m) * _frobenius_sq(inv)
                                  <= CERTIFIED_BOUND_SQ):
-                cond = _svd_condition(m)
+                _svd_condition(m)  # raises beyond CONDITION_LIMIT
             if info != 0:
                 raise GeometryError(f"QR of the interpolation system failed ({info=})")
-            self._basis, self._cond = inv, cond
+            self._basis = inv
         return self._basis
 
     def find_row(self, x) -> int | None:

@@ -4,7 +4,7 @@ A problem bundles ``r`` black-box component functions over a common box with a
 starting point.  The objective being minimized is the pointwise minimum of the
 components, and the active set at a point collects the indices of the
 components attaining that minimum there.  All oracle calls go through an
-:class:`EvalLedger`, which meters per-component evaluation counts, enforces an
+:class:`EvalLedger`, which counts component and full evaluations, enforces an
 optional budget, and records the trace of best certified objective values used
 by the benchmark harness.
 """
@@ -169,11 +169,16 @@ class TracePoint(NamedTuple):
 class EvalLedger:
     """Evaluation accounting for one solver run.
 
-    Counts per-component evaluations and full objective evaluations, enforces
-    an optional budget, and records ``trace``, the running best of the
-    certified objective values (known values of the pointwise minimum).  A
+    Holds two running counts, ``total_component_evals`` (component
+    evaluations) and ``fmin_evals`` (full objective evaluations), enforces an
+    optional budget, and records ``trace``, the running best of the certified
+    objective values (known values of the pointwise minimum).  A
     single-component value of a multi-component problem only bounds the
     objective from above and is not recorded.
+
+    A charge of ``r`` component evaluations is one full evaluation: every
+    ``eval_fmin``, and every single-component call when ``r == 1``.  It is
+    counted when charged, before the oracle answers.
 
     ``metering`` selects the budget unit: ``"component"`` caps the total number
     of component evaluations, ``"fmin"`` caps the number of full objective
@@ -185,7 +190,7 @@ class EvalLedger:
     r: int
     budget: int | None = None
     metering: str = "component"
-    component_evals: np.ndarray = field(init=False)
+    total_component_evals: int = field(init=False, default=0)
     fmin_evals: int = field(init=False, default=0)
     trace: list = field(init=False, default_factory=list)
 
@@ -194,11 +199,6 @@ class EvalLedger:
             raise ValueError("need r >= 1")
         if self.metering not in ("component", "fmin"):
             raise ValueError(f"unknown metering {self.metering!r}")
-        self.component_evals = np.zeros(self.r, dtype=np.int64)
-
-    @property
-    def total_component_evals(self) -> int:
-        return int(np.add.reduce(self.component_evals))  # .sum() minus its wrapper
 
     def exhausted(self) -> bool:
         if self.budget is None:
@@ -206,17 +206,13 @@ class EvalLedger:
         used = self.fmin_evals if self.metering == "fmin" else self.total_component_evals
         return used >= self.budget
 
-    def _charge_component(self, i: int):
+    def _charge(self, count: int):
+        # A full evaluation's r component evaluations may straddle the boundary.
         if self.exhausted():
             raise BudgetExceededError(f"evaluation budget of {self.budget} reached")
-        self.component_evals[i - 1] += 1
-
-    def _charge_fmin(self):
-        # The batch of r component evaluations below may straddle the boundary.
-        if self.exhausted():
-            raise BudgetExceededError(f"evaluation budget of {self.budget} reached")
-        self.component_evals += 1
-        self.fmin_evals += 1
+        self.total_component_evals += count
+        if count == self.r:
+            self.fmin_evals += 1
 
     @property
     def best_certified(self) -> float:
@@ -247,12 +243,11 @@ def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float
     if not 1 <= i <= problem.r:
         raise ValueError(f"component index {i} outside 1..{problem.r}")
     xp = problem.box.project(x)
-    ledger._charge_component(i)
+    ledger._charge(1)
     value = problem.components[i - 1](xp)
     if not math.isfinite(value):
         raise OracleError(i, xp, value)
     if problem.r == 1:
-        ledger.fmin_evals += 1
         ledger.note_value(value)
     return value
 
@@ -268,7 +263,7 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> FminResult:
     :class:`OracleError` for the lowest index holding one.
     """
     xp = problem.box.project(x)
-    ledger._charge_fmin()
+    ledger._charge(problem.r)
     batch = problem._batch_oracle()
     if batch is not None:
         values = batch(xp)

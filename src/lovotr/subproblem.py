@@ -110,25 +110,6 @@ def trsbox_linear(model: LinearModel, box, Delta: float) -> np.ndarray:
     return _trace_projected_path(model.base, -model.g, box, Delta)
 
 
-def check_sufficient_decrease(model: LinearModel, d, pi: float, Delta: float,
-                              theta: float = 0.01) -> bool:
-    """Whether the step achieves the benchmark fraction of projected-gradient decrease.
-
-    For a linear model the condition reads
-
-        m(base) - m(base + d) >= theta * pi * min(pi, Delta, 1)
-
-    (the Hessian term in the general denominator is zero).  The solver does
-    not call it: the exact path trace satisfies it for any positive ``theta``
-    small enough, which acceptance criterion 5 audits over 1000 steps.
-    """
-    v = np.asarray(d, dtype=float)
-    if v.shape != model.base.shape:
-        raise ValueError(f"step has shape {v.shape}, expected {model.base.shape}")
-    decrease = -float(model.g @ v)
-    return decrease >= theta * pi * min(pi, Delta, 1.0)
-
-
 def select_target_for_altmov(sample: SampleSet, dist=None) -> int:
     """Index of the non-base sample point farthest from the base (ties: largest index).
 

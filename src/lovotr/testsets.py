@@ -190,7 +190,6 @@ class CatalogEntry:
     fn: Callable[[np.ndarray], float]
     lower: np.ndarray
     upper: np.ndarray
-    start: np.ndarray
 
 
 def _hs1(x):
@@ -249,29 +248,21 @@ HS_CATALOG = {
     entry.name: entry
     for entry in [
         CatalogEntry("hs1", 2, _hs1,
-                     np.array([-10.0, -1.5]), np.array([10.0, 10.0]),
-                     np.array([-2.0, 1.0])),
+                     np.array([-10.0, -1.5]), np.array([10.0, 10.0])),
         CatalogEntry("hs3", 2, _hs3,
-                     np.array([-10.0, 0.0]), np.array([10.0, 10.0]),
-                     np.array([10.0, 1.0])),
+                     np.array([-10.0, 0.0]), np.array([10.0, 10.0])),
         CatalogEntry("hs4", 2, _hs4,
-                     np.array([1.0, 0.0]), np.array([11.0, 10.0]),
-                     np.array([1.125, 0.15])),
+                     np.array([1.0, 0.0]), np.array([11.0, 10.0])),
         CatalogEntry("hs5", 2, _hs5,
-                     np.array([-1.5, -3.0]), np.array([4.0, 3.0]),
-                     np.array([0.0, 0.0])),
+                     np.array([-1.5, -3.0]), np.array([4.0, 3.0])),
         CatalogEntry("hs25", 3, _hs25,
-                     np.array([0.1, 0.0, 0.0]), np.array([100.0, 25.6, 5.0]),
-                     np.array([100.0, 12.5, 3.0])),
+                     np.array([0.1, 0.0, 0.0]), np.array([100.0, 25.6, 5.0])),
         CatalogEntry("hs38", 4, _hs38,
-                     np.full(4, -10.0), np.full(4, 10.0),
-                     np.array([-3.0, -1.0, -3.0, -1.0])),
+                     np.full(4, -10.0), np.full(4, 10.0)),
         CatalogEntry("hs45", 5, _hs45,
-                     np.zeros(5), np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                     np.full(5, 0.5)),
+                     np.zeros(5), np.array([1.0, 2.0, 3.0, 4.0, 5.0])),
         CatalogEntry("hs110", 10, _hs110,
-                     np.full(10, 2.001), np.full(10, 9.999),
-                     np.full(10, 9.0)),
+                     np.full(10, 2.001), np.full(10, 9.999)),
     ]
 }
 

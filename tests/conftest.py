@@ -7,6 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,39 @@ def central_diff_gradient(f, x, h=1e-6):
         e[j] = h
         g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def count_calls(problem):
+    """Wrap every component's ``fn`` in place; the Counter counts calls by index.
+
+    A rebound ``fn`` turns the problem's batch oracle off, so every component
+    value comes through the wrapper.
+    """
+    calls = Counter()
+    for comp in problem.components:
+        def counting(x, _index=comp.index, _fn=comp.fn):
+            calls[_index] += 1
+            return _fn(x)
+        comp.fn = counting
+    return calls
+
+
+def check_sufficient_decrease(model, d, pi, Delta, theta=0.01):
+    """Whether the step achieves the benchmark fraction of projected-gradient decrease.
+
+    For a linear model the condition reads
+
+        m(base) - m(base + d) >= theta * pi * min(pi, Delta, 1)
+
+    (the Hessian term in the general denominator is zero).  The solver does
+    not call it: the exact path trace satisfies it for any positive ``theta``
+    small enough, which acceptance criterion 5 audits over 1000 steps.
+    """
+    v = np.asarray(d, dtype=float)
+    if v.shape != model.base.shape:
+        raise ValueError(f"step has shape {v.shape}, expected {model.base.shape}")
+    decrease = -float(model.g @ v)
+    return decrease >= theta * pi * min(pi, Delta, 1.0)
 
 
 def replay_radii(config, history):

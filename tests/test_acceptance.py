@@ -10,12 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import adjustment_counts, central_diff_gradient, replay_radii
+from conftest import (
+    adjustment_counts,
+    central_diff_gradient,
+    check_sufficient_decrease,
+    replay_radii,
+)
 from lovotr.bench import data_profile, default_f_l, run_campaign, summarize_simplex_gradients
 from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import SolverConfig, solve
-from lovotr.subproblem import check_sufficient_decrease, trsbox_linear
+from lovotr.subproblem import trsbox_linear
 from lovotr.testsets import HS_CATALOG, gen_hs, gen_mw, gen_qd, qd_instance
 
 SEED = 20240817

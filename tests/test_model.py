@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import lovotr.model
-from conftest import central_diff_gradient
+from conftest import central_diff_gradient, count_calls
 from lovotr.errors import GeometryError, PointRejectedError
 from lovotr.model import (
     CONDITION_LIMIT,
@@ -40,6 +40,20 @@ def sample_from(points, values, model_index=1):
     return SampleSet(np.asarray(points, float), np.asarray(values, float), model_index)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The arguments of every ``dgesdd`` call made through ``lovotr.model``."""
+    calls = []
+    real_dgesdd = lovotr.model.dgesdd
+
+    def counted_dgesdd(*args, **kwargs):
+        calls.append(args)
+        return real_dgesdd(*args, **kwargs)
+
+    monkeypatch.setattr(lovotr.model, "dgesdd", counted_dgesdd)
+    return calls
+
+
 class TestInitialSample:
     def test_interior_steps_up(self):
         problem = quad_problem(2)
@@ -66,12 +80,14 @@ class TestInitialSample:
 
     def test_evaluation_accounting(self):
         problem = quad_problem(3)
+        calls = count_calls(problem)
         ledger = EvalLedger(1)
         initial_sample(problem, problem.x0, 1.0, ledger, 1)
-        assert ledger.component_evals[0] == 4
+        assert calls == {1: 4} and ledger.total_component_evals == 4
+        calls.clear()
         ledger2 = EvalLedger(1)
         initial_sample(problem, problem.x0, 1.0, ledger2, 1, base_value=0.0)
-        assert ledger2.component_evals[0] == 3
+        assert calls == {1: 3} and ledger2.total_component_evals == 3
 
     def test_values_match_oracle(self):
         problem = quad_problem(2)
@@ -109,7 +125,7 @@ class TestBuildModel:
                 m = build_model(s)
             except GeometryError:
                 continue
-            err = max(abs(m.value(p) - v) for p, v in zip(pts, vals))
+            err = max(abs(m.b + m.g @ (p - m.base) - v) for p, v in zip(pts, vals))
             assert err <= 1e-10 * (1 + np.abs(vals).max())
 
     def test_singular_sample_rejected(self):
@@ -170,7 +186,7 @@ class TestFactorization:
                 above._factorize()
             assert below.condition_estimate() < CONDITION_LIMIT
 
-    def test_certificate_decides_as_the_svd(self, rng):
+    def test_certificate_decides_as_the_svd(self, rng, svd_calls):
         # random, near-coincident and scaled samples with cond from 1 to 1e13:
         # the build raises exactly when the SVD condition number is beyond the
         # limit, whichever path (certificate or SVD) settles it
@@ -197,22 +213,15 @@ class TestFactorization:
                         s._factorize()
                     paths["rejected"] += 1
                     continue
+                svd_calls.clear()
                 inv = s._factorize()
             assert np.array_equal(inv, self.scipy_inverse(m))
-            paths["certified" if s._cond is None else "svd"] += 1
+            paths["svd" if svd_calls else "certified"] += 1
             assert s.condition_estimate() == pytest.approx(cond, rel=1e-6)
         assert decades == set(range(14))
         assert min(paths["certified"], paths["svd"], paths["rejected"]) >= 10
 
-    def test_well_conditioned_build_skips_the_svd(self, rng, monkeypatch):
-        calls = []
-        real_dgesdd = lovotr.model.dgesdd
-
-        def counted_dgesdd(*args, **kwargs):
-            calls.append(args)
-            return real_dgesdd(*args, **kwargs)
-
-        monkeypatch.setattr(lovotr.model, "dgesdd", counted_dgesdd)
+    def test_well_conditioned_build_skips_the_svd(self, rng, svd_calls):
         for n in range(1, 13):
             # a perturbed coordinate stencil: cond(M) is a small multiple of 1
             steps = np.eye(n) + 0.1 * rng.standard_normal((n, n))
@@ -222,14 +231,13 @@ class TestFactorization:
             assert np.linalg.cond(m) < 1e3
             build_model(s)
             _lagrange_values_at(s, s.base)
-            assert calls == []
+            assert svd_calls == []
             assert s.condition_estimate() == pytest.approx(np.linalg.cond(m), rel=1e-6)
             assert s.condition_estimate() == s.condition_estimate()
-            assert len(calls) == 1  # computed once, then cached with the inverse
+            svd_calls.clear()
             s.touch()
             build_model(s)
-            assert len(calls) == 1
-            calls.clear()
+            assert svd_calls == []
 
 
 class TestLagrange:
@@ -410,7 +418,7 @@ class TestExchange:
         for _ in range(3000):
             sample, x_new, f_new = random_exchange_case(rng)
             ref = sample_from(sample.points.copy(), sample.values.copy())
-            ref._basis, ref._cond = sample._basis, sample._cond
+            ref._basis = sample._basis
             seen.update(exchange_case_tags(sample, x_new, f_new))
             try:
                 expected = reference_exchange(ref, x_new, f_new)
@@ -516,10 +524,11 @@ class TestRebuildForIndex:
         problem = self.two_component_problem()
         ledger = EvalLedger(2)
         s = initial_sample(problem, [5, 5], 1.0, ledger, 1)
-        before = ledger.component_evals.copy()
+        calls = count_calls(problem)
+        before = ledger.total_component_evals
         rebuild_for_index(s, problem, ledger, 2)
-        assert ledger.component_evals[1] - before[1] == 3
-        assert ledger.component_evals[0] == before[0]
+        assert calls == {2: 3}
+        assert ledger.total_component_evals - before == 3
         assert s.model_index == 2
 
     def test_same_index_is_noop(self):

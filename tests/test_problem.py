@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from lovotr.errors import BudgetExceededError, OracleError
 from lovotr.problem import (
     ComponentOracle,
@@ -24,13 +25,6 @@ from lovotr.testsets import gen_qd, qd_instance
 def make_problem(fns, lower, upper, x0, eval_all=None):
     comps = [ComponentOracle(i + 1, fn) for i, fn in enumerate(fns)]
     return LovoProblem("test", comps, FeasibleBox(lower, upper), x0, eval_all=eval_all)
-
-
-def rebind_all(problem):
-    """Wrap every component's ``fn`` in place, as a tracer does."""
-    for comp in problem.components:
-        comp.fn = lambda x, _fn=comp.fn: _fn(x)
-    return problem
 
 
 class TestProjection:
@@ -101,11 +95,13 @@ class TestEvalComponent:
         problem = make_problem(
             [lambda x: float(x[0] ** 2), lambda x: 7.0], [0, 0], [10, 10], [2, 2]
         )
+        calls = count_calls(problem)
         ledger = EvalLedger(problem.r)
         v1 = eval_component(problem, ledger, 1, [2, 2])
         v2 = eval_component(problem, ledger, 1, [2, 2])
         assert v1 == v2 == 4.0
-        assert ledger.component_evals[0] == 2 and ledger.component_evals[1] == 0
+        assert calls == {1: 2}
+        assert ledger.total_component_evals == 2 and ledger.fmin_evals == 0
 
     def test_constant_oracle(self):
         problem = make_problem([lambda x: 3.0], [0], [1], [0.5])
@@ -116,7 +112,8 @@ class TestEvalComponent:
         # (component values, the index a full evaluation must name): one bad
         # value, and bad values at k and k + 2, where the lowest one is named.
         # Each case runs through the component loop and through an eval_all
-        # that returns the same values at once.
+        # that returns the same values at once.  A full evaluation is charged
+        # in full before the first call, so the ledger counts all r values.
         nonfinite = (float("nan"), float("inf"), -float("inf"))
         cases = [([0.0, bad], 2) for bad in nonfinite]
         cases += [([1.0, bad, 2.0, other, 3.0], 2)
@@ -127,9 +124,11 @@ class TestEvalComponent:
             loop = make_problem(fns, [0], [1], [0.5])
             batch = make_problem(fns, [0], [1], [0.5],
                                  eval_all=lambda x, v=values: np.array(v))
+            ledger = EvalLedger(len(values))
             with pytest.raises(OracleError) as err:
-                eval_component(loop, EvalLedger(len(values)), index, [0.5])
+                eval_component(loop, ledger, index, [0.5])
             assert err.value.index == index
+            assert ledger.total_component_evals == 1 and ledger.fmin_evals == 0
             raised = []
             for problem in (loop, batch):
                 calls.clear()
@@ -137,10 +136,19 @@ class TestEvalComponent:
                 with pytest.raises(OracleError) as err:
                     eval_fmin(problem, ledger, [0.5])
                 assert err.value.index == index
-                assert list(ledger.component_evals) == [1] * len(values)
+                assert ledger.total_component_evals == len(values)
+                assert ledger.fmin_evals == 1
                 raised.append((repr(err.value.value), len(calls)))
             # the loop stops at the bad component; the batch calls no component
             assert raised == [(repr(values[index - 1]), index), (repr(values[index - 1]), 0)]
+        # with r = 1 a single-component call is a full evaluation, counted as
+        # one although its oracle answered NaN, as eval_fmin counts it
+        for call in (lambda p, led: eval_component(p, led, 1, [0.5]),
+                     lambda p, led: eval_fmin(p, led, [0.5])):
+            ledger = EvalLedger(1)
+            with pytest.raises(OracleError):
+                call(make_problem([lambda x: float("nan")], [0], [1], [0.5]), ledger)
+            assert ledger.total_component_evals == ledger.fmin_evals == 1
 
     def test_bad_index(self):
         problem = make_problem([lambda x: 0.0], [0], [1], [0.5])
@@ -174,9 +182,10 @@ class TestEvalFmin:
     def test_ledger_accounting(self):
         problem = make_problem([lambda x: 1.0, lambda x: 2.0, lambda x: 3.0],
                                [0], [1], [0.5])
+        calls = count_calls(problem)
         ledger = EvalLedger(3)
         eval_fmin(problem, ledger, [0.5])
-        assert list(ledger.component_evals) == [1, 1, 1]
+        assert calls == {1: 1, 2: 1, 3: 1}
         assert ledger.fmin_evals == 1
         assert ledger.total_component_evals == 3
 
@@ -200,18 +209,25 @@ class TestBatchOracle:
                             problem.box, problem.x0, eval_all=problem.eval_all)
         return clone, calls
 
+    @staticmethod
+    def count_batch_calls(problem):
+        """Count ``eval_all`` calls; wrapping the field keeps the batch on."""
+        calls = [0]
+        eval_all = problem.eval_all
+
+        def counting_eval_all(x):
+            calls[0] += 1
+            return eval_all(x)
+
+        problem.eval_all = counting_eval_all
+        return calls
+
     def test_fmin_results_match_the_loop(self, rng):
         for n, r in ((1, 1), (2, 7), (10, 10), (10, 100), (12, 33)):
             inst = qd_instance(n, r, 20240817, n)
-            batched, looped = inst.to_problem(), rebind_all(inst.to_problem())
-            batch_calls = [0]
-            eval_all = batched.eval_all
-
-            def counting_eval_all(x):
-                batch_calls[0] += 1
-                return eval_all(x)
-
-            batched.eval_all = counting_eval_all  # a field, not a component fn
+            batched, looped = inst.to_problem(), inst.to_problem()
+            batch_calls = self.count_batch_calls(batched)
+            looped_calls = count_calls(looped)
             ledgers = [EvalLedger(r, budget=25 * r), EvalLedger(r, budget=25 * r)]
             # points outside the box are projected first; the rows of b give
             # each component's floor value; 30 or more points overrun the budget
@@ -229,20 +245,28 @@ class TestBatchOracle:
                 a, b = got
                 assert a.value == b.value and a.active == b.active
                 assert a.component_values.tobytes() == b.component_values.tobytes()
-            assert np.array_equal(ledgers[0].component_evals, ledgers[1].component_evals)
+            assert (ledgers[0].total_component_evals == ledgers[1].total_component_evals
+                    == 25 * r)
             assert ledgers[0].fmin_evals == ledgers[1].fmin_evals == 25
             assert ledgers[0].trace == ledgers[1].trace
             assert batch_calls[0] == 25
+            assert looped_calls == {i: 25 for i in range(1, r + 1)}
 
     def test_solve_histories_match_the_loop(self):
         inst = qd_instance(6, 25, 20240817, 2)
-        results = [solve(problem, SolverConfig(budget=1500, use_cheap_rho=False))
-                   for problem in (inst.to_problem(), rebind_all(inst.to_problem()))]
-        a, b = results
-        assert a.ledger.fmin_evals > 10
+        batched, single_calls = self.counted(inst.to_problem())
+        batch_calls = self.count_batch_calls(batched)
+        looped = inst.to_problem()
+        looped_calls = count_calls(looped)
+        a, b = [solve(problem, SolverConfig(budget=1500, use_cheap_rho=False))
+                for problem in (batched, looped)]
+        assert a.ledger.fmin_evals == batch_calls[0] > 10
         assert [repr(o) for o in a.history] == [repr(o) for o in b.history]
         assert a.status == b.status and repr(a.f_final) == repr(b.f_final)
-        assert np.array_equal(a.ledger.component_evals, b.ledger.component_evals)
+        # each batch call stands for one call of every component
+        assert looped_calls == {i: single_calls[i] + batch_calls[0] for i in range(1, 26)}
+        assert a.ledger.total_component_evals == b.ledger.total_component_evals
+        assert a.ledger.fmin_evals == b.ledger.fmin_evals
         assert a.ledger.trace == b.ledger.trace
 
     def test_rebound_fn_turns_the_batch_off(self):
@@ -300,16 +324,18 @@ class TestChooseImin:
 class TestLedger:
     def test_trace_monotone(self):
         ledger = EvalLedger(2)
-        ledger.component_evals[0] = 1
+        ledger._charge(1)
         ledger.note_value(5.0)
-        ledger.component_evals[0] = 3
+        ledger._charge(2)
         ledger.note_value(7.0)  # not an improvement
-        ledger.component_evals[0] = 6
+        ledger._charge(1)
+        ledger._charge(2)
         ledger.note_value(4.0)
         values = [p.value for p in ledger.trace]
         counts = [p.t_component for p in ledger.trace]
         assert values == [5.0, 4.0]
         assert counts == sorted(set(counts))
+        assert [p.t_fmin for p in ledger.trace] == [0, 2]  # a charge of r is one
 
     def test_component_budget_enforced(self):
         problem = make_problem([lambda x: 1.0], [0], [1], [0.5])

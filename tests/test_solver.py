@@ -14,6 +14,7 @@ from conftest import (
     adjustment_counts,
     assert_radii_replay,
     central_diff_gradient,
+    count_calls,
 )
 from lovotr.errors import GeometryError
 from lovotr.model import LinearModel, build_model, initial_sample
@@ -128,7 +129,8 @@ class TestIterationPhases:
         config = SolverConfig(use_cheap_rho=False)
         state, ledger = self.make_state(problem, config)
         state.fx = 5.0  # certified objective value at the start
-        before = ledger.component_evals.copy()
+        calls = count_calls(problem)
+        before = ledger.total_component_evals
         outcome = iterate(state, problem, config, ledger)
         assert outcome.index_swapped and outcome.adjusted
         assert outcome.kind == "successful_adjusted"
@@ -138,10 +140,10 @@ class TestIterationPhases:
         assert state.Delta == config.Delta0 * config.tau4
         assert np.array_equal(state.x, [4.0, 5.0])
         assert state.fx == pytest.approx(3.5)
-        # full evaluation charged both components once, rebuild charged the
+        # full evaluation called both components once, rebuild called the
         # new component at all three sample points
-        assert ledger.component_evals[0] - before[0] == 1
-        assert ledger.component_evals[1] - before[1] == 1 + 3
+        assert calls == {1: 1, 2: 1 + 3}
+        assert ledger.total_component_evals - before == 2 + 3
 
     def test_rejection_keeps_iterate(self):
         # an adversarial oracle that punishes any move
@@ -251,8 +253,8 @@ class TestStopping:
 
     def test_budget(self):
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0)
-        ledger.budget = 3
-        ledger.component_evals[0] = 3
+        ledger.budget = ledger.total_component_evals + 1
+        ledger._charge(1)  # the last evaluation the budget admits
         assert check_stopping(state, problem, SolverConfig(), ledger) == (
             "budget_exhausted"
         )
@@ -596,6 +598,8 @@ class TestInvariants:
             assert outcome.delta <= outcome.Delta, (k, outcome.delta, outcome.Delta)
             assert not outside, outside[0]
             assert ledger.total_component_evals <= budget + problem.r - 1
+            # every charge is one oracle call; the NaN, if any, ends the run
+            assert ledger.total_component_evals == calls[0]
             values = [p.value for p in ledger.trace]
             assert all(a > b for a, b in zip(values, values[1:])), values
             # the committed value never rises, so solve can report the last one
@@ -610,6 +614,12 @@ class TestInvariants:
         assert result.status in (STATUS_SUCCESS, STATUS_STALLED, STATUS_BUDGET,
                                  STATUS_MAXCRIT, STATUS_ORACLE, STATUS_GEOMETRY)
         assert (result.status == STATUS_ORACLE) == (calls[0] == nan_at)
+        # a full evaluation charges all r components, then stops at the NaN
+        total = result.ledger.total_component_evals
+        if result.status == STATUS_ORACLE:
+            assert calls[0] <= total <= calls[0] + problem.r - 1
+        else:
+            assert total == calls[0]
         assert bool(result.error) == (result.status == STATUS_ORACLE)
         assert problem.box.contains(result.x_final)
         if result.history:

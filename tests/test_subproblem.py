@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import check_sufficient_decrease
 from lovotr.errors import GeometryError
 from lovotr.model import (
     LinearModel,
@@ -14,7 +15,6 @@ from lovotr.problem import FeasibleBox
 from lovotr.subproblem import (
     _trace_projected_path,
     altmov_linear,
-    check_sufficient_decrease,
     select_target_for_altmov,
     trsbox_linear,
 )

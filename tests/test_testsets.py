@@ -159,11 +159,9 @@ class TestHs:
     def test_box_intersection(self):
         catalog = {
             "a": CatalogEntry("a", 2, lambda x: 0.0,
-                              np.array([0.0, 0.0]), np.array([1.0, 2.0]),
-                              np.zeros(2)),
+                              np.array([0.0, 0.0]), np.array([1.0, 2.0])),
             "b": CatalogEntry("b", 2, lambda x: 1.0,
-                              np.array([0.5, 1.0]), np.array([2.0, 2.0]),
-                              np.zeros(2)),
+                              np.array([0.5, 1.0]), np.array([2.0, 2.0])),
         }
         problem = gen_hs(catalog, ["a", "b"])
         assert np.array_equal(problem.box.lower, [0.5, 1.0])
@@ -172,9 +170,9 @@ class TestHs:
     def test_degenerate_intersection_rejected(self):
         catalog = {
             "a": CatalogEntry("a", 1, lambda x: 0.0,
-                              np.array([0.0]), np.array([1.0]), np.zeros(1)),
+                              np.array([0.0]), np.array([1.0])),
             "b": CatalogEntry("b", 1, lambda x: 1.0,
-                              np.array([1.0]), np.array([2.0]), np.zeros(1)),
+                              np.array([1.0]), np.array([2.0])),
         }
         with pytest.raises(ValueError):
             gen_hs(catalog, ["a", "b"])
