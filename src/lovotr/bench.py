@@ -350,7 +350,11 @@ def write_trace(trace: RunTrace, directory):
 
 
 def read_traces(directory) -> list:
-    """Traces ``write_trace`` wrote; a stray ``.json`` file raises ``ValueError``."""
+    """Traces ``write_trace`` wrote.
+
+    A stray ``.json`` file, an empty CSV or a CSV row that is not
+    ``t,f_best`` raises ``ValueError`` naming the file (and the row's line).
+    """
     traces = []
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".json"):
@@ -370,9 +374,15 @@ def read_traces(directory) -> list:
         samples = []
         with open(csv_path) as fh:
             reader = csv.reader(fh)
-            next(reader)
+            if next(reader, None) is None:
+                raise ValueError(f"{csv_path} is empty; expected the header 't,f_best'")
             for row in reader:
-                samples.append((int(row[0]), float(row[1])))
+                try:
+                    t, f_best = row
+                    samples.append((int(t), float(f_best)))
+                except ValueError:
+                    raise ValueError(f"{csv_path}, line {reader.line_num}: expected a "
+                                     f"row 't,f_best', got {','.join(row)!r}") from None
         traces.append(RunTrace(
             problem_name=manifest["problem"], n_p=manifest["n"], r_p=manifest["r"],
             metering=manifest.get("metering", "component"),

@@ -37,6 +37,15 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+# What each SolverConfig field type accepts from JSON, and how to say so.
+_SETTING_TYPES = {
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "float": (_is_finite_number, "a finite number"),
+}
+
+
 def _load_config(path) -> SolverConfig:
     if path is None:
         return SolverConfig()
@@ -47,9 +56,15 @@ def _load_config(path) -> SolverConfig:
         raise SystemExit(f"solver settings file {path}: {exc}") from None
     if not isinstance(settings, dict):
         raise SystemExit(f"{path}: expected a JSON object of solver settings")
-    unknown = sorted(set(settings) - {f.name for f in dataclasses.fields(SolverConfig)})
+    types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+    unknown = sorted(set(settings) - set(types))
     if unknown:
         raise SystemExit(f"{path}: unknown solver setting(s): {', '.join(unknown)}")
+    for name, value in settings.items():
+        accepts, expected = _SETTING_TYPES[types[name]]
+        if not accepts(value):
+            raise SystemExit(f"{path}: solver setting {name} must be {expected}, "
+                             f"got {json.dumps(value)}")
     try:
         return SolverConfig(**settings)
     except ValueError as exc:

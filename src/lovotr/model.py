@@ -48,11 +48,15 @@ MIN_LAGRANGE_WEIGHT = 1e-14
 
 @dataclass
 class LinearModel:
-    """Affine model ``m(x) = b + g . (x - base)`` (the Hessian is identically zero)."""
+    """The committed iterate: ``m(x) = fx + g . (x - base)`` for component ``index``.
 
-    b: float
-    g: np.ndarray
+    ``fx`` is the sampled value at ``base``, the interpolation condition there.
+    """
+
+    index: int
     base: np.ndarray
+    fx: float
+    g: np.ndarray
 
 
 class SampleSet:
@@ -235,7 +239,8 @@ def build_model(sample: SampleSet) -> LinearModel:
     """Solve the interpolation system and return the determined linear model."""
     inv = sample._factorize()
     coeffs = inv @ sample.values
-    return LinearModel(b=float(coeffs[0]), g=coeffs[1:].copy(), base=sample.base.copy())
+    return LinearModel(index=sample.model_index, base=sample.base.copy(),
+                       fx=float(sample.values[0]), g=coeffs[1:].copy())
 
 
 def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
@@ -248,9 +253,7 @@ def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
 
 
 def promote_to_base(sample: SampleSet, row: int):
-    """Swap sample row ``row`` into the base slot."""
-    if row == 0:
-        return
+    """Swap sample row ``row`` (not 0) into the base slot."""
     sample.points[[0, row]] = sample.points[[row, 0]]
     sample.values[[0, row]] = sample.values[[row, 0]]
     sample.touch()
@@ -314,7 +317,7 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
     return t_out
 
 
-def replace_point(sample: SampleSet, row: int, x_new, f_new: float) -> SampleSet:
+def replace_point(sample: SampleSet, row: int, x_new, f_new: float):
     """Overwrite sample row ``row`` (never the base) with ``(x_new, f_new)``.
 
     Used by geometry-repair iterations, which choose the outgoing point
@@ -330,7 +333,7 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float) -> SampleSet
     existing = sample.find_row(x_new)
     if existing is not None:
         sample.values[existing] = float(f_new)
-        return sample
+        return
     lag = _lagrange_values_at(sample, x_new)
     if abs(lag[row]) < MIN_LAGRANGE_WEIGHT:
         raise PointRejectedError(
@@ -339,24 +342,21 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float) -> SampleSet
     sample.points[row] = x_new
     sample.values[row] = float(f_new)
     sample.touch()
-    return sample
 
 
-def rebuild_for_index(sample: SampleSet, problem, ledger, new_index: int):
-    """Re-evaluate the sample for a new working component and rebuild the model.
+def rebuild_for_index(sample: SampleSet, problem, ledger,
+                      new_index: int) -> LinearModel:
+    """Re-evaluate the sample for a new working component and return its model.
 
     Point locations are kept; only the new component is evaluated, once per
-    point (n+1 evaluations).  Swapping to the current index is a no-op and
-    costs nothing.
+    point (n+1 evaluations), so the caller swaps to a different index only.
     """
-    if new_index == sample.model_index:
-        return sample, build_model(sample)
     values = np.empty(sample.npt)
     for j in range(sample.npt):
         values[j] = eval_component(problem, ledger, new_index, sample.points[j])
     sample.values = values
     sample.model_index = new_index
-    return sample, build_model(sample)
+    return build_model(sample)
 
 
 def model_stationarity(model: LinearModel, box) -> float:

@@ -36,10 +36,7 @@ class FeasibleBox:
     """Axis-aligned box ``{x : lower <= x <= upper}`` with exact projection.
 
     Both bound vectors must be finite and satisfy ``lower < upper`` in every
-    coordinate (no fixed variables).  The box is the only feasible-region
-    implementation shipped; any object exposing ``project`` and ``contains``
-    with the same semantics can stand in for it where no coordinate bounds are
-    required.
+    coordinate (no fixed variables).
     """
 
     lower: np.ndarray
@@ -260,13 +257,17 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> FminResult:
     equality.  The values come from one ``eval_all`` call when the problem's
     batch oracle is in force (see ``LovoProblem._batch_oracle``), else from
     the components one at a time; either way a non-finite value raises
-    :class:`OracleError` for the lowest index holding one.
+    :class:`OracleError` for the lowest index holding one.  A batch result
+    that is not ``r`` values raises ``ValueError``.
     """
     xp = problem.box.project(x)
     ledger._charge(problem.r)
     batch = problem._batch_oracle()
     if batch is not None:
-        values = batch(xp)
+        values = np.asarray(batch(xp), dtype=float)
+        if values.shape != (problem.r,):
+            raise ValueError(f"eval_all of problem {problem.name!r} returned shape "
+                             f"{values.shape}, expected {(problem.r,)}")
         finite = np.isfinite(values)
         if not np.logical_and.reduce(finite):
             k = int(np.argmin(finite))  # the first False

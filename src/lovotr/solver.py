@@ -33,9 +33,13 @@ directly, anything else triggers one geometry step (``_geometry_step``), which
 resamples the point farthest from the base.  The same step repairs a stale
 sample and replaces a trust-region step too short to evaluate.  Index swaps
 rebuild the sample values for the new component at the unchanged point
-locations (n+1 evaluations).  Every iteration reports a :class:`StepOutcome`
-built from the committed state by ``_outcome``; every run, however it ends,
-returns the last committed iterate under one of six statuses (``solve``).
+locations (n+1 evaluations).  The committed iterate is one record, the
+:class:`LinearModel` in ``SolverState.model`` (base, working index, value
+there, gradient); ``_commit`` installs it with its stationarity ``pi`` once an
+iteration's fallible work is done.  Every iteration reports a
+:class:`StepOutcome` built from the committed state by ``_outcome``; every
+run, however it ends, returns the last committed iterate under one of six
+statuses (``solve``).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, GeometryError, OracleError, PointRejectedError
 from .model import (
+    LinearModel,
     SampleSet,
     build_model,
     exchange_point,
@@ -149,35 +154,24 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """The evolving iterate; owned by exactly one run."""
+    """The evolving run state; owned by exactly one run.
 
-    x: np.ndarray
-    i: int
+    ``model`` is the committed iterate and ``pi`` its stationarity measure,
+    set together by ``_commit``; a failed iteration may leave ``sample``
+    half-changed, never ``model``.
+    """
+
     delta: float
     Delta: float
     Gamma: int
-    fx: float
     sample: SampleSet
-    model: object
+    model: LinearModel
+    pi: float
     rho_cheap_streak: int = 0
     consec_crit: int = 0
     consec_alt: int = 0
     repair_streak: int = 0       # consecutive frozen geometry repairs
     model_doubted: bool = False  # last evaluated step had a poor ratio
-    _pi: tuple = field(default=(None, 0.0), init=False, repr=False)
-
-    def stationarity(self, box) -> float:
-        """``model_stationarity`` of ``model``, computed once per model.
-
-        The value is kept with the model it belongs to, so ``check_stopping``
-        and the next ``iterate`` share it, and assigning a new model makes it
-        stale.
-        """
-        model, pi = self._pi
-        if model is not self.model:
-            pi = model_stationarity(self.model, box)
-            self._pi = (self.model, pi)
-        return pi
 
 
 @dataclass
@@ -235,11 +229,6 @@ class SolveResult:
                 fh.write("\n")
 
 
-def _criticality_Delta_factor(config: SolverConfig) -> float:
-    # Any factor in [tau1, tau2] is admissible; the midpoint is used.
-    return 0.5 * (config.tau1 + config.tau2)
-
-
 # Both radii stop shrinking at ``radius_floor``.  A value near f is known to
 # about EPS * |f|, so a linear model over a sample of radius delta has a
 # gradient error of about 2 * EPS * |f| / delta from rounding, on top of the
@@ -269,8 +258,8 @@ def radius_floor(fx: float, delta_min: float) -> float:
 
 def _update_radii(state: SolverState, delta_factor: float, Delta_factor: float,
                   config: SolverConfig):
-    """Scale both radii, stopping at the floor of the committed value ``state.fx``."""
-    floor = radius_floor(state.fx, config.delta_min)
+    """Scale both radii, stopping at the floor of the committed value ``model.fx``."""
+    floor = radius_floor(state.model.fx, config.delta_min)
     state.delta = max(state.delta * delta_factor, floor)
     state.Delta = max(state.Delta * Delta_factor, floor)
 
@@ -279,10 +268,11 @@ def _update_radii(state: SolverState, delta_factor: float, Delta_factor: float,
 # the reduction ratio meaningless; geometry is repaired before stepping.
 STALE_FACTOR = 2.0
 
-# Consecutive geometry-repair iterations allowed before a trust-region step is
-# forced; bounds the repair cost of one poor-ratio episode.
-def _repair_cap(n: int) -> int:
-    return 2 * n
+
+def _commit(state: SolverState, model: LinearModel, box):
+    """Make ``model`` the committed iterate, with its stationarity measure."""
+    state.model = model
+    state.pi = model_stationarity(model, box)
 
 
 def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
@@ -290,8 +280,8 @@ def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
     """The committed iteration's snapshot; ``candidate`` holds the trial fields."""
     return StepOutcome(
         kind=kind, pi=pi, d=np.asarray(d, dtype=float).copy(), delta=state.delta,
-        Delta=state.Delta, Gamma=state.Gamma, index=state.i, fx=state.fx,
-        evals_total=ledger.total_component_evals, **candidate,
+        Delta=state.Delta, Gamma=state.Gamma, index=state.model.index,
+        fx=state.model.fx, evals_total=ledger.total_component_evals, **candidate,
     )
 
 
@@ -310,7 +300,7 @@ def _geometry_step(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
     if flat:
         return d_alt, False
     x_alt = problem.box.project(state.sample.base + d_alt)
-    f_alt = eval_component(problem, ledger, state.i, x_alt)
+    f_alt = eval_component(problem, ledger, state.model.index, x_alt)
     try:
         if stale:
             replace_point(state.sample, target, x_alt, f_alt)
@@ -330,9 +320,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem,
     On stale geometry the farthest point is forcibly replaced and the radii
     stay put (repair work carries no evidence about the radii); on fresh
     geometry there is nothing left to repair at this scale, so both radii
-    shrink instead.  The state is only committed once the model is rebuilt,
-    so a run recovering from a mid-iteration failure never sees a
-    half-applied iteration.
+    shrink instead.  Nothing is committed before the model is rebuilt.
     """
     d_alt, placed = _geometry_step(state, problem, ledger, stale, dist)
     model = build_model(state.sample)
@@ -341,9 +329,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem,
     # improvement" iterations the stall counter watches, so they age their
     # own streak instead
     frozen = stale and placed
-    state.model = model
-    state.x = state.sample.base.copy()
-    state.fx = float(state.sample.values[0])
+    _commit(state, model, problem.box)
     if frozen:
         state.repair_streak += 1
     else:
@@ -358,11 +344,12 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
             ledger: EvalLedger) -> StepOutcome:
     """Run exactly one iteration, mutating ``state`` and ``ledger``."""
     box = problem.box
-    pi = state.stationarity(box)
+    pi = state.pi
 
-    # --- criticality phase: radii shrink, nothing is evaluated.
+    # --- criticality phase: radii shrink, nothing is evaluated.  Any Delta
+    # factor in [tau1, tau2] is admissible; the midpoint is used.
     if state.delta > config.beta * pi:
-        _update_radii(state, config.tau1, _criticality_Delta_factor(config),
+        _update_radii(state, config.tau1, 0.5 * (config.tau1 + config.tau2),
                       config)
         state.consec_crit += 1
         state.consec_alt = 0
@@ -371,8 +358,10 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
 
     # --- geometry gate: after a poor reduction ratio, a sample point far
     # outside the trust region is the usual culprit; repair before stepping
-    # again rather than shrinking the radii on a meaningless ratio.
-    if state.model_doubted and state.repair_streak < _repair_cap(problem.n):
+    # again rather than shrinking the radii on a meaningless ratio.  At most
+    # 2n repairs in a row bound the repair cost of one poor-ratio episode
+    # before a trust-region step is forced.
+    if state.model_doubted and state.repair_streak < 2 * problem.n:
         diff = state.sample.points[1:] - state.sample.base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
         if dist.max() > STALE_FACTOR * state.Delta:
@@ -388,7 +377,8 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         # Short or non-descending steps are not worth an evaluation.
         return _geometry_iteration(state, problem, config, ledger, pi, stale=False)
 
-    x_new = box.project(state.x + d)
+    fx, i = state.model.fx, state.model.index
+    x_new = box.project(state.model.base + d)
     use_full = (
         not config.use_cheap_rho
         or problem.r == 1
@@ -399,14 +389,14 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     active_new = None
     if use_full:
         fmin_new, active_new, values_new = eval_fmin(problem, ledger, x_new)
-        f_insert = float(values_new[state.i - 1])
-        rho = (state.fx - fmin_new) / predicted
-        rho_hat = (state.fx - f_insert) / predicted
+        f_insert = float(values_new[i - 1])
+        rho = (fx - fmin_new) / predicted
+        rho_hat = (fx - f_insert) / predicted
         # The full ratio can only see a deeper minimum at the candidate.
         assert rho_hat <= rho
     else:
-        f_insert = eval_component(problem, ledger, state.i, x_new)
-        rho = rho_hat = (state.fx - f_insert) / predicted
+        f_insert = eval_component(problem, ledger, i, x_new)
+        rho = rho_hat = (fx - f_insert) / predicted
         cheap = True
 
     accepted = rho >= config.eta
@@ -414,11 +404,11 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # The working index can only be rechosen when the active set at the
     # accepted point was certified by a full evaluation; estimated-ratio
     # iterations keep the current index.
-    i_next = state.i
+    i_next = i
     swapped = False
     if accepted and rho > 0.0 and active_new is not None:
-        i_next = choose_imin(active_new, state.i)
-        swapped = i_next != state.i
+        i_next = choose_imin(active_new, i)
+        swapped = i_next != i
 
     # --- Gamma reset, then the two radii phases (Algorithm lines; computed
     # now, committed with the rest once the fallible work is done).
@@ -456,7 +446,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
 
     # --- model rebuild (certified index swap) or incremental update.
     if swapped:
-        _, model = rebuild_for_index(state.sample, problem, ledger, i_next)
+        model = rebuild_for_index(state.sample, problem, ledger, i_next)
     else:
         model = build_model(state.sample)
 
@@ -465,10 +455,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     state.model_doubted = rho < config.eta1
     state.repair_streak = 0
     state.Gamma = gamma
-    state.model = model
-    state.i = i_next
-    state.x = state.sample.base.copy()
-    state.fx = float(state.sample.values[0])
+    _commit(state, model, box)
     _update_radii(state, radii_factor, radii_factor, config)
     if row is None:
         kind = KIND_ALTMOV
@@ -503,9 +490,8 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
     iterations (more than ``maxcrit``) and budget exhaustion terminate the
     run as safety valves.
     """
-    pi = state.stationarity(problem.box)
-    floor = radius_floor(state.fx, config.delta_min)
-    if state.delta <= floor and config.beta * pi <= floor:
+    floor = radius_floor(state.model.fx, config.delta_min)
+    if state.delta <= floor and config.beta * state.pi <= floor:
         return STATUS_SUCCESS
     if (
         state.delta <= floor
@@ -522,32 +508,30 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
 
 def _initial_state(problem: LovoProblem, config: SolverConfig,
                    ledger: EvalLedger) -> SolverState:
-    fmin0, active0, values0 = eval_fmin(problem, ledger, problem.x0)
+    _, active0, values0 = eval_fmin(problem, ledger, problem.x0)
     i0 = choose_imin(active0)
     sample = initial_sample(problem, problem.x0, config.delta0, ledger, i0,
                             base_value=float(values0[i0 - 1]))
     model = build_model(sample)
-    return SolverState(
-        x=sample.base.copy(), i=i0, delta=config.delta0, Delta=config.Delta0,
-        Gamma=0, fx=fmin0, sample=sample, model=model,
-    )
+    return SolverState(delta=config.delta0, Delta=config.Delta0, Gamma=0,
+                       sample=sample, model=model,
+                       pi=model_stationarity(model, problem.box))
 
 
 def _recover_geometry(state: SolverState, problem: LovoProblem,
                       config: SolverConfig, ledger: EvalLedger):
-    """Rebuild the sample from scratch around the current base.
+    """Rebuild the sample from scratch around the committed base.
 
     The new sample has the radius the state carries afterwards: ``delta``,
     raised to the floor if it lies below it.
     """
-    floor = radius_floor(state.fx, config.delta_min)
+    committed = state.model
+    floor = radius_floor(committed.fx, config.delta_min)
     delta = max(state.delta, floor)
-    sample = initial_sample(problem, state.x, delta, ledger, state.i,
-                            base_value=state.fx)
-    state.model = build_model(sample)
+    sample = initial_sample(problem, committed.base, delta, ledger,
+                            committed.index, base_value=committed.fx)
     state.sample = sample
-    state.x = sample.base.copy()
-    state.fx = float(sample.values[0])
+    _commit(state, build_model(sample), problem.box)
     state.delta = delta
     state.Delta = max(state.Delta, floor)
 
@@ -581,7 +565,8 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     -------
     SolveResult
         Whatever the status, ``x_final``, ``f_final`` and ``i_final`` are the
-        last committed ``x``, ``fx`` (which never rises) and ``i``; a run that
+        last committed model's ``base``, ``fx`` (which never rises) and
+        ``index``; a run that
         ends before its initial sample is built reports ``problem.x0`` and
         the ledger's best certified value (``inf`` if none).
     """
@@ -619,7 +604,7 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     if state is None:
         x, fx, i = problem.x0.copy(), ledger.best_certified, 1
     else:
-        x, fx, i = state.x.copy(), state.fx, state.i
+        x, fx, i = state.model.base.copy(), state.model.fx, state.model.index
     return SolveResult(
         x_final=x, f_final=fx, status=status, iterations=len(history),
         ledger=ledger, history=history, i_final=i, problem_name=problem.name,

@@ -235,7 +235,7 @@ def random_linear_instance(rng):
     base = rng.uniform(lower, upper)
     g = rng.normal(0, 10 ** rng.uniform(-2, 2), n)
     Delta = float(10 ** rng.uniform(-3, 1))
-    return LinearModel(b=0.0, g=g, base=base), box, Delta
+    return LinearModel(index=1, base=base, fx=0.0, g=g), box, Delta
 
 
 def test_criterion_5_sufficient_decrease_audit():
@@ -263,7 +263,7 @@ def test_criterion_6_subproblem_grid_equivalence():
         base = rng.uniform(lower, upper)
         g = rng.normal(0, 10 ** rng.uniform(-1, 1), n)
         Delta = float(10 ** rng.uniform(-1, 0.5))
-        model = LinearModel(b=0.0, g=g, base=base)
+        model = LinearModel(index=1, base=base, fx=0.0, g=g)
         d = trsbox_linear(model, box, Delta)
 
         points_per_dim = {1: 1_000_001, 2: 1000, 3: 100}[n]

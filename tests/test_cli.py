@@ -109,7 +109,8 @@ def test_table_of_empty_profile_is_unreachable(tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["missing-dir", "empty-dir", "not-json",
-                                   "not-a-manifest", "no-csv", "missing-f-l",
+                                   "not-a-manifest", "no-csv", "empty-csv",
+                                   "short-row", "bad-int", "missing-f-l",
                                    "f-l-list", "f-l-string", "f-l-nan"])
 def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     traces = tmp_path / "traces"
@@ -130,6 +131,14 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     elif fault == "no-csv":
         (traces / "p0.csv").unlink()
         named = traces / "p0.json"
+    elif fault == "empty-csv":
+        named = traces / "p0.csv"
+        named.write_text("")
+    elif fault in ("short-row", "bad-int"):
+        # header, then the rows (1, 10.0) and (2, 0.0); the bad row is line 4
+        named = traces / "p0.csv"
+        with open(named, "a") as fh:
+            fh.write({"short-row": "5\n", "bad-int": "x,1.0\n"}[fault])
     elif fault == "missing-f-l":
         named = f_l
         f_l.unlink()
@@ -143,6 +152,8 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
         main(args)
     message = str(exc.value)
     assert str(named) in message and "\n" not in message
+    if fault in ("short-row", "bad-int"):
+        assert "line 4" in message
     assert not (tmp_path / "profiles").exists()
     assert capsys.readouterr().out == ""
 
@@ -157,7 +168,11 @@ def _one_problem(tmp_path):
 @pytest.mark.parametrize("settings, named", [
     ({"nrhomax": 2, "maxalt": 5}, "maxalt"),
     ({"tau1": 0.9, "tau2": 0.5}, "tau1"),
-], ids=["unknown-key", "bad-ordering"])
+    ({"budget": "100"}, "budget"),
+    ({"beta": None}, "beta"),
+    ({"use_cheap_rho": "no"}, "use_cheap_rho"),
+], ids=["unknown-key", "bad-ordering", "string-budget", "null-beta",
+        "string-bool"])
 def test_bad_config_exits_with_one_line(tmp_path, settings, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))

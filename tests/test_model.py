@@ -100,19 +100,19 @@ class TestBuildModel:
     def test_coordinate_function(self):
         s = sample_from([[0, 0], [1, 0], [0, 1]], [0, 1, 0])
         m = build_model(s)
-        assert m.b == pytest.approx(0.0, abs=1e-14)
+        assert m.fx == 0.0 and m.index == 1
         assert m.g == pytest.approx([1.0, 0.0], abs=1e-14)
 
     def test_constant_function(self):
         s = sample_from([[0], [2]], [3, 3])
         m = build_model(s)
-        assert m.b == pytest.approx(3.0) and m.g[0] == pytest.approx(0.0)
+        assert m.fx == 3.0 and m.g[0] == pytest.approx(0.0)
 
     def test_affine_by_hand(self):
         # f(x) = 2 + 3 x1 - x2 on the unit simplex corners
         s = sample_from([[0, 0], [1, 0], [0, 1]], [2, 5, 1])
         m = build_model(s)
-        assert m.b == pytest.approx(2.0, abs=1e-12)
+        assert m.fx == 2.0
         assert m.g == pytest.approx([3.0, -1.0], abs=1e-12)
 
     def test_interpolation_tolerance(self, rng):
@@ -125,7 +125,7 @@ class TestBuildModel:
                 m = build_model(s)
             except GeometryError:
                 continue
-            err = max(abs(m.b + m.g @ (p - m.base) - v) for p, v in zip(pts, vals))
+            err = max(abs(m.fx + m.g @ (p - m.base) - v) for p, v in zip(pts, vals))
             assert err <= 1e-10 * (1 + np.abs(vals).max())
 
     def test_singular_sample_rejected(self):
@@ -526,18 +526,10 @@ class TestRebuildForIndex:
         s = initial_sample(problem, [5, 5], 1.0, ledger, 1)
         calls = count_calls(problem)
         before = ledger.total_component_evals
-        rebuild_for_index(s, problem, ledger, 2)
+        model = rebuild_for_index(s, problem, ledger, 2)
         assert calls == {2: 3}
         assert ledger.total_component_evals - before == 3
-        assert s.model_index == 2
-
-    def test_same_index_is_noop(self):
-        problem = self.two_component_problem()
-        ledger = EvalLedger(2)
-        s = initial_sample(problem, [5, 5], 1.0, ledger, 1)
-        before = ledger.total_component_evals
-        rebuild_for_index(s, problem, ledger, 1)
-        assert ledger.total_component_evals == before
+        assert s.model_index == model.index == 2
 
     def test_qd_swap_gradient_matches_finite_differences(self):
         inst = qd_instance(n=6, r=3, seed=31, ordinal=0)
@@ -547,7 +539,8 @@ class TestRebuildForIndex:
         # tiny sample radius: the rebuilt gradient approximates the new
         # component's gradient at the base to high relative accuracy
         s = initial_sample(problem, x0, 1e-7, ledger, 1)
-        _, model = rebuild_for_index(s, problem, ledger, 2)
+        model = rebuild_for_index(s, problem, ledger, 2)
+        assert model.index == 2 and model.fx == s.values[0]
         fd = central_diff_gradient(lambda x: inst.component_value(2, x), x0, h=1e-3)
         assert np.linalg.norm(model.g - fd) <= 1e-6 * np.linalg.norm(fd)
         analytic = inst.component_gradient(2, x0)
@@ -561,19 +554,22 @@ class TestStationarity:
     def test_interior_full_step(self):
         from lovotr.model import LinearModel
 
-        m = LinearModel(b=0.0, g=np.array([1.0, 0.0]), base=np.array([5.0, 5.0]))
+        m = LinearModel(index=1, base=np.array([5.0, 5.0]), fx=0.0,
+                        g=np.array([1.0, 0.0]))
         assert model_stationarity(m, self.box()) == pytest.approx(1.0)
 
     def test_clipped_to_zero_on_boundary(self):
         from lovotr.model import LinearModel
 
-        m = LinearModel(b=0.0, g=np.array([1.0, 0.0]), base=np.array([0.0, 5.0]))
+        m = LinearModel(index=1, base=np.array([0.0, 5.0]), fx=0.0,
+                        g=np.array([1.0, 0.0]))
         assert model_stationarity(m, self.box()) == 0.0
 
     def test_partial_clip(self):
         from lovotr.model import LinearModel
 
-        m = LinearModel(b=0.0, g=np.array([-1.0, -2.0]), base=np.array([0.0, 5.0]))
+        m = LinearModel(index=1, base=np.array([0.0, 5.0]), fx=0.0,
+                        g=np.array([-1.0, -2.0]))
         assert model_stationarity(m, self.box()) == pytest.approx(math.sqrt(5.0))
 
 

@@ -288,6 +288,29 @@ class TestBatchOracle:
         eval_fmin(problem, EvalLedger(6), [1.0, 2.0, 3.0, 4.0])
         assert not calls
 
+    def test_list_result_matches_the_array(self):
+        inst = qd_instance(4, 3, 11, 0)
+        arrays, listed = inst.to_problem(), inst.to_problem()
+        eval_all = listed.eval_all
+        listed.eval_all = lambda x: eval_all(x).tolist()
+        a, b = [solve(problem, SolverConfig(budget=300, use_cheap_rho=False))
+                for problem in (arrays, listed)]
+        assert a.ledger.fmin_evals > 1
+        assert [repr(o) for o in a.history] == [repr(o) for o in b.history]
+
+    @pytest.mark.parametrize("one_value", [lambda v: v[0], lambda v: v[:1]],
+                             ids=["scalar", "length-1"])
+    def test_wrong_shape_is_named(self, one_value):
+        fns = [lambda x: float(x[0]), lambda x: float(3.0 * x[0] - 8.5)]
+        problem = make_problem(
+            fns, [0, 0], [10, 10], [5, 5],
+            eval_all=lambda x: one_value(np.array([fn(x) for fn in fns])))
+        with pytest.raises(ValueError) as err:
+            solve(problem, SolverConfig(use_cheap_rho=False))
+        shape = str(np.shape(one_value(np.zeros(2))))
+        assert "'test'" in str(err.value) and shape in str(err.value)
+        assert "(2,)" in str(err.value)
+
     def test_replaced_component_turns_the_batch_off(self):
         problem, calls = self.counted(qd_instance(3, 4, 11, 1).to_problem())
         problem.components[0] = ComponentOracle(1, lambda x: -1.0)

@@ -16,8 +16,8 @@ from conftest import (
     central_diff_gradient,
     count_calls,
 )
-from lovotr.errors import GeometryError
-from lovotr.model import LinearModel, build_model, initial_sample
+from lovotr.errors import BudgetExceededError, GeometryError
+from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
     STATUS_BUDGET,
@@ -29,6 +29,8 @@ from lovotr.solver import (
     SolverConfig,
     SolverState,
     StepOutcome,
+    _commit,
+    _initial_state,
     _recover_geometry,
     check_stopping,
     iterate,
@@ -47,6 +49,13 @@ def single_quadratic(n, c, lower=0.0, upper=10.0):
         FeasibleBox(np.full(n, lower), np.full(n, upper)),
         np.full(n, 0.5 * (lower + upper)),
     )
+
+
+def committed_state(sample, box, delta, Delta):
+    """A state committed to the model of ``sample``."""
+    model = build_model(sample)
+    return SolverState(delta=delta, Delta=Delta, Gamma=0, sample=sample, model=model,
+                       pi=model_stationarity(model, box))
 
 
 def linear_pair():
@@ -90,18 +99,17 @@ class TestIterationPhases:
     def make_state(self, problem, config):
         ledger = EvalLedger(problem.r)
         sample = initial_sample(problem, problem.x0, config.delta0, ledger, 1)
-        return SolverState(
-            x=sample.base.copy(), i=1, delta=config.delta0, Delta=config.Delta0,
-            Gamma=0, fx=float(sample.values[0]), sample=sample,
-            model=build_model(sample),
-        ), ledger
+        return committed_state(sample, problem.box, config.delta0,
+                               config.Delta0), ledger
 
     def test_criticality_shrinks_radii(self):
         problem = single_quadratic(2, [5, 5])
         config = SolverConfig(delta0=0.5, Delta0=1.0)
         state, ledger = self.make_state(problem, config)
         # a stationary model forces the criticality branch (delta > beta*pi = 0)
-        state.model = LinearModel(b=0.0, g=np.zeros(2), base=state.x.copy())
+        model = state.model
+        _commit(state, LinearModel(index=1, base=model.base.copy(), fx=model.fx,
+                                   g=np.zeros(2)), problem.box)
         before = ledger.total_component_evals
         outcome = iterate(state, problem, config, ledger)
         assert outcome.kind == "criticality"
@@ -128,18 +136,18 @@ class TestIterationPhases:
         problem = linear_pair()
         config = SolverConfig(use_cheap_rho=False)
         state, ledger = self.make_state(problem, config)
-        state.fx = 5.0  # certified objective value at the start
+        assert state.model.fx == 5.0  # certified objective value at the start
         calls = count_calls(problem)
         before = ledger.total_component_evals
         outcome = iterate(state, problem, config, ledger)
         assert outcome.index_swapped and outcome.adjusted
         assert outcome.kind == "successful_adjusted"
-        assert state.i == 2
+        assert state.model.index == 2
         assert state.Gamma == 1
         assert state.delta == config.delta0 * config.tau4
         assert state.Delta == config.Delta0 * config.tau4
-        assert np.array_equal(state.x, [4.0, 5.0])
-        assert state.fx == pytest.approx(3.5)
+        assert np.array_equal(state.model.base, [4.0, 5.0])
+        assert state.model.fx == pytest.approx(3.5)
         # full evaluation called both components once, rebuild called the
         # new component at all three sample points
         assert calls == {1: 1, 2: 1 + 3}
@@ -154,14 +162,12 @@ class TestIterationPhases:
         config = SolverConfig()
         ledger = EvalLedger(1)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
-        state = SolverState(
-            x=sample.base.copy(), i=1, delta=1.0, Delta=1.0, Gamma=0,
-            fx=0.0, sample=sample, model=build_model(sample),
-        )
+        state = committed_state(sample, problem.box, 1.0, 1.0)
+        assert state.model.fx == 0.0
         before = ledger.total_component_evals
         outcome = iterate(state, problem, config, ledger)
         assert not outcome.index_swapped
-        assert np.array_equal(state.x, [5.0, 5.0])
+        assert np.array_equal(state.model.base, [5.0, 5.0])
         assert state.delta == config.tau1  # failed step shrinks the radii
         # the rejected candidate falls back to one geometry step
         assert outcome.kind == "altmov" and outcome.rho_defined
@@ -181,7 +187,7 @@ class TestIterationPhases:
         assert outcome.kind == "altmov" and outcome.radii_frozen
         assert not outcome.rho_defined
         assert (state.delta, state.Delta) == (0.25, 0.4)
-        assert np.array_equal(state.x, points[0])
+        assert np.array_equal(state.model.base, points[0])
         assert ledger.total_component_evals - before == 1
         # both offsets lie 1 from the base; the tie goes to the last row
         assert np.array_equal(state.sample.points[:2], points[:2])
@@ -208,10 +214,11 @@ class TestStopping:
         problem = single_quadratic(2, [5, 5])
         ledger = EvalLedger(1)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
-        model = LinearModel(b=0.0, g=np.asarray(g, float), base=sample.base.copy())
+        model = LinearModel(index=1, base=sample.base.copy(), fx=fx,
+                            g=np.asarray(g, float))
         state = SolverState(
-            x=sample.base.copy(), i=1, delta=delta, Delta=Delta, Gamma=0,
-            fx=fx, sample=sample, model=model,
+            delta=delta, Delta=Delta, Gamma=0, sample=sample, model=model,
+            pi=model_stationarity(model, problem.box),
             consec_alt=consec_alt, consec_crit=consec_crit,
         )
         return state, problem, ledger
@@ -322,16 +329,13 @@ class TestSolve:
         ledger = EvalLedger(problem.r)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
         fx = float(sample.values[0])
-        state = SolverState(
-            x=sample.base.copy(), i=1, delta=1e-12, Delta=1e-12, Gamma=0,
-            fx=fx, sample=sample, model=build_model(sample),
-        )
+        state = committed_state(sample, problem.box, 1e-12, 1e-12)
         _recover_geometry(state, problem, config, ledger)
         floor = radius_floor(fx, config.delta_min)
         assert state.delta == floor and state.Delta == floor
         offsets = np.abs(state.sample.points[1:] - state.sample.base).max(axis=1)
         assert np.allclose(offsets, floor, rtol=1e-6)
-        assert state.fx == fx
+        assert state.model.fx == fx
 
     def test_monotone_certified_trace_and_feasible_queries(self):
         queries = []
@@ -464,6 +468,69 @@ class TestSolve:
         solve(problem, SolverConfig(budget=100),
               sample_log=lambda k, s: dumps.append(s.to_debug_dict()))
         assert dumps and "condition_estimate" in dumps[0]
+
+
+def assert_committed(state, box):
+    """The committed model is the sample's iterate, bit for bit."""
+    model, sample = state.model, state.sample
+    assert model.base.tobytes() == sample.base.tobytes()
+    assert model.fx.hex() == float(sample.values[0]).hex()
+    assert model.index == sample.model_index
+    assert state.pi.hex() == model_stationarity(model, box).hex()
+
+
+class TestCommittedRecord:
+    @pytest.mark.parametrize("problem, config, kind", [
+        (gen_qd(3, 3, seed=2, count=1)[0],
+         SolverConfig(budget=1500, use_cheap_rho=False), "index_swapped"),
+        (gen_hs(HS_CATALOG, ["hs5", "hs38"]), SolverConfig(budget=1500),
+         "criticality"),
+    ], ids=["qd-swap", "hs-criticality"])
+    def test_model_is_the_sample_iterate(self, problem, config, kind):
+        ledger = EvalLedger(problem.r, budget=config.budget)
+        state = _initial_state(problem, config, ledger)
+        assert_committed(state, problem.box)
+        history, status = [], None
+        while status is None:
+            try:
+                outcome = iterate(state, problem, config, ledger)
+            except BudgetExceededError:
+                break
+            history.append(outcome)
+            assert_committed(state, problem.box)
+            assert (outcome.index, outcome.fx) == (state.model.index, state.model.fx)
+            status = check_stopping(state, problem, config, ledger)
+        if kind == "criticality":
+            assert any(o.kind == "criticality" for o in history)
+        else:
+            assert any(o.index_swapped for o in history)
+
+    def test_failed_iteration_leaves_the_record(self, monkeypatch):
+        import lovotr.solver as solver_module
+
+        def fail(sample):
+            raise GeometryError("degenerate")
+
+        problem = gen_qd(3, 3, seed=2, count=1)[0]
+        config = SolverConfig(budget=1500, use_cheap_rho=False)
+        ledger = EvalLedger(problem.r, budget=config.budget)
+        state = _initial_state(problem, config, ledger)
+        iterate(state, problem, config, ledger)
+        model, pi = state.model, state.pi
+        monkeypatch.setattr(solver_module, "build_model", fail)
+        with pytest.raises(GeometryError):
+            iterate(state, problem, config, ledger)
+        # the failed iteration had moved the sample's base; the record stays
+        assert not np.array_equal(state.sample.base, model.base)
+        assert state.model is model and state.pi == pi
+        monkeypatch.undo()
+        _recover_geometry(state, problem, config, ledger)
+        assert_committed(state, problem.box)
+        assert state.model.base.tobytes() == model.base.tobytes()
+        assert (state.model.index, state.model.fx) == (model.index, model.fx)
+        for _ in range(5):
+            iterate(state, problem, config, ledger)
+            assert_committed(state, problem.box)
 
 
 class TestCheapRatioEquivalence:

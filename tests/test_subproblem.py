@@ -21,7 +21,8 @@ from lovotr.subproblem import (
 
 
 def model(base, g):
-    return LinearModel(b=0.0, g=np.asarray(g, float), base=np.asarray(base, float))
+    return LinearModel(index=1, base=np.asarray(base, float), fx=0.0,
+                       g=np.asarray(g, float))
 
 
 def grid_best_step(g, base, box, Delta, points_per_dim):
