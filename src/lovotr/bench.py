@@ -349,11 +349,28 @@ def write_trace(trace: RunTrace, directory):
         fh.write("\n")
 
 
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0
+
+
+# What each trace manifest key must hold, and how to say so; ``f_x0`` is
+# ``Infinity`` when nothing was certified, and it and ``metering`` may be absent.
+_MANIFEST_TYPES = {
+    "problem": (lambda v: type(v) is str, "a string"),
+    "n": (_positive_int, "a positive integer"),
+    "r": (_positive_int, "a positive integer"),
+    "budget": (_positive_int, "a positive integer"),
+    "f_x0": (lambda v: type(v) in (int, float) and v == v, "a number other than NaN"),
+    "metering": (lambda v: v in BUDGET_RULES, f"one of {', '.join(BUDGET_RULES)}"),
+}
+
+
 def read_traces(directory) -> list:
     """Traces ``write_trace`` wrote.
 
-    A stray ``.json`` file, an empty CSV or a CSV row that is not
-    ``t,f_best`` raises ``ValueError`` naming the file (and the row's line).
+    A stray ``.json`` file, a manifest value of the wrong type (see
+    ``_MANIFEST_TYPES``), an empty CSV or a CSV row that is not ``t,f_best``
+    raises ``ValueError`` naming the file (and the key, or the row's line).
     """
     traces = []
     for name in sorted(os.listdir(directory)):
@@ -368,6 +385,10 @@ def read_traces(directory) -> list:
         if not (isinstance(manifest, dict)
                 and {"problem", "n", "r", "budget"} <= manifest.keys()):
             raise ValueError(f"{path} is not a trace manifest")
+        for key, (accepts, expected) in _MANIFEST_TYPES.items():
+            if key in manifest and not accepts(manifest[key]):
+                raise ValueError(f"{path}: trace manifest key {key!r} must be "
+                                 f"{expected}, got {json.dumps(manifest[key])}")
         csv_path = path[:-5] + ".csv"
         if not os.path.isfile(csv_path):
             raise ValueError(f"{path} is a trace manifest without its CSV {csv_path}")

@@ -89,7 +89,10 @@ def _load_problems(directory) -> list:
         if not name.endswith(".problem.json"):
             continue
         path = os.path.join(directory, name)
-        problem = load_problem(path)
+        try:
+            problem = load_problem(path)
+        except (OSError, ValueError) as exc:  # unreadable, not JSON, or malformed
+            raise SystemExit(f"problem file {path}: {exc}") from None
         stem = bench._safe_name(problem.name)
         if stem in seen:
             other_path, other = seen[stem]

@@ -344,15 +344,16 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float):
     sample.touch()
 
 
-def rebuild_for_index(sample: SampleSet, problem, ledger,
-                      new_index: int) -> LinearModel:
+def rebuild_for_index(sample: SampleSet, problem, ledger, new_index: int,
+                      base_value: float) -> LinearModel:
     """Re-evaluate the sample for a new working component and return its model.
 
-    Point locations are kept; only the new component is evaluated, once per
-    point (n+1 evaluations), so the caller swaps to a different index only.
+    Point locations are kept and ``base_value`` is the new component's value
+    at the base, so only the other n points are evaluated (n evaluations).
     """
     values = np.empty(sample.npt)
-    for j in range(sample.npt):
+    values[0] = base_value
+    for j in range(1, sample.npt):
         values[j] = eval_component(problem, ledger, new_index, sample.points[j])
     sample.values = values
     sample.model_index = new_index

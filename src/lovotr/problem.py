@@ -2,8 +2,9 @@
 
 A problem bundles ``r`` black-box component functions over a common box with a
 starting point.  The objective being minimized is the pointwise minimum of the
-components, and the active set at a point collects the indices of the
-components attaining that minimum there.  All oracle calls go through an
+components.  A full evaluation returns every component's value at a point,
+and :func:`choose_imin` picks the working component among those attaining the
+minimum there (the active set).  All oracle calls go through an
 :class:`EvalLedger`, which counts component and full evaluations, enforces an
 optional budget, and records the trace of best certified objective values used
 by the benchmark harness.
@@ -222,14 +223,6 @@ class EvalLedger:
                 TracePoint(self.total_component_evals, self.fmin_evals, float(value)))
 
 
-class FminResult(NamedTuple):
-    """Full objective evaluation: minimum value, active set, all component values."""
-
-    value: float
-    active: frozenset
-    component_values: np.ndarray
-
-
 def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float:
     """Evaluate component ``i`` at ``x``, charging one evaluation to the ledger.
 
@@ -249,12 +242,12 @@ def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float
     return value
 
 
-def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> FminResult:
-    """Evaluate all components at ``x`` and identify the active set.
+def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> np.ndarray:
+    """Evaluate all components at ``x``; returns the ``(r,)`` array of their values.
 
     Charges ``r`` component evaluations and one full objective evaluation to
-    the ledger.  Ties in the active set are identified by exact floating-point
-    equality.  The values come from one ``eval_all`` call when the problem's
+    the ledger, and records the minimum of the values as a certified objective
+    value.  The values come from one ``eval_all`` call when the problem's
     batch oracle is in force (see ``LovoProblem._batch_oracle``), else from
     the components one at a time; either way a non-finite value raises
     :class:`OracleError` for the lowest index holding one.  A batch result
@@ -279,24 +272,23 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> FminResult:
             if not math.isfinite(v):
                 raise OracleError(comp.index, xp, v)
             values[comp.index - 1] = v
-    value = float(values.min())
-    active = frozenset(int(i) + 1 for i in np.nonzero(values == value)[0])
-    ledger.note_value(value)
-    return FminResult(value, active, values)
+    ledger.note_value(float(values.min()))
+    return values
 
 
-def choose_imin(active, previous_index: int | None = None) -> int:
-    """Pick the working component index from a nonempty active set.
+def choose_imin(values, previous_index: int | None = None) -> int:
+    """Pick the working component index from the finite component values at a point.
 
-    Sticky tie-breaking: the previous index is kept whenever it is still
-    active, otherwise the smallest active index is returned.  Stickiness avoids
-    spurious index swaps, which would trigger radii adjustments.
+    The active set holds the 1-based indices whose value equals the minimum
+    exactly (so +0.0 and -0.0 tie).  Sticky tie-breaking: the previous index
+    is kept whenever it is still active, otherwise the smallest active index
+    is returned, which is where ``argmin`` finds the minimum first.
+    Stickiness avoids spurious index swaps, which would trigger radii
+    adjustments.
     """
-    if not active:
-        raise ValueError("active set must be nonempty")
-    if previous_index is not None and previous_index in active:
+    if previous_index is not None and values[previous_index - 1] == values.min():
         return previous_index
-    return min(active)
+    return int(np.argmin(values)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +311,27 @@ def problem_to_dict(problem: LovoProblem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> LovoProblem:
+    """Rebuild the problem ``problem_to_dict`` described.
+
+    A document that is not an object with ``name``, ``n``, ``r`` and
+    ``generator: {kind, params}``, an unknown kind, params the generator
+    cannot use and a rebuilt problem of another size raise ``ValueError``.
+    """
     from .testsets import GENERATORS  # testsets builds on this module
 
-    gen = doc["generator"]
+    gen = doc.get("generator") if isinstance(doc, dict) else None
+    if not (isinstance(gen, dict) and {"name", "n", "r"} <= doc.keys()
+            and {"kind", "params"} <= gen.keys()):
+        raise ValueError("not a problem document: expected an object with name, "
+                         "n, r and generator {kind, params}")
+    kind = gen["kind"]
+    if not (isinstance(kind, str) and kind in GENERATORS):
+        raise ValueError(f"unknown generator kind {kind!r}")
     try:
-        factory = GENERATORS[gen["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {gen['kind']!r}") from None
-    problem = factory(gen["params"])
+        problem = GENERATORS[kind](gen["params"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad params for generator kind {kind!r}: "
+                         f"{type(exc).__name__}: {exc}") from None
     for key, got, expect in (
         ("n", problem.n, doc["n"]),
         ("r", problem.r, doc["r"]),

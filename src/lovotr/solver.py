@@ -33,13 +33,13 @@ directly, anything else triggers one geometry step (``_geometry_step``), which
 resamples the point farthest from the base.  The same step repairs a stale
 sample and replaces a trust-region step too short to evaluate.  Index swaps
 rebuild the sample values for the new component at the unchanged point
-locations (n+1 evaluations).  The committed iterate is one record, the
-:class:`LinearModel` in ``SolverState.model`` (base, working index, value
-there, gradient); ``_commit`` installs it with its stationarity ``pi`` once an
-iteration's fallible work is done.  Every iteration reports a
-:class:`StepOutcome` built from the committed state by ``_outcome``; every
-run, however it ends, returns the last committed iterate under one of six
-statuses (``solve``).
+locations (n evaluations; the certifying full evaluation gave the base value).
+The committed iterate is one record, the :class:`LinearModel` in
+``SolverState.model`` (base, working index, value there, gradient);
+``_commit`` installs it with its stationarity ``pi`` once an iteration's
+fallible work is done.  Every iteration reports a :class:`StepOutcome` built
+from the committed state by ``_outcome``; every run, however it ends, returns
+the last committed iterate under one of six statuses (``solve``).
 """
 
 from __future__ import annotations
@@ -384,13 +384,12 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         or problem.r == 1
         or state.rho_cheap_streak >= config.nrhomax
     )
-    rho_hat = 0.0
     cheap = False
-    active_new = None
+    values_new = None
     if use_full:
-        fmin_new, active_new, values_new = eval_fmin(problem, ledger, x_new)
+        values_new = eval_fmin(problem, ledger, x_new)
         f_insert = float(values_new[i - 1])
-        rho = (fx - fmin_new) / predicted
+        rho = (fx - float(values_new.min())) / predicted
         rho_hat = (fx - f_insert) / predicted
         # The full ratio can only see a deeper minimum at the candidate.
         assert rho_hat <= rho
@@ -406,8 +405,8 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # iterations keep the current index.
     i_next = i
     swapped = False
-    if accepted and rho > 0.0 and active_new is not None:
-        i_next = choose_imin(active_new, i)
+    if accepted and rho > 0.0 and values_new is not None:
+        i_next = choose_imin(values_new, i)
         swapped = i_next != i
 
     # --- Gamma reset, then the two radii phases (Algorithm lines; computed
@@ -444,9 +443,11 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     if row is None:
         d, _ = _geometry_step(state, problem, ledger, stale=False)
 
-    # --- model rebuild (certified index swap) or incremental update.
+    # --- model rebuild (certified index swap; the candidate is in row 0, so
+    # the full evaluation holds the new base value) or incremental update.
     if swapped:
-        model = rebuild_for_index(state.sample, problem, ledger, i_next)
+        model = rebuild_for_index(state.sample, problem, ledger, i_next,
+                                  float(values_new[i_next - 1]))
     else:
         model = build_model(state.sample)
 
@@ -508,8 +509,8 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
 
 def _initial_state(problem: LovoProblem, config: SolverConfig,
                    ledger: EvalLedger) -> SolverState:
-    _, active0, values0 = eval_fmin(problem, ledger, problem.x0)
-    i0 = choose_imin(active0)
+    values0 = eval_fmin(problem, ledger, problem.x0)
+    i0 = choose_imin(values0)
     sample = initial_sample(problem, problem.x0, config.delta0, ledger, i0,
                             base_value=float(values0[i0 - 1]))
     model = build_model(sample)

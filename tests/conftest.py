@@ -41,6 +41,11 @@ def count_calls(problem):
     return calls
 
 
+def active_set(values):
+    """The 1-based indices whose value equals the minimum exactly."""
+    return {int(i) + 1 for i in np.nonzero(values == values.min())[0]}
+
+
 def check_sufficient_decrease(model, d, pi, Delta, theta=0.01):
     """Whether the step achieves the benchmark fraction of projected-gradient decrease.
 

@@ -8,7 +8,8 @@ import pytest
 from lovotr import cli
 from lovotr.bench import RunTrace, write_trace
 from lovotr.cli import main
-from lovotr.problem import load_problem
+from lovotr.problem import load_problem, problem_to_dict
+from lovotr.testsets import HS_CATALOG, gen_hs
 
 
 def test_gen_qd_writes_loadable_problems(tmp_path):
@@ -108,10 +109,21 @@ def test_table_of_empty_profile_is_unreachable(tmp_path):
         "fraction,kappa\n0.2,inf\n0.4,inf\n0.6,inf\n0.8,inf\n0.85,inf\n")
 
 
+# A manifest key set to a value of the wrong type, and the value.
+MANIFEST_FAULTS = {
+    "string-n": ("n", "3"),
+    "string-f-x0": ("f_x0", "2.0"),
+    "negative-n": ("n", -1),
+    "metering-typo": ("metering", "fmn"),
+    "int-problem": ("problem", 3),
+}
+
+
 @pytest.mark.parametrize("fault", ["missing-dir", "empty-dir", "not-json",
                                    "not-a-manifest", "no-csv", "empty-csv",
                                    "short-row", "bad-int", "missing-f-l",
-                                   "f-l-list", "f-l-string", "f-l-nan"])
+                                   "f-l-list", "f-l-string", "f-l-nan",
+                                   *MANIFEST_FAULTS])
 def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     traces = tmp_path / "traces"
     args = ["bench", "profile", "--traces", str(traces),
@@ -143,6 +155,12 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
         named = f_l
         f_l.unlink()
         args += ["--f-l", str(f_l)]
+    elif fault in MANIFEST_FAULTS:
+        named = traces / "p0.json"
+        manifest = json.loads(named.read_text())
+        key, value = MANIFEST_FAULTS[fault]
+        manifest[key] = value
+        named.write_text(json.dumps(manifest))
     elif fault.startswith("f-l-"):
         named = f_l
         f_l.write_text({"f-l-list": "[1]", "f-l-string": '{"p0": "x"}',
@@ -154,7 +172,41 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     assert str(named) in message and "\n" not in message
     if fault in ("short-row", "bad-int"):
         assert "line 4" in message
+    if fault in MANIFEST_FAULTS:
+        assert repr(MANIFEST_FAULTS[fault][0]) in message
     assert not (tmp_path / "profiles").exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fault", ["not-json", "unknown-kind", "no-generator",
+                                   "one-entry-hs", "wrong-n", "json-list",
+                                   "missing-param"])
+def test_malformed_problem_file_exits_with_one_line(tmp_path, capsys, fault):
+    problems = tmp_path / "problems"
+    problems.mkdir()
+    doc = problem_to_dict(gen_hs(HS_CATALOG, ["hs5", "hs38"]))
+    params = doc["generator"]["params"]
+    if fault == "unknown-kind":
+        doc["generator"]["kind"] = "nope"
+    elif fault == "no-generator":
+        del doc["generator"]
+    elif fault == "one-entry-hs":
+        params["combo"] = params["combo"][:1]
+    elif fault == "wrong-n":
+        doc["n"] += 1
+    elif fault == "missing-param":
+        del params["combo"]
+    named = problems / "bad.problem.json"
+    named.write_text({"not-json": "not json\n", "json-list": "[1, 2]"}.get(
+        fault, json.dumps(doc)))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "--problems", str(problems),
+              "--out", str(tmp_path / "traces")])
+    message = str(exc.value)
+    assert str(named) in message and "\n" not in message
+    if fault in ("unknown-kind", "missing-param"):
+        assert "generator kind" in message
+    assert not (tmp_path / "traces").exists()
     assert capsys.readouterr().out == ""
 
 

@@ -526,10 +526,13 @@ class TestRebuildForIndex:
         s = initial_sample(problem, [5, 5], 1.0, ledger, 1)
         calls = count_calls(problem)
         before = ledger.total_component_evals
-        model = rebuild_for_index(s, problem, ledger, 2)
-        assert calls == {2: 3}
-        assert ledger.total_component_evals - before == 3
+        # the caller passes the new component's base value (f2(5, 5) = 33),
+        # so a swap costs n evaluations, not npt
+        model = rebuild_for_index(s, problem, ledger, 2, 33.0)
+        assert calls == {2: 2}
+        assert ledger.total_component_evals - before == 2
         assert s.model_index == model.index == 2
+        assert s.values[0] == model.fx == 33.0
 
     def test_qd_swap_gradient_matches_finite_differences(self):
         inst = qd_instance(n=6, r=3, seed=31, ordinal=0)
@@ -539,7 +542,7 @@ class TestRebuildForIndex:
         # tiny sample radius: the rebuilt gradient approximates the new
         # component's gradient at the base to high relative accuracy
         s = initial_sample(problem, x0, 1e-7, ledger, 1)
-        model = rebuild_for_index(s, problem, ledger, 2)
+        model = rebuild_for_index(s, problem, ledger, 2, problem.components[1](x0))
         assert model.index == 2 and model.fx == s.values[0]
         fd = central_diff_gradient(lambda x: inst.component_value(2, x), x0, h=1e-3)
         assert np.linalg.norm(model.g - fd) <= 1e-6 * np.linalg.norm(fd)

@@ -149,9 +149,9 @@ class TestIterationPhases:
         assert np.array_equal(state.model.base, [4.0, 5.0])
         assert state.model.fx == pytest.approx(3.5)
         # full evaluation called both components once, rebuild called the
-        # new component at all three sample points
-        assert calls == {1: 1, 2: 1 + 3}
-        assert ledger.total_component_evals - before == 2 + 3
+        # new component at the two sample points other than the base
+        assert calls == {1: 1, 2: 1 + 2}
+        assert ledger.total_component_evals - before == 2 + 2
 
     def test_rejection_keeps_iterate(self):
         # an adversarial oracle that punishes any move
@@ -397,6 +397,54 @@ class TestSolve:
         full = [o for o in result.history if o.rho_defined and not o.rho_was_cheap]
         assert full, "expected full-ratio iterations"
         assert all(o.rho_hat <= o.rho for o in full)
+
+    @pytest.mark.parametrize("problem", [linear_pair(), gen_qd(3, 3, seed=2, count=1)[0]],
+                             ids=["pair-loop", "qd-batch"])
+    def test_swap_takes_the_base_value_from_the_full_evaluation(self, monkeypatch,
+                                                                problem):
+        import lovotr.solver as solver_module
+
+        # count every oracle call, an eval_all call as r; the batch stays on
+        calls = [0]
+
+        def counted(comp):
+            def fn(x, _fn=comp.fn):
+                calls[0] += 1
+                return _fn(x)
+            return ComponentOracle(comp.index, fn)
+
+        def counted_eval_all(x, _eval_all=problem.eval_all):
+            calls[0] += problem.r
+            return _eval_all(x)
+
+        problem = LovoProblem(
+            problem.name, [counted(c) for c in problem.components], problem.box,
+            problem.x0, eval_all=counted_eval_all if problem.eval_all else None)
+        full, rebuilds = [], []
+        eval_fmin = solver_module.eval_fmin
+        rebuild_for_index = solver_module.rebuild_for_index
+
+        def recording_eval_fmin(*args):
+            full.append(eval_fmin(*args))
+            return full[-1]
+
+        def recording_rebuild(sample, p, ledger, new_index, *rest):
+            before = ledger.total_component_evals
+            model = rebuild_for_index(sample, p, ledger, new_index, *rest)
+            rebuilds.append((sample.values[0], full[-1][new_index - 1],
+                             ledger.total_component_evals - before))
+            return model
+
+        monkeypatch.setattr(solver_module, "eval_fmin", recording_eval_fmin)
+        monkeypatch.setattr(solver_module, "rebuild_for_index", recording_rebuild)
+        result = solve(problem, SolverConfig(budget=1500, use_cheap_rho=False))
+        assert rebuilds
+        assert len(rebuilds) == sum(o.index_swapped for o in result.history)
+        for base_value, certified, charged in rebuilds:
+            assert float(base_value).hex() == float(certified).hex()
+            assert charged == problem.n
+        # every charge is one oracle call
+        assert result.ledger.total_component_evals == calls[0]
 
     def test_budget_exhaustion_is_graceful(self):
         problem = single_quadratic(3, [2.0, 3.0, 4.0])
