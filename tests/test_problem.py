@@ -340,8 +340,8 @@ class TestChooseImin:
                     min_size=1, max_size=12), st.data())
     @settings(max_examples=300)
     def test_always_member_and_sticky(self, listed, data):
-        # the reference is the rule on the active set that choose_imin used
-        # to take: keep the previous index while active, else the smallest
+        # reference: the rule stated on the active set, keeping the previous
+        # index while it is active and taking the smallest one otherwise
         values = np.array(listed)
         prev = data.draw(st.none() | st.integers(1, values.size))
         active = active_set(values)
