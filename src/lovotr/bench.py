@@ -219,21 +219,15 @@ def _format_number(x: float) -> str:
 
 
 def emit(obj, path) -> str:
-    """Write a profile, a dict of tagged profiles or a summary table to ``path``.
+    """Write a profile or a summary table to ``path``.
 
     The format, ``csv`` or ``svg``, is the file extension.  A profile is
-    written as CSV or SVG, a dict of profiles is drawn in one SVG and a
-    summary table is written as CSV; any other pairing is refused
-    (``ValueError``).  Output is deterministic: emitting the same object twice
-    yields byte-identical files.
+    written as CSV or SVG and a summary table as CSV; any other pairing is
+    refused (``ValueError``).  Output is deterministic: emitting the same
+    object twice yields byte-identical files.
     """
     fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
-    if isinstance(obj, dict) and all(isinstance(v, DataProfile) for v in obj.values()):
-        if fmt != "svg":
-            raise ValueError(f"a dict of profiles is emitted as svg only, not {fmt}; "
-                             "emit one profile per csv file")
-        text = render_profile_svg(obj)
-    elif fmt not in ("csv", "svg"):
+    if fmt not in ("csv", "svg"):
         raise ValueError(f"unknown format {fmt!r}")
     elif isinstance(obj, list):  # summary table
         if fmt != "csv":
@@ -252,25 +246,19 @@ def emit(obj, path) -> str:
             )
         text = "\n".join(lines) + "\n"
     else:
-        text = render_profile_svg({"": obj})
+        text = render_profile_svg(obj)
     with open(path, "w") as fh:
         fh.write(text)
     return str(path)
 
 
-_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def render_profile_svg(profiles: dict) -> str:
-    """Minimal static SVG: one step polyline per tagged profile, labeled axes."""
+def render_profile_svg(profile: DataProfile) -> str:
+    """Minimal static SVG: the profile's step polyline, labeled axes."""
     width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 20, 50
     pw, ph = width - ml - mr, height - mt - mb
-    kappa_max = 1.0
-    for prof in profiles.values():
-        kappas, _ = prof.curve()
-        if kappas.size:
-            kappa_max = max(kappa_max, float(kappas[-1]))
+    kappas, fractions = profile.curve()
+    kappa_max = max(1.0, float(kappas[-1])) if kappas.size else 1.0
 
     def sx(kappa):
         return ml + pw * min(kappa, kappa_max) / kappa_max
@@ -299,25 +287,18 @@ def render_profile_svg(profiles: dict) -> str:
             f'<text x="{sx(kappa):.1f}" y="{height - 32}" text-anchor="middle" '
             f'font-size="11">{kappa:g}</text>'
         )
-    for idx, tag in enumerate(sorted(profiles)):
-        prof = profiles[tag]
-        color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        kappas, fractions = prof.curve()
-        pts = [(sx(0.0), sy(0.0))]
-        level = 0.0
-        for kappa, fraction in zip(kappas, fractions):
-            pts.append((sx(kappa), sy(level)))
-            pts.append((sx(kappa), sy(fraction)))
-            level = fraction
-        pts.append((sx(kappa_max), sy(level)))
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                   'stroke-width="1.5"/>')
-        label = tag if tag else f"tau={prof.tau:g}"
-        out.append(
-            f'<text x="{ml + 8}" y="{mt + 16 + 16 * idx}" font-size="12" '
-            f'fill="{color}">{label}</text>'
-        )
+    pts = [(sx(0.0), sy(0.0))]
+    level = 0.0
+    for kappa, fraction in zip(kappas, fractions):
+        pts.append((sx(kappa), sy(level)))
+        pts.append((sx(kappa), sy(fraction)))
+        level = fraction
+    pts.append((sx(kappa_max), sy(level)))
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+    out.append(f'<polyline points="{coords}" fill="none" stroke="#1f77b4" '
+               'stroke-width="1.5"/>')
+    out.append(f'<text x="{ml + 8}" y="{mt + 16}" font-size="12" '
+               f'fill="#1f77b4">tau={profile.tau:g}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -366,9 +347,9 @@ _MANIFEST_TYPES = {
 
 
 def read_traces(directory) -> list:
-    """Traces ``write_trace`` wrote.
+    """Traces ``write_trace`` wrote, less ``x_final`` and ``i_final``.
 
-    A stray ``.json`` file, a manifest value of the wrong type (see
+    No profile reads those two keys, so they are not parsed.  A stray ``.json`` file, a manifest value of the wrong type (see
     ``_MANIFEST_TYPES``), an empty CSV or a CSV row that is not ``t,f_best``
     raises ``ValueError`` naming the file (and the key, or the row's line).
     """
@@ -409,9 +390,6 @@ def read_traces(directory) -> list:
             metering=manifest.get("metering", "component"),
             budget=manifest["budget"], f_x0=manifest.get("f_x0", math.inf),
             samples=samples, status=manifest.get("status", ""),
-            x_final=(np.asarray(manifest["x_final"], dtype=float)
-                     if "x_final" in manifest else None),
-            i_final=manifest.get("i_final", 1),
         ))
     return traces
 

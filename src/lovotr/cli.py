@@ -4,9 +4,11 @@
     lovotr bench run --problems problems/ --budget-rule component --out traces/
     lovotr bench profile --traces traces/ --tau 1e-1,1e-3,1e-5,1e-7 --out profiles/
 
+``bench run --config`` reads a JSON object of ``SolverConfig`` settings:
+``delta0``, ``Delta0``, ``delta_min``, ``budget`` and ``use_cheap_rho``.
 ``bench profile`` writes, per tau, the profile ``profile_tau{tau}.csv`` and its
 budget table ``table_tau{tau}.csv`` at ``TABLE_FRACTIONS``.  Bad input exits with
-one line naming the file at fault.
+one line naming the file or option at fault.
 """
 
 from __future__ import annotations
@@ -25,8 +27,20 @@ from .solver import SolverConfig
 TABLE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.85)
 
 
-def _parse_floats(text: str) -> list:
-    return [float(part) for part in text.split(",") if part]
+def _parse_taus(text: str) -> list:
+    """``--tau``: comma-separated tolerances, each a number in (0, 1)."""
+    taus = []
+    for part in filter(None, text.split(",")):
+        try:
+            tau = float(part)
+        except ValueError:
+            tau = math.nan
+        if not 0.0 < tau < 1.0:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a tolerance in (0, 1)")
+        taus.append(tau)
+    if not taus:
+        raise argparse.ArgumentTypeError("expected at least one tolerance")
+    return taus
 
 
 def _is_finite_number(value) -> bool:
@@ -40,7 +54,6 @@ def _is_finite_number(value) -> bool:
 # What each SolverConfig field type accepts from JSON, and how to say so.
 _SETTING_TYPES = {
     "bool": (lambda v: type(v) is bool, "true or false"),
-    "int": (lambda v: type(v) is int, "an integer"),
     "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
     "float": (_is_finite_number, "a finite number"),
 }
@@ -155,7 +168,7 @@ def _cmd_bench_profile(args) -> int:
                              "mapping problem names to finite numbers")
     f_l_table = bench.default_f_l(traces, overrides)
     os.makedirs(args.out, exist_ok=True)
-    for tau in _parse_floats(args.tau):
+    for tau in args.tau:
         profile = bench.data_profile(traces, tau, f_l_table)
         stem = os.path.join(args.out, f"profile_tau{tau:g}")
         bench.emit(profile, stem + ".csv")
@@ -188,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = bench_sub.add_parser("run", help="run the solver over a problem directory")
     run.add_argument("--problems", required=True)
-    run.add_argument("--config", default=None, help="JSON file of solver settings")
+    run.add_argument("--config", default=None,
+                     help="JSON file of solver settings: delta0, Delta0, "
+                          "delta_min, budget, use_cheap_rho")
     run.add_argument("--budget-rule", choices=bench.BUDGET_RULES, default="component")
     run.add_argument("--out", required=True)
     run.add_argument("--verbose", "-v", action="store_true")
@@ -198,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = bench_sub.add_parser("profile", help="data profiles and budget tables")
     prof.add_argument("--traces", required=True)
-    prof.add_argument("--tau", default="1e-1,1e-3,1e-5,1e-7")
+    prof.add_argument("--tau", type=_parse_taus, default="1e-1,1e-3,1e-5,1e-7",
+                      help="comma-separated tolerances in (0, 1)")
     prof.add_argument("--out", required=True)
     prof.add_argument("--f-l", default=None,
                       help="JSON file of per-problem reference values")

@@ -65,9 +65,9 @@ class FeasibleBox:
         v = as_vector(x, n=self.n)
         return np.minimum(np.maximum(v, self.lower), self.upper)
 
-    def contains(self, x, tol=0.0) -> bool:
+    def contains(self, x) -> bool:
         v = as_vector(x, n=self.n)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
 
 
 @dataclass

@@ -6,16 +6,19 @@ interpolation model maintained over n+1 sample points.  Two radii evolve
 independently: ``delta`` bounds the sample region and so governs model
 quality, ``Delta`` bounds the step.  An iteration passes through four phases:
 
-* criticality: when ``delta > beta * pi`` the model cannot be trusted relative
+* criticality: when ``delta > BETA * pi`` the model cannot be trusted relative
   to its apparent stationarity, so both radii shrink and nothing is evaluated;
 * step acceptance: the trust-region step is evaluated and accepted when the
-  reduction ratio reaches ``eta``; on acceptance the working index is rechosen
+  reduction ratio reaches ``ETA``; on acceptance the working index is rechosen
   from the active set whenever a full objective evaluation certified it;
 * radii adjustment: an accepted step that swaps the working component inflates
-  both radii by ``tau4``, at most ``Gamma_max + 1`` times between successful
-  iterations (the ``Gamma`` counter, reset whenever ``rho >= eta1``);
-* radii update: otherwise radii shrink by ``tau1`` below ``eta1``, grow by
-  ``tau3`` after a full-length step with ``rho > eta2``, and stay put between.
+  both radii by ``TAU4``, at most ``GAMMA_MAX + 1`` times between successful
+  iterations (the ``Gamma`` counter, reset whenever ``rho >= ETA1``);
+* radii update: otherwise radii shrink by ``TAU1`` below ``ETA1``, grow by
+  ``TAU3`` after a full-length step with ``rho > ETA2``, and stay put between.
+
+These thresholds are module constants; ``SolverConfig`` holds the lengths
+(initial radii, ``delta_min``), the budget and the cheap-ratio switch.
 
 No update takes either radius below ``radius_floor(fx, delta_min)``, the
 larger of ``delta_min`` and ``0.1 * sqrt(eps * |fx|)`` for the working
@@ -26,7 +29,7 @@ radii and the stationarity measure with the same floor.
 
 Evaluating the full objective costs one evaluation of every component, so by
 default the reduction ratio is estimated from the working component alone (a
-certified underestimate) for up to ``nrhomax`` consecutive candidate
+certified underestimate) for up to ``NRHOMAX`` consecutive candidate
 evaluations before a full evaluation is forced.  Sample maintenance is
 single-point exchange: productive trust-region points enter the sample
 directly, anything else triggers one geometry step (``_geometry_step``), which
@@ -93,50 +96,46 @@ STATUS_ORACLE = "oracle_error"
 STATUS_GEOMETRY = "geometry_failed"
 
 
+# The loop's dimensionless thresholds and counts, at values from common
+# trust-region practice (Conn, Scheinberg & Vicente, *Introduction to
+# Derivative-Free Optimization*, SIAM 2009).  They satisfy
+# 0 < TAU1 <= TAU2 < 1 <= TAU3 <= TAU4, 0 <= ETA < ETA1 <= ETA2, ETA1 < 1,
+# GAMMA_MAX >= 1 and NRHOMAX >= 1.
+BETA = 1.0       # criticality test: delta > BETA * pi
+TAU1 = 0.5       # radius shrink factor
+TAU2 = 0.95      # largest Delta factor of a criticality iteration
+TAU3 = 2.0       # radius growth after a full-length step with rho > ETA2
+TAU4 = 2.0       # radius inflation on an adjusted index swap
+ETA = 0.05       # acceptance threshold for the reduction ratio
+ETA1 = 0.25      # successful-step threshold
+ETA2 = 0.75      # very successful threshold
+GAMMA_MAX = 3    # bound on the Gamma counter of adjusted swaps
+NRHOMAX = 3      # consecutive cheap-ratio candidates before a full evaluation
+
+
 @dataclass
 class SolverConfig:
-    """All loop parameters; orderings are asserted at construction.
+    """The settings a caller chooses; checked at construction.
 
-    The thresholds follow common trust-region practice and are configuration,
-    not contract; ``beta = 1``, ``delta_min = 1e-8`` and ``nrhomax = 3`` are
-    the tuned defaults.  ``maxcrit`` is derived from n and the radii when left
-    as None.  ``budget`` caps the total number of component evaluations.
+    ``delta0``, ``Delta0`` and ``delta_min`` are lengths in the units of x:
+    the initial sample and trust-region radii and the smallest radius.
+    ``budget`` caps the total number of component evaluations (None: no
+    cap), and ``use_cheap_rho=False`` certifies every reduction ratio with a
+    full evaluation.  The loop's other thresholds are the module constants
+    ``BETA`` .. ``NRHOMAX``.
     """
 
-    beta: float = 1.0
     delta0: float = 1.0
     Delta0: float = 1.0
-    tau1: float = 0.5
-    tau2: float = 0.95
-    tau3: float = 2.0
-    tau4: float = 2.0
-    eta: float = 0.05
-    eta1: float = 0.25
-    eta2: float = 0.75
-    Gamma_max: int = 3
-    nrhomax: int = 3
     delta_min: float = 1e-8
-    maxcrit: int | None = None
     budget: int | None = None
     use_cheap_rho: bool = True
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
         if not 0 < self.delta0 <= self.Delta0:
             raise ValueError("need 0 < delta0 <= Delta0")
-        if not 0 < self.tau1 <= self.tau2 < 1 <= self.tau3 <= self.tau4:
-            raise ValueError("need 0 < tau1 <= tau2 < 1 <= tau3 <= tau4")
-        if not (0 <= self.eta < self.eta1 <= self.eta2 and 0 < self.eta1 < 1):
-            raise ValueError("need 0 <= eta < eta1 <= eta2 with eta1 in (0, 1)")
-        if self.Gamma_max < 1:
-            raise ValueError("Gamma_max must be at least 1")
-        if self.nrhomax < 1:
-            raise ValueError("nrhomax must be at least 1")
         if not self.delta_min > 0:
             raise ValueError("delta_min must be positive")
-        if self.maxcrit is not None and self.maxcrit < 0:
-            raise ValueError("maxcrit must be nonnegative")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1")
 
@@ -145,10 +144,8 @@ class SolverConfig:
         # iterations shrink the sample radius, so after a sudden drop in the
         # measure (typical when the iterate lands on an active bound) a spell
         # must be able to ride the radius all the way down to delta_min.
-        if self.maxcrit is not None:
-            return self.maxcrit
         ride = math.ceil(math.log(self.delta0 / self.delta_min)
-                         / math.log(1.0 / self.tau1))
+                         / math.log(1.0 / TAU1))
         return max(n, ride + n)
 
 
@@ -219,7 +216,6 @@ class SolveResult:
     ledger: EvalLedger
     history: list = field(default_factory=list)
     i_final: int = 1
-    problem_name: str = ""
     error: str = ""  # text of the OracleError that ended an oracle_error run
 
     def write_history_jsonl(self, path):
@@ -333,7 +329,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem,
     if frozen:
         state.repair_streak += 1
     else:
-        _update_radii(state, config.tau1, config.tau1, config)
+        _update_radii(state, TAU1, TAU1, config)
         state.repair_streak = 0
         state.consec_alt += 1
     state.consec_crit = 0
@@ -347,10 +343,9 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     pi = state.pi
 
     # --- criticality phase: radii shrink, nothing is evaluated.  Any Delta
-    # factor in [tau1, tau2] is admissible; the midpoint is used.
-    if state.delta > config.beta * pi:
-        _update_radii(state, config.tau1, 0.5 * (config.tau1 + config.tau2),
-                      config)
+    # factor in [TAU1, TAU2] is admissible; the midpoint is used.
+    if state.delta > BETA * pi:
+        _update_radii(state, TAU1, 0.5 * (TAU1 + TAU2), config)
         state.consec_crit += 1
         state.consec_alt = 0
         state.repair_streak = 0
@@ -382,7 +377,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     use_full = (
         not config.use_cheap_rho
         or problem.r == 1
-        or state.rho_cheap_streak >= config.nrhomax
+        or state.rho_cheap_streak >= NRHOMAX
     )
     cheap = False
     values_new = None
@@ -398,7 +393,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         rho = rho_hat = (fx - f_insert) / predicted
         cheap = True
 
-    accepted = rho >= config.eta
+    accepted = rho >= ETA
 
     # The working index can only be rechosen when the active set at the
     # accepted point was certified by a full evaluation; estimated-ratio
@@ -411,15 +406,15 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
 
     # --- Gamma reset, then the two radii phases (Algorithm lines; computed
     # now, committed with the rest once the fallible work is done).
-    gamma = 0 if rho >= config.eta1 else state.Gamma
-    adjusted = accepted and swapped and gamma <= config.Gamma_max
+    gamma = 0 if rho >= ETA1 else state.Gamma
+    adjusted = accepted and swapped and gamma <= GAMMA_MAX
     if adjusted:
-        radii_factor = config.tau4
+        radii_factor = TAU4
         gamma += 1
-    elif rho < config.eta1:
-        radii_factor = config.tau1
-    elif rho > config.eta2 and full_length:
-        radii_factor = config.tau3
+    elif rho < ETA1:
+        radii_factor = TAU1
+    elif rho > ETA2 and full_length:
+        radii_factor = TAU3
     else:
         radii_factor = 1.0
 
@@ -453,7 +448,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
 
     # commit
     state.rho_cheap_streak = state.rho_cheap_streak + 1 if cheap else 0
-    state.model_doubted = rho < config.eta1
+    state.model_doubted = rho < ETA1
     state.repair_streak = 0
     state.Gamma = gamma
     _commit(state, model, box)
@@ -465,7 +460,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         state.consec_alt = 0
         if not accepted:
             kind = KIND_UNSUCCESSFUL
-        elif rho >= config.eta1:
+        elif rho >= ETA1:
             kind = KIND_SUCCESSFUL_ADJUSTED if adjusted else KIND_SUCCESSFUL_PLAIN
         else:
             kind = KIND_ACCEPTABLE_ADJUSTED if adjusted else KIND_ACCEPTABLE_PLAIN
@@ -488,11 +483,11 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
     descend on the model, or raised the working component: there is no room
     for improvement left in the sample at the smallest radius where its
     values still resolve a gradient.  Long runs of consecutive criticality
-    iterations (more than ``maxcrit``) and budget exhaustion terminate the
-    run as safety valves.
+    iterations (more than ``config.maxcrit_for(n)``) and budget exhaustion
+    terminate the run as safety valves.
     """
     floor = radius_floor(state.model.fx, config.delta_min)
-    if state.delta <= floor and config.beta * state.pi <= floor:
+    if state.delta <= floor and BETA * state.pi <= floor:
         return STATUS_SUCCESS
     if (
         state.delta <= floor
@@ -608,6 +603,5 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
         x, fx, i = state.model.base.copy(), state.model.fx, state.model.index
     return SolveResult(
         x_final=x, f_final=fx, status=status, iterations=len(history),
-        ledger=ledger, history=history, i_final=i, problem_name=problem.name,
-        error=error,
+        ledger=ledger, history=history, i_final=i, error=error,
     )

@@ -12,7 +12,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lovotr.solver import NOISE_RADIUS_FACTOR
+from lovotr.solver import (
+    ETA,
+    ETA1,
+    ETA2,
+    GAMMA_MAX,
+    NOISE_RADIUS_FACTOR,
+    TAU1,
+    TAU2,
+    TAU3,
+    TAU4,
+)
 
 
 def central_diff_gradient(f, x, h=1e-6):
@@ -68,10 +78,11 @@ def replay_radii(config, history):
     """Independent re-implementation of the radii state machine.
 
     Walks the logged (rho, swap, full-length) stream through the four phase
-    rules and returns the (delta, Delta) pair after every iteration.  Every
-    update stops at the noise floor ``max(delta_min, c * sqrt(eps * |fx|))``
-    of the value ``fx`` the iteration committed; frozen repairs leave both
-    radii alone.
+    rules, at the solver's threshold constants and the initial radii and
+    ``delta_min`` of ``config``, and returns the (delta, Delta) pair after
+    every iteration.  Every update stops at the noise floor ``max(delta_min,
+    c * sqrt(eps * |fx|))`` of the value ``fx`` the iteration committed;
+    frozen repairs leave both radii alone.
     """
     delta, Delta = config.delta0, config.Delta0
     gamma = 0
@@ -80,21 +91,20 @@ def replay_radii(config, history):
         floor = max(config.delta_min,
                     NOISE_RADIUS_FACTOR * math.sqrt(np.finfo(float).eps * abs(o.fx)))
         if o.kind == "criticality":
-            factors = (config.tau1, 0.5 * (config.tau1 + config.tau2))
+            factors = (TAU1, 0.5 * (TAU1 + TAU2))
         elif o.kind == "altmov" and not o.rho_defined:
-            factors = None if o.radii_frozen else (config.tau1, config.tau1)
+            factors = None if o.radii_frozen else (TAU1, TAU1)
         else:
-            if o.rho >= config.eta1:
+            if o.rho >= ETA1:
                 gamma = 0
-            adjusted = (o.rho >= config.eta and o.index_swapped
-                        and gamma <= config.Gamma_max)
+            adjusted = o.rho >= ETA and o.index_swapped and gamma <= GAMMA_MAX
             if adjusted:
-                factors = (config.tau4, config.tau4)
+                factors = (TAU4, TAU4)
                 gamma += 1
-            elif o.rho < config.eta1:
-                factors = (config.tau1, config.tau1)
-            elif o.rho > config.eta2 and o.full_length:
-                factors = (config.tau3, config.tau3)
+            elif o.rho < ETA1:
+                factors = (TAU1, TAU1)
+            elif o.rho > ETA2 and o.full_length:
+                factors = (TAU3, TAU3)
             else:
                 factors = (1.0, 1.0)
         if factors is not None:

@@ -19,7 +19,7 @@ from conftest import (
 from lovotr.bench import data_profile, default_f_l, run_campaign, summarize_simplex_gradients
 from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
-from lovotr.solver import SolverConfig, solve
+from lovotr.solver import GAMMA_MAX, SolverConfig, solve
 from lovotr.subproblem import trsbox_linear
 from lovotr.testsets import HS_CATALOG, gen_hs, gen_mw, gen_qd, qd_instance
 
@@ -316,7 +316,7 @@ def test_criterion_7_state_machine_replay():
             if outcome.delta != delta or outcome.Delta != Delta:
                 ok = False
         adjusted, successful = adjustment_counts(result.history)
-        if adjusted > config.Gamma_max * successful:
+        if adjusted > GAMMA_MAX * successful:
             bound_ok = False
     report(7, "20 histories replay the radii state machine exactly and "
               "satisfy the adjustment-count bound", ok and bound_ok)

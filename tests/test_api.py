@@ -1,7 +1,11 @@
-"""The public surface: ``lovotr.__all__`` is what the README documents."""
+"""The public surface (``lovotr.__all__`` is what the README documents) and the
+names the benchmark's tracer wraps."""
 
+import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import lovotr
 
@@ -52,3 +56,33 @@ def test_quick_start_runs_on_top_level_names():
     assert result.status in ("success", "stalled", "budget_exhausted",
                              "maxcrit_exceeded", "geometry_failed")
     assert result.ledger.total_component_evals <= 2000 + 1
+
+
+# The functions perfbench's tracer wraps through ``lovotr.solver``'s globals,
+# by module.  A span is named after its function and module, and a name the
+# tracer never saw reads 0, so a renamed or moved function would zero a
+# per-layer metric without failing a run.
+TRACED = {
+    "model": ["build_model", "model_stationarity", "exchange_point",
+              "replace_point", "rebuild_for_index", "initial_sample"],
+    "subproblem": ["altmov_linear", "trsbox_linear", "select_target_for_altmov"],
+    "problem": ["eval_fmin", "eval_component"],
+    "solver": ["iterate", "check_stopping", "_recover_geometry"],
+}
+
+
+@pytest.mark.parametrize("layer, name", [
+    (layer, name) for layer, names in TRACED.items() for name in names])
+def test_traced_names_live_where_the_benchmark_reads_them(layer, name):
+    import lovotr.solver
+
+    fn = getattr(lovotr.solver, name)
+    assert inspect.isfunction(fn)
+    assert (fn.__module__, fn.__name__) == (f"lovotr.{layer}", name)
+
+
+def test_model_calls_the_traced_eval_component():
+    import lovotr.model
+    import lovotr.problem
+
+    assert lovotr.model.eval_component is lovotr.problem.eval_component

@@ -184,26 +184,6 @@ class TestEmit:
         emit(profile, tmp_path / "q.svg")
         assert (tmp_path / "q.svg").read_bytes() == path.read_bytes()
 
-    def test_svg_multi_profile(self, tmp_path):
-        profiles = {
-            "x": DataProfile(1e-1, 1, {"a": 2.0}),
-            "y": DataProfile(1e-5, 1, {"a": 5.0}),
-        }
-        path = tmp_path / "multi.svg"
-        emit(profiles, path)
-        assert path.read_text().count("<polyline") == 2
-
-    @pytest.mark.parametrize("suffix", ["csv", "json"])
-    def test_profile_dict_is_svg_only(self, tmp_path, suffix):
-        profiles = {
-            "x": DataProfile(1e-1, 1, {"a": 2.0}),
-            "y": DataProfile(1e-5, 1, {"a": 5.0}),
-        }
-        path = tmp_path / f"x.{suffix}"
-        with pytest.raises(ValueError, match="svg only"):
-            emit(profiles, path)
-        assert not path.exists()
-
     def test_table_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         emit([(0.6, 7.0), (0.9, math.inf)], path)

@@ -57,7 +57,8 @@ def test_config_file_and_sample_dump(tmp_path):
     main(["gen-qd", "--n", "2", "--r", "1", "--seed", "3",
           "--count", "1", "--out", str(problems)])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nrhomax": 2, "tau1": 0.4}))
+    cfg.write_text(json.dumps({"delta0": 0.5, "delta_min": 1e-7,
+                               "use_cheap_rho": False}))
     dump = tmp_path / "samples.jsonl"
     assert main(["bench", "run", "--problems", str(problems),
                  "--config", str(cfg), "--out", str(traces),
@@ -107,6 +108,35 @@ def test_table_counts_unsolved_problems(tmp_path):
 def test_table_of_empty_profile_is_unreachable(tmp_path):
     assert _profile_table(tmp_path, [None, None, None]) == (
         "fraction,kappa\n0.2,inf\n0.4,inf\n0.6,inf\n0.8,inf\n0.85,inf\n")
+
+
+def test_final_point_keys_are_not_read_back(tmp_path):
+    # a profile needs neither x_final nor i_final, so a bad one changes nothing
+    (tmp_path / "plain").mkdir()
+    expected = _profile_table(tmp_path / "plain", [1.0, None])
+    f_l = _write_traces(tmp_path / "traces", [1.0, None])
+    manifest_path = tmp_path / "traces" / "p0.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(x_final=["a"], i_final="b")
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["bench", "profile", "--traces", str(tmp_path / "traces"),
+                 "--tau", "1e-5", "--f-l", str(f_l),
+                 "--out", str(tmp_path / "profiles")]) == 0
+    assert (tmp_path / "profiles" / "table_tau1e-05.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("tau", ["abc", "", ",", "nan", "-1", "0", "1", "inf",
+                                 "1e-3,2"])
+def test_bad_tau_exits_with_one_line(tmp_path, capsys, tau):
+    f_l = _write_traces(tmp_path / "traces", [1.0])
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "profile", "--traces", str(tmp_path / "traces"),
+              "--tau", tau, "--f-l", str(f_l), "--out", str(tmp_path / "profiles")])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and "argument --tau" in errors[0]
+    assert not (tmp_path / "profiles").exists()
 
 
 # A manifest key set to a value of the wrong type, and the value.
@@ -219,7 +249,7 @@ def _one_problem(tmp_path):
 
 @pytest.mark.parametrize("settings, named", [
     ({"nrhomax": 2, "maxalt": 5}, "maxalt"),
-    ({"tau1": 0.9, "tau2": 0.5}, "tau1"),
+    ({"delta0": 2.0, "Delta0": 1.0}, "delta0"),
     ({"budget": "100"}, "budget"),
     ({"beta": None}, "beta"),
     ({"use_cheap_rho": "no"}, "use_cheap_rho"),

@@ -20,6 +20,12 @@ from lovotr.errors import BudgetExceededError, GeometryError
 from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
+    BETA,
+    ETA,
+    ETA1,
+    ETA2,
+    GAMMA_MAX,
+    NRHOMAX,
     STATUS_BUDGET,
     STATUS_GEOMETRY,
     STATUS_MAXCRIT,
@@ -29,6 +35,10 @@ from lovotr.solver import (
     SolverConfig,
     SolverState,
     StepOutcome,
+    TAU1,
+    TAU2,
+    TAU3,
+    TAU4,
     _commit,
     _initial_state,
     _recover_geometry,
@@ -67,7 +77,21 @@ def linear_pair():
     return LovoProblem("pair", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
 
 
+def loop_orderings_hold(beta=BETA, tau1=TAU1, tau2=TAU2, tau3=TAU3, tau4=TAU4,
+                        eta=ETA, eta1=ETA1, eta2=ETA2, Gamma_max=GAMMA_MAX,
+                        nrhomax=NRHOMAX):
+    """The orderings the loop's threshold constants must satisfy."""
+    return (beta > 0 and 0 < tau1 <= tau2 < 1 <= tau3 <= tau4
+            and 0 <= eta < eta1 <= eta2 and eta1 < 1
+            and Gamma_max >= 1 and nrhomax >= 1)
+
+
+SETTINGS = ("delta0", "Delta0", "delta_min", "budget", "use_cheap_rho")
+
+
 class TestConfigValidation:
+    # A bad setting is refused by SolverConfig; a bad value for one of the
+    # loop's constants breaks the orderings they are tested against.
     @pytest.mark.parametrize("bad", [
         dict(beta=0.0),
         dict(delta0=0.0),
@@ -84,15 +108,24 @@ class TestConfigValidation:
         dict(Gamma_max=0),
         dict(nrhomax=0),
         dict(delta_min=0.0),
-        dict(maxcrit=-1),
+        dict(Delta0=0.5),
         dict(budget=0),
     ])
     def test_orderings_enforced(self, bad):
-        with pytest.raises(ValueError):
-            SolverConfig(**bad)
+        if set(bad) <= set(SETTINGS):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
+        else:
+            assert not loop_orderings_hold(**bad)
 
     def test_defaults_valid(self):
         SolverConfig()
+        assert loop_orderings_hold()
+
+    def test_only_caller_settings_are_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == SETTINGS
+        with pytest.raises(TypeError):
+            SolverConfig(tau1=0.5)
 
 
 class TestIterationPhases:
@@ -114,8 +147,8 @@ class TestIterationPhases:
         outcome = iterate(state, problem, config, ledger)
         assert outcome.kind == "criticality"
         assert outcome.rho == 0.0 and np.all(outcome.d == 0)
-        assert state.delta == 0.5 * config.tau1
-        assert state.Delta == 1.0 * 0.5 * (config.tau1 + config.tau2)
+        assert state.delta == 0.5 * TAU1
+        assert state.Delta == 1.0 * 0.5 * (TAU1 + TAU2)
         assert ledger.total_component_evals == before
 
     def test_growth_on_strong_full_length_step(self):
@@ -129,8 +162,8 @@ class TestIterationPhases:
         assert outcome.kind == "successful_plain"
         assert outcome.rho == pytest.approx(1.0)
         assert outcome.full_length
-        assert state.delta == config.delta0 * config.tau3
-        assert state.Delta == config.Delta0 * config.tau3
+        assert state.delta == config.delta0 * TAU3
+        assert state.Delta == config.Delta0 * TAU3
 
     def test_swap_triggers_adjustment_and_rebuild(self):
         problem = linear_pair()
@@ -144,8 +177,8 @@ class TestIterationPhases:
         assert outcome.kind == "successful_adjusted"
         assert state.model.index == 2
         assert state.Gamma == 1
-        assert state.delta == config.delta0 * config.tau4
-        assert state.Delta == config.Delta0 * config.tau4
+        assert state.delta == config.delta0 * TAU4
+        assert state.Delta == config.Delta0 * TAU4
         assert np.array_equal(state.model.base, [4.0, 5.0])
         assert state.model.fx == pytest.approx(3.5)
         # full evaluation called both components once, rebuild called the
@@ -168,7 +201,7 @@ class TestIterationPhases:
         outcome = iterate(state, problem, config, ledger)
         assert not outcome.index_swapped
         assert np.array_equal(state.model.base, [5.0, 5.0])
-        assert state.delta == config.tau1  # failed step shrinks the radii
+        assert state.delta == TAU1  # failed step shrinks the radii
         # the rejected candidate falls back to one geometry step
         assert outcome.kind == "altmov" and outcome.rho_defined
         assert ledger.total_component_evals - before == 2
@@ -205,8 +238,8 @@ class TestIterationPhases:
         outcome = iterate(state, problem, config, ledger)
         assert outcome.kind == "altmov"
         assert not outcome.rho_defined and not outcome.radii_frozen
-        assert state.delta == 0.1 * config.tau1
-        assert state.Delta == 1.0 * config.tau1
+        assert state.delta == 0.1 * TAU1
+        assert state.Delta == 1.0 * TAU1
 
 
 class TestStopping:
@@ -254,8 +287,13 @@ class TestStopping:
         assert radius_floor(-3125.0, 1e-8) == radius_floor(3125.0, 1e-8)
 
     def test_maxcrit(self):
-        state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=6)
-        config = SolverConfig(maxcrit=5)
+        # a spell may ride delta from delta0 = 1 down to delta_min = 1e-8 by
+        # halvings (27 of them), plus n = 2
+        config = SolverConfig()
+        assert config.maxcrit_for(2) == 27 + 2
+        state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=29)
+        assert check_stopping(state, problem, config, ledger) is None
+        state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=30)
         assert check_stopping(state, problem, config, ledger) == "maxcrit_exceeded"
 
     def test_budget(self):
@@ -598,14 +636,14 @@ class TestCheapRatioEquivalence:
 
     def test_cheap_ratio_streak_respects_nrhomax(self):
         problem = gen_qd(4, 4, seed=3, count=1)[0]
-        result = solve(problem, SolverConfig(budget=2000, nrhomax=3))
+        result = solve(problem, SolverConfig(budget=2000))
         streak = 0
         for o in result.history:
             if not o.rho_defined:
                 continue
             if o.rho_was_cheap:
                 streak += 1
-                assert streak <= 3
+                assert streak <= NRHOMAX
             else:
                 streak = 0
 
@@ -624,7 +662,7 @@ class TestRadiiReplay:
             assert result.history
             assert_radii_replay(config, result.history)
             adjusted, successful = adjustment_counts(result.history)
-            assert adjusted <= config.Gamma_max * max(successful, 0) + 0
+            assert adjusted <= GAMMA_MAX * max(successful, 0) + 0
 
     def test_exported_history_replays(self, tmp_path):
         # the JSON lines alone carry what the radii state machine needs
