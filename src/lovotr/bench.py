@@ -54,8 +54,10 @@ class RunTrace:
     f_x0: float
     samples: list = field(default_factory=list)  # (t, f_best), certified
     status: str = ""
+    # the run's final point and index; None when the run raised, and on a
+    # trace that read_traces read back (profiles do not use them)
     x_final: np.ndarray | None = None
-    i_final: int = 1
+    i_final: int | None = None
 
     @property
     def best_value(self) -> float:
@@ -120,7 +122,7 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
             x_final, i_final = result.x_final, result.i_final
         except Exception as exc:  # failed run: keep the partial trace
             status = f"error:{type(exc).__name__}: {exc}"
-            x_final, i_final = None, 1
+            x_final, i_final = None, None
         certified = _trace_from_ledger(ledger)
         trace = RunTrace(
             problem_name=problem.name, n_p=problem.n, r_p=problem.r,
@@ -349,7 +351,8 @@ _MANIFEST_TYPES = {
 def read_traces(directory) -> list:
     """Traces ``write_trace`` wrote, less ``x_final`` and ``i_final``.
 
-    No profile reads those two keys, so they are not parsed.  A stray ``.json`` file, a manifest value of the wrong type (see
+    No profile reads those two keys, so they are not parsed.  A stray
+    ``.json`` file, a manifest value of the wrong type (see
     ``_MANIFEST_TYPES``), an empty CSV or a CSV row that is not ``t,f_best``
     raises ``ValueError`` naming the file (and the key, or the row's line).
     """

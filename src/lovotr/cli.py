@@ -5,7 +5,8 @@
     lovotr bench profile --traces traces/ --tau 1e-1,1e-3,1e-5,1e-7 --out profiles/
 
 ``bench run --config`` reads a JSON object of ``SolverConfig`` settings:
-``delta0``, ``Delta0``, ``delta_min``, ``budget`` and ``use_cheap_rho``.
+``delta0``, ``Delta0``, ``delta_min`` and ``use_cheap_rho``; the budget comes
+from ``--budget-rule``.
 ``bench profile`` writes, per tau, the profile ``profile_tau{tau}.csv`` and its
 budget table ``table_tau{tau}.csv`` at ``TABLE_FRACTIONS``.  Bad input exits with
 one line naming the file or option at fault.
@@ -54,7 +55,6 @@ def _is_finite_number(value) -> bool:
 # What each SolverConfig field type accepts from JSON, and how to say so.
 _SETTING_TYPES = {
     "bool": (lambda v: type(v) is bool, "true or false"),
-    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
     "float": (_is_finite_number, "a finite number"),
 }
 
@@ -73,6 +73,8 @@ def _load_config(path) -> SolverConfig:
     unknown = sorted(set(settings) - set(types))
     if unknown:
         raise SystemExit(f"{path}: unknown solver setting(s): {', '.join(unknown)}")
+    if "budget" in settings:  # run_campaign meters each run by --budget-rule
+        raise SystemExit(f"{path}: solver setting budget is set by --budget-rule")
     for name, value in settings.items():
         accepts, expected = _SETTING_TYPES[types[name]]
         if not accepts(value):
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--problems", required=True)
     run.add_argument("--config", default=None,
                      help="JSON file of solver settings: delta0, Delta0, "
-                          "delta_min, budget, use_cheap_rho")
+                          "delta_min, use_cheap_rho")
     run.add_argument("--budget-rule", choices=bench.BUDGET_RULES, default="component")
     run.add_argument("--out", required=True)
     run.add_argument("--verbose", "-v", action="store_true")

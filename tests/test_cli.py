@@ -251,10 +251,12 @@ def _one_problem(tmp_path):
     ({"nrhomax": 2, "maxalt": 5}, "maxalt"),
     ({"delta0": 2.0, "Delta0": 1.0}, "delta0"),
     ({"budget": "100"}, "budget"),
+    ({"budget": 5}, "budget"),
     ({"beta": None}, "beta"),
+    ({"delta0": None}, "delta0"),
     ({"use_cheap_rho": "no"}, "use_cheap_rho"),
-], ids=["unknown-key", "bad-ordering", "string-budget", "null-beta",
-        "string-bool"])
+], ids=["unknown-key", "bad-ordering", "string-budget", "int-budget", "null-beta",
+        "null-delta0", "string-bool"])
 def test_bad_config_exits_with_one_line(tmp_path, settings, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
