@@ -4,18 +4,17 @@
     lovotr bench run --problems problems/ --budget-rule component --out traces/
     lovotr bench profile --traces traces/ --tau 1e-1,1e-3,1e-5,1e-7 --out profiles/
 
-``bench run --config`` reads a JSON object of ``SolverConfig`` settings:
-``delta0``, ``Delta0``, ``delta_min`` and ``use_cheap_rho``; the budget comes
-from ``--budget-rule``.
+``bench run`` solves with the default ``SolverConfig``; ``--no-cheap-rho`` sets
+``use_cheap_rho=False``, and the budget comes from ``--budget-rule``.
 ``bench profile`` writes, per tau, the profile ``profile_tau{tau}.csv`` and its
 budget table ``table_tau{tau}.csv`` at ``TABLE_FRACTIONS``.  Bad input exits with
-one line naming the file or option at fault.
+one line naming the file or option at fault, before any ``--out`` directory is
+created.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -44,6 +43,17 @@ def _parse_taus(text: str) -> list:
     return taus
 
 
+def _positive_int(text: str) -> int:
+    """``--n``, ``--r``, ``--count``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _is_finite_number(value) -> bool:
     """A JSON number, not a bool, that converts to a finite float."""
     try:
@@ -52,42 +62,17 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-# What each SolverConfig field type accepts from JSON, and how to say so.
-_SETTING_TYPES = {
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "float": (_is_finite_number, "a finite number"),
-}
-
-
-def _load_config(path) -> SolverConfig:
-    if path is None:
-        return SolverConfig()
+def _make_out_dir(path):
+    """Create the ``--out`` directory; a file in its place exits with one line."""
     try:
-        with open(path) as fh:
-            settings = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"solver settings file {path}: {exc}") from None
-    if not isinstance(settings, dict):
-        raise SystemExit(f"{path}: expected a JSON object of solver settings")
-    types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-    unknown = sorted(set(settings) - set(types))
-    if unknown:
-        raise SystemExit(f"{path}: unknown solver setting(s): {', '.join(unknown)}")
-    if "budget" in settings:  # run_campaign meters each run by --budget-rule
-        raise SystemExit(f"{path}: solver setting budget is set by --budget-rule")
-    for name, value in settings.items():
-        accepts, expected = _SETTING_TYPES[types[name]]
-        if not accepts(value):
-            raise SystemExit(f"{path}: solver setting {name} must be {expected}, "
-                             f"got {json.dumps(value)}")
-    try:
-        return SolverConfig(**settings)
-    except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}") from None
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"--out {path}: cannot create the directory "
+                         f"({exc.strerror})") from None
 
 
 def _cmd_gen_qd(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     problems = testsets.gen_qd(args.n, args.r, args.seed, args.count)
     for problem in problems:
         save_problem(problem, os.path.join(args.out, f"{problem.name}.problem.json"))
@@ -122,12 +107,15 @@ def _load_problems(directory) -> list:
 
 def _cmd_bench_run(args) -> int:
     problems = _load_problems(args.problems)
-    config = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    config = SolverConfig(use_cheap_rho=not args.no_cheap_rho)
+    dump_fh = sample_log = None
+    if args.dump_samples:
+        try:
+            dump_fh = open(args.dump_samples, "w")
+        except OSError as exc:
+            raise SystemExit(f"--dump-samples {args.dump_samples}: "
+                             f"{exc.strerror}") from None
 
-    dump_fh = open(args.dump_samples, "w") if args.dump_samples else None
-    sample_log = None
-    if dump_fh is not None:
         def sample_log(name, k, sample):
             record = {"problem": name, "k": k, **sample.to_debug_dict()}
             dump_fh.write(json.dumps(record) + "\n")
@@ -138,6 +126,7 @@ def _cmd_bench_run(args) -> int:
                   f"best={trace.best_value:.6g}")
 
     try:
+        _make_out_dir(args.out)
         traces = bench.run_campaign(problems, config,
                                     budget_rule=args.budget_rule,
                                     callback=progress, sample_log=sample_log)
@@ -169,7 +158,7 @@ def _cmd_bench_profile(args) -> int:
             raise SystemExit(f"reference-value file {args.f_l}: expected a JSON object "
                              "mapping problem names to finite numbers")
     f_l_table = bench.default_f_l(traces, overrides)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for tau in args.tau:
         profile = bench.data_profile(traces, tau, f_l_table)
         stem = os.path.join(args.out, f"profile_tau{tau:g}")
@@ -191,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-qd", help="generate QD problem instances")
-    gen.add_argument("--n", type=int, default=10)
-    gen.add_argument("--r", type=int, required=True)
+    gen.add_argument("--n", type=_positive_int, default=10)
+    gen.add_argument("--r", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--count", type=int, default=50)
+    gen.add_argument("--count", type=_positive_int, default=50)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=_cmd_gen_qd)
 
@@ -203,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = bench_sub.add_parser("run", help="run the solver over a problem directory")
     run.add_argument("--problems", required=True)
-    run.add_argument("--config", default=None,
-                     help="JSON file of solver settings: delta0, Delta0, "
-                          "delta_min, use_cheap_rho")
+    run.add_argument("--no-cheap-rho", action="store_true",
+                     help="certify every reduction ratio with a full evaluation")
     run.add_argument("--budget-rule", choices=bench.BUDGET_RULES, default="component")
     run.add_argument("--out", required=True)
     run.add_argument("--verbose", "-v", action="store_true")

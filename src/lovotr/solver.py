@@ -3,8 +3,11 @@
 Each iteration works on one component, the one known (or last certified) to
 attain the pointwise minimum at the current iterate, through a linear
 interpolation model maintained over n+1 sample points.  Two radii evolve
-independently: ``delta`` bounds the sample region and so governs model
-quality, ``Delta`` bounds the step.  An iteration passes through four phases:
+independently: ``Delta`` bounds the step, and ``delta`` is the radius that
+geometry steps sample within and that the criticality and success tests read.
+``delta`` does not bound the sample: accepted trust-region points enter it
+wherever they land, so sample points may lie well beyond ``delta`` from the
+base.  An iteration passes through four phases:
 
 * criticality: when ``delta > BETA * pi`` the model cannot be trusted relative
   to its apparent stationarity, so both radii shrink and nothing is evaluated;
@@ -17,11 +20,12 @@ quality, ``Delta`` bounds the step.  An iteration passes through four phases:
 * radii update: otherwise radii shrink by ``TAU1`` below ``ETA1``, grow by
   ``TAU3`` after a full-length step with ``rho > ETA2``, and stay put between.
 
-These thresholds are module constants; ``SolverConfig`` holds the lengths
-(initial radii, ``delta_min``), the budget and the cheap-ratio switch.
+These thresholds and the lengths ``RADIUS0`` (both initial radii) and
+``DELTA_MIN`` are module constants; ``SolverConfig`` holds the budget and the
+cheap-ratio switch.
 
-No update takes either radius below ``radius_floor(fx, delta_min)``, the
-larger of ``delta_min`` and ``0.1 * sqrt(eps * |fx|)`` for the working
+No update takes either radius below ``radius_floor(fx)``, the larger of
+``DELTA_MIN`` and ``0.1 * sqrt(eps * |fx|)`` for the working
 component's value ``fx`` at the iterate.  Below that size differences of
 sample values are rounding noise and the model gradient means nothing, so
 shrinking further only wastes evaluations.  The stopping tests compare the
@@ -112,41 +116,35 @@ ETA2 = 0.75      # very successful threshold
 GAMMA_MAX = 3    # bound on the Gamma counter of adjusted swaps
 NRHOMAX = 3      # consecutive cheap-ratio candidates before a full evaluation
 
+# The loop's lengths, in the units of x: both radii start at RADIUS0 and never
+# shrink below DELTA_MIN (see ``radius_floor``).
+RADIUS0 = 1.0
+DELTA_MIN = 1e-8
+
+# The stationarity measure is frozen while consecutive criticality iterations
+# shrink the sample radius, so after a sudden drop in the measure (typical when
+# the iterate lands on an active bound) a spell must be able to ride the radius
+# all the way down to DELTA_MIN: 27 halvings.  A spell longer than n plus this
+# ends the run as ``maxcrit_exceeded``.
+MAXCRIT_RIDE = math.ceil(math.log(RADIUS0 / DELTA_MIN) / math.log(1.0 / TAU1))
+
 
 @dataclass
 class SolverConfig:
     """The settings a caller chooses; checked at construction.
 
-    ``delta0``, ``Delta0`` and ``delta_min`` are lengths in the units of x:
-    the initial sample and trust-region radii and the smallest radius.
     ``budget`` caps the total number of component evaluations (None: no
     cap), and ``use_cheap_rho=False`` certifies every reduction ratio with a
-    full evaluation.  The loop's other thresholds are the module constants
-    ``BETA`` .. ``NRHOMAX``.
+    full evaluation.  The loop's thresholds and lengths are the module
+    constants ``BETA`` .. ``NRHOMAX``, ``RADIUS0`` and ``DELTA_MIN``.
     """
 
-    delta0: float = 1.0
-    Delta0: float = 1.0
-    delta_min: float = 1e-8
     budget: int | None = None
     use_cheap_rho: bool = True
 
     def __post_init__(self):
-        if not 0 < self.delta0 <= self.Delta0:
-            raise ValueError("need 0 < delta0 <= Delta0")
-        if not self.delta_min > 0:
-            raise ValueError("delta_min must be positive")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1")
-
-    def maxcrit_for(self, n: int) -> int:
-        # The stationarity measure is frozen while consecutive criticality
-        # iterations shrink the sample radius, so after a sudden drop in the
-        # measure (typical when the iterate lands on an active bound) a spell
-        # must be able to ride the radius all the way down to delta_min.
-        ride = math.ceil(math.log(self.delta0 / self.delta_min)
-                         / math.log(1.0 / TAU1))
-        return max(n, ride + n)
 
 
 @dataclass
@@ -241,21 +239,19 @@ EPS = float(np.finfo(float).eps)
 NOISE_RADIUS_FACTOR = 0.1
 
 
-def radius_floor(fx: float, delta_min: float) -> float:
+def radius_floor(fx: float) -> float:
     """Smallest radius at which sample values near ``fx`` still resolve a gradient.
 
-    ``max(delta_min, NOISE_RADIUS_FACTOR * sqrt(EPS * |fx|))``: the rounding
-    level of the working component's values sets the floor, and ``delta_min``
-    is its lower bound (the two agree for ``|fx|`` up to about 45 at the
-    default ``delta_min = 1e-8``).
+    ``max(DELTA_MIN, NOISE_RADIUS_FACTOR * sqrt(EPS * |fx|))``: the rounding
+    level of the working component's values sets the floor, and ``DELTA_MIN``
+    is its lower bound (the two agree for ``|fx|`` up to about 45).
     """
-    return max(delta_min, NOISE_RADIUS_FACTOR * math.sqrt(EPS * abs(fx)))
+    return max(DELTA_MIN, NOISE_RADIUS_FACTOR * math.sqrt(EPS * abs(fx)))
 
 
-def _update_radii(state: SolverState, delta_factor: float, Delta_factor: float,
-                  config: SolverConfig):
+def _update_radii(state: SolverState, delta_factor: float, Delta_factor: float):
     """Scale both radii, stopping at the floor of the committed value ``model.fx``."""
-    floor = radius_floor(state.model.fx, config.delta_min)
+    floor = radius_floor(state.model.fx)
     state.delta = max(state.delta * delta_factor, floor)
     state.Delta = max(state.Delta * Delta_factor, floor)
 
@@ -308,8 +304,7 @@ def _geometry_step(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
     return d_alt, True
 
 
-def _geometry_iteration(state: SolverState, problem: LovoProblem,
-                        config: SolverConfig, ledger: EvalLedger,
+def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
                         pi: float, stale: bool, dist=None) -> StepOutcome:
     """Geometry-improvement iteration without a trust-region candidate.
 
@@ -329,7 +324,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem,
     if frozen:
         state.repair_streak += 1
     else:
-        _update_radii(state, TAU1, TAU1, config)
+        _update_radii(state, TAU1, TAU1)
         state.repair_streak = 0
         state.consec_alt += 1
     state.consec_crit = 0
@@ -345,7 +340,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # --- criticality phase: radii shrink, nothing is evaluated.  Any Delta
     # factor in [TAU1, TAU2] is admissible; the midpoint is used.
     if state.delta > BETA * pi:
-        _update_radii(state, TAU1, 0.5 * (TAU1 + TAU2), config)
+        _update_radii(state, TAU1, 0.5 * (TAU1 + TAU2))
         state.consec_crit += 1
         state.consec_alt = 0
         state.repair_streak = 0
@@ -360,8 +355,8 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         diff = state.sample.points[1:] - state.sample.base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
         if dist.max() > STALE_FACTOR * state.Delta:
-            return _geometry_iteration(state, problem, config, ledger, pi,
-                                       stale=True, dist=dist)
+            return _geometry_iteration(state, problem, ledger, pi, stale=True,
+                                       dist=dist)
         state.model_doubted = False
 
     d = trsbox_linear(state.model, box, state.Delta)
@@ -370,7 +365,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     predicted = -float(state.model.g @ d)
     if dnorm < 0.5 * state.Delta or predicted <= 0.0:
         # Short or non-descending steps are not worth an evaluation.
-        return _geometry_iteration(state, problem, config, ledger, pi, stale=False)
+        return _geometry_iteration(state, problem, ledger, pi, stale=False)
 
     fx, i = state.model.fx, state.model.index
     x_new = box.project(state.model.base + d)
@@ -452,7 +447,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     state.repair_streak = 0
     state.Gamma = gamma
     _commit(state, model, box)
-    _update_radii(state, radii_factor, radii_factor, config)
+    _update_radii(state, radii_factor, radii_factor)
     if row is None:
         kind = KIND_ALTMOV
         state.consec_alt += 1
@@ -470,23 +465,25 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
                     full_length=full_length, adjusted=adjusted)
 
 
-def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfig,
+def check_stopping(state: SolverState, problem: LovoProblem,
                    ledger: EvalLedger) -> str | None:
     """Terminal status after an iteration, or None to continue.
 
-    Both tests use the floor the radii stop at, ``radius_floor(fx,
-    delta_min)``: ``delta_min`` while ``|fx|`` is below about 45, and
-    ``0.1 * sqrt(eps * |fx|)`` above.  A run succeeds once the sample radius
-    and the scaled stationarity measure are both at or below the floor.  It
+    Both tests use the floor the radii stop at, ``radius_floor(fx)``:
+    ``DELTA_MIN`` while ``|fx|`` is below about 45, and ``0.1 * sqrt(eps *
+    |fx|)`` above.  A run succeeds once ``delta`` and the scaled stationarity
+    measure are both at or below the floor; ``delta`` is the radius geometry
+    steps sample within, not the extent of the sample, whose accepted points
+    may lie farther from the base.  It
     stalls when both radii sit at the floor and the last n iterations were
     geometry steps, taken because the trust-region step was short, did not
     descend on the model, or raised the working component: there is no room
     for improvement left in the sample at the smallest radius where its
     values still resolve a gradient.  Long runs of consecutive criticality
-    iterations (more than ``config.maxcrit_for(n)``) and budget exhaustion
+    iterations (more than ``n + MAXCRIT_RIDE``) and budget exhaustion
     terminate the run as safety valves.
     """
-    floor = radius_floor(state.model.fx, config.delta_min)
+    floor = radius_floor(state.model.fx)
     if state.delta <= floor and BETA * state.pi <= floor:
         return STATUS_SUCCESS
     if (
@@ -495,34 +492,32 @@ def check_stopping(state: SolverState, problem: LovoProblem, config: SolverConfi
         and state.consec_alt >= problem.n
     ):
         return STATUS_STALLED
-    if state.consec_crit > config.maxcrit_for(problem.n):
+    if state.consec_crit > problem.n + MAXCRIT_RIDE:
         return STATUS_MAXCRIT
     if ledger.exhausted():
         return STATUS_BUDGET
     return None
 
 
-def _initial_state(problem: LovoProblem, config: SolverConfig,
-                   ledger: EvalLedger) -> SolverState:
+def _initial_state(problem: LovoProblem, ledger: EvalLedger) -> SolverState:
     values0 = eval_fmin(problem, ledger, problem.x0)
     i0 = choose_imin(values0)
-    sample = initial_sample(problem, problem.x0, config.delta0, ledger, i0,
+    sample = initial_sample(problem, problem.x0, RADIUS0, ledger, i0,
                             base_value=float(values0[i0 - 1]))
     model = build_model(sample)
-    return SolverState(delta=config.delta0, Delta=config.Delta0, Gamma=0,
+    return SolverState(delta=RADIUS0, Delta=RADIUS0, Gamma=0,
                        sample=sample, model=model,
                        pi=model_stationarity(model, problem.box))
 
 
-def _recover_geometry(state: SolverState, problem: LovoProblem,
-                      config: SolverConfig, ledger: EvalLedger):
+def _recover_geometry(state: SolverState, problem: LovoProblem, ledger: EvalLedger):
     """Rebuild the sample from scratch around the committed base.
 
     The new sample has the radius the state carries afterwards: ``delta``,
     raised to the floor if it lies below it.
     """
     committed = state.model
-    floor = radius_floor(committed.fx, config.delta_min)
+    floor = radius_floor(committed.fx)
     delta = max(state.delta, floor)
     sample = initial_sample(problem, committed.base, delta, ledger,
                             committed.index, base_value=committed.fx)
@@ -574,14 +569,14 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     history = []
     error = ""
     try:
-        state = _initial_state(problem, config, ledger)
+        state = _initial_state(problem, ledger)
         status = None
         while status is None:
             try:
                 outcome = iterate(state, problem, config, ledger)
             except GeometryError:
                 # a second consecutive failure leaves through the handler
-                _recover_geometry(state, problem, config, ledger)
+                _recover_geometry(state, problem, ledger)
                 outcome = iterate(state, problem, config, ledger)
             outcome.k = len(history)
             history.append(outcome)
@@ -589,7 +584,7 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
                 callback(outcome.k, outcome, ledger)
             if sample_log is not None:
                 sample_log(outcome.k, state.sample)
-            status = check_stopping(state, problem, config, ledger)
+            status = check_stopping(state, problem, ledger)
     except BudgetExceededError:
         status = STATUS_BUDGET
     except OracleError as exc:

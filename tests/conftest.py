@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from lovotr.solver import (
+    DELTA_MIN,
     ETA,
     ETA1,
     ETA2,
     GAMMA_MAX,
     NOISE_RADIUS_FACTOR,
+    RADIUS0,
     TAU1,
     TAU2,
     TAU3,
@@ -74,21 +76,21 @@ def check_sufficient_decrease(model, d, pi, Delta, theta=0.01):
     return decrease >= theta * pi * min(pi, Delta, 1.0)
 
 
-def replay_radii(config, history):
+def replay_radii(history):
     """Independent re-implementation of the radii state machine.
 
     Walks the logged (rho, swap, full-length) stream through the four phase
-    rules, at the solver's threshold constants and the initial radii and
-    ``delta_min`` of ``config``, and returns the (delta, Delta) pair after
-    every iteration.  Every update stops at the noise floor ``max(delta_min,
-    c * sqrt(eps * |fx|))`` of the value ``fx`` the iteration committed;
-    frozen repairs leave both radii alone.
+    rules, at the solver's threshold constants, from both radii at
+    ``RADIUS0``, and returns the (delta, Delta) pair after every iteration.
+    Every update stops at the noise floor ``max(DELTA_MIN, c * sqrt(eps *
+    |fx|))`` of the value ``fx`` the iteration committed; frozen repairs leave
+    both radii alone.
     """
-    delta, Delta = config.delta0, config.Delta0
+    delta = Delta = RADIUS0
     gamma = 0
     out = []
     for o in history:
-        floor = max(config.delta_min,
+        floor = max(DELTA_MIN,
                     NOISE_RADIUS_FACTOR * math.sqrt(np.finfo(float).eps * abs(o.fx)))
         if o.kind == "criticality":
             factors = (TAU1, 0.5 * (TAU1 + TAU2))
@@ -114,8 +116,8 @@ def replay_radii(config, history):
     return out
 
 
-def assert_radii_replay(config, history):
-    replayed = replay_radii(config, history)
+def assert_radii_replay(history):
+    replayed = replay_radii(history)
     for o, (delta, Delta) in zip(history, replayed):
         assert o.delta == delta and o.Delta == Delta, (
             f"radii diverge at k={o.k} ({o.kind}): "

@@ -311,7 +311,7 @@ def test_criterion_7_state_machine_replay():
     bound_ok = True
     for problem in problems:
         result = solve(problem, config)
-        replayed = replay_radii(config, result.history)
+        replayed = replay_radii(result.history)
         for outcome, (delta, Delta) in zip(result.history, replayed):
             if outcome.delta != delta or outcome.Delta != Delta:
                 ok = False

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from lovotr import cli
-from lovotr.bench import RunTrace, write_trace
+from lovotr.bench import RunTrace, run_campaign, write_trace
 from lovotr.cli import main
 from lovotr.problem import load_problem, problem_to_dict
+from lovotr.solver import SolverConfig
 from lovotr.testsets import HS_CATALOG, gen_hs
 
 
@@ -54,15 +55,22 @@ def test_full_pipeline(tmp_path, capsys):
 def test_config_file_and_sample_dump(tmp_path):
     problems = tmp_path / "problems"
     traces = tmp_path / "traces"
-    main(["gen-qd", "--n", "2", "--r", "1", "--seed", "3",
+    main(["gen-qd", "--n", "2", "--r", "3", "--seed", "3",
           "--count", "1", "--out", str(problems)])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta0": 0.5, "delta_min": 1e-7,
-                               "use_cheap_rho": False}))
     dump = tmp_path / "samples.jsonl"
-    assert main(["bench", "run", "--problems", str(problems),
-                 "--config", str(cfg), "--out", str(traces),
-                 "--dump-samples", str(dump)]) == 0
+    assert main(["bench", "run", "--problems", str(problems), "--no-cheap-rho",
+                 "--out", str(traces), "--dump-samples", str(dump)]) == 0
+    # the flag runs exactly SolverConfig(use_cheap_rho=False), which here
+    # writes a different trace from the default
+    for config in (SolverConfig(use_cheap_rho=False), SolverConfig()):
+        expected = tmp_path / f"expected-{config.use_cheap_rho}"
+        expected.mkdir()
+        for trace in run_campaign(cli._load_problems(problems), config):
+            write_trace(trace, expected)
+    for path in traces.iterdir():
+        assert path.read_bytes() == (tmp_path / "expected-False" / path.name).read_bytes()
+    assert any(path.read_bytes() != (tmp_path / "expected-True" / path.name).read_bytes()
+               for path in traces.iterdir())
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert records and {"problem", "k", "points", "values",
                         "model_index", "condition_estimate"} <= set(records[0])
@@ -153,7 +161,7 @@ MANIFEST_FAULTS = {
                                    "not-a-manifest", "no-csv", "empty-csv",
                                    "short-row", "bad-int", "missing-f-l",
                                    "f-l-list", "f-l-string", "f-l-nan",
-                                   *MANIFEST_FAULTS])
+                                   "out-is-file", *MANIFEST_FAULTS])
 def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     traces = tmp_path / "traces"
     args = ["bench", "profile", "--traces", str(traces),
@@ -196,6 +204,9 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
         f_l.write_text({"f-l-list": "[1]", "f-l-string": '{"p0": "x"}',
                         "f-l-nan": '{"p0": NaN}'}[fault])
         args += ["--f-l", str(f_l)]
+    elif fault == "out-is-file":
+        named = tmp_path / "profiles"
+        named.write_text("")
     with pytest.raises(SystemExit) as exc:
         main(args)
     message = str(exc.value)
@@ -204,7 +215,10 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
         assert "line 4" in message
     if fault in MANIFEST_FAULTS:
         assert repr(MANIFEST_FAULTS[fault][0]) in message
-    assert not (tmp_path / "profiles").exists()
+    if fault == "out-is-file":
+        assert "--out" in message and named.is_file()
+    else:
+        assert not (tmp_path / "profiles").exists()
     assert capsys.readouterr().out == ""
 
 
@@ -247,38 +261,46 @@ def _one_problem(tmp_path):
     return problems
 
 
-@pytest.mark.parametrize("settings, named", [
-    ({"nrhomax": 2, "maxalt": 5}, "maxalt"),
-    ({"delta0": 2.0, "Delta0": 1.0}, "delta0"),
-    ({"budget": "100"}, "budget"),
-    ({"budget": 5}, "budget"),
-    ({"beta": None}, "beta"),
-    ({"delta0": None}, "delta0"),
-    ({"use_cheap_rho": "no"}, "use_cheap_rho"),
-], ids=["unknown-key", "bad-ordering", "string-budget", "int-budget", "null-beta",
-        "null-delta0", "string-bool"])
-def test_bad_config_exits_with_one_line(tmp_path, settings, named):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(settings))
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "run", "--problems", str(_one_problem(tmp_path)),
-              "--config", str(cfg), "--out", str(tmp_path / "traces")])
-    message = str(exc.value)
-    assert named in message and str(cfg) in message and "\n" not in message
-    assert not (tmp_path / "traces").exists()
+# A bad size or output path, by fault: the command line, the option at fault
+# and what the message names.
+def _bad_argument(tmp_path, fault):
+    out = tmp_path / "out"
+    gen_qd = ["gen-qd", "--n", "2", "--r", "1", "--seed", "3", "--count", "1"]
+    if fault in ("n-zero", "r-zero", "count-negative"):
+        option, value = {"n-zero": ("--n", "0"), "r-zero": ("--r", "0"),
+                         "count-negative": ("--count", "-1")}[fault]
+        return gen_qd + [option, value, "--out", str(out)], option, value
+    if fault == "missing-dump-dir":
+        dump = str(tmp_path / "nowhere" / "samples.jsonl")
+        return (["bench", "run", "--problems", str(_one_problem(tmp_path)),
+                 "--dump-samples", dump, "--out", str(out)], "--dump-samples", dump)
+    out.write_text("")  # the --out path is a file
+    if fault == "gen-qd-out-is-file":
+        command = gen_qd
+    else:
+        command = ["bench", "run", "--problems", str(_one_problem(tmp_path))]
+    return command + ["--out", str(out)], "--out", str(out)
 
 
-@pytest.mark.parametrize("fault", ["missing", "not-json"])
-def test_unreadable_config_file_exits_with_one_line(tmp_path, fault):
-    cfg = tmp_path / "cfg.json"
-    if fault == "not-json":
-        cfg.write_text("nrhomax = 2\n")
+# bench profile's --out is a case of test_bad_trace_input_exits_with_one_line
+@pytest.mark.parametrize("fault", ["n-zero", "r-zero", "count-negative",
+                                   "missing-dump-dir", "gen-qd-out-is-file",
+                                   "run-out-is-file"])
+def test_bad_size_or_output_path_exits_with_one_line(tmp_path, capsys, fault):
+    argv, option, named = _bad_argument(tmp_path, fault)
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "run", "--problems", str(_one_problem(tmp_path)),
-              "--config", str(cfg), "--out", str(tmp_path / "traces")])
-    message = str(exc.value)
-    assert str(cfg) in message and "\n" not in message
-    assert not (tmp_path / "traces").exists()
+        main(argv)
+    captured = capsys.readouterr()
+    if exc.value.code == 2:  # argparse: the usage, then one error line
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        message = errors[0]
+    else:
+        message = str(exc.value)
+    assert option in message and named in message and "\n" not in message
+    assert not (tmp_path / "out").is_dir()
+    assert captured.out == ""
 
 
 def test_missing_problem_directory_exits_with_one_line(tmp_path):

@@ -21,11 +21,14 @@ from lovotr.model import LinearModel, build_model, initial_sample, model_station
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
     BETA,
+    DELTA_MIN,
     ETA,
     ETA1,
     ETA2,
     GAMMA_MAX,
+    MAXCRIT_RIDE,
     NRHOMAX,
+    RADIUS0,
     STATUS_BUDGET,
     STATUS_GEOMETRY,
     STATUS_MAXCRIT,
@@ -77,46 +80,24 @@ def linear_pair():
     return LovoProblem("pair", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
 
 
-def loop_orderings_hold(beta=BETA, tau1=TAU1, tau2=TAU2, tau3=TAU3, tau4=TAU4,
-                        eta=ETA, eta1=ETA1, eta2=ETA2, Gamma_max=GAMMA_MAX,
-                        nrhomax=NRHOMAX):
-    """The orderings the loop's threshold constants must satisfy."""
-    return (beta > 0 and 0 < tau1 <= tau2 < 1 <= tau3 <= tau4
-            and 0 <= eta < eta1 <= eta2 and eta1 < 1
-            and Gamma_max >= 1 and nrhomax >= 1)
+def loop_orderings_hold():
+    """The orderings the loop's constants must satisfy."""
+    return (BETA > 0 and 0 < TAU1 <= TAU2 < 1 <= TAU3 <= TAU4
+            and 0 <= ETA < ETA1 <= ETA2 and ETA1 < 1
+            and GAMMA_MAX >= 1 and NRHOMAX >= 1 and 0 < DELTA_MIN < RADIUS0)
 
 
-SETTINGS = ("delta0", "Delta0", "delta_min", "budget", "use_cheap_rho")
+SETTINGS = ("budget", "use_cheap_rho")
 
 
 class TestConfigValidation:
-    # A bad setting is refused by SolverConfig; a bad value for one of the
-    # loop's constants breaks the orderings they are tested against.
-    @pytest.mark.parametrize("bad", [
-        dict(beta=0.0),
-        dict(delta0=0.0),
-        dict(delta0=2.0, Delta0=1.0),
-        dict(tau1=0.0),
-        dict(tau2=1.0),
-        dict(tau1=0.8, tau2=0.5),
-        dict(tau3=0.9),
-        dict(tau3=3.0, tau4=2.0),
-        dict(eta=-0.1),
-        dict(eta=0.3, eta1=0.25),
-        dict(eta1=1.0, eta2=1.5),
-        dict(eta1=0.5, eta2=0.4),
-        dict(Gamma_max=0),
-        dict(nrhomax=0),
-        dict(delta_min=0.0),
-        dict(Delta0=0.5),
-        dict(budget=0),
-    ])
-    def test_orderings_enforced(self, bad):
-        if set(bad) <= set(SETTINGS):
-            with pytest.raises(ValueError):
-                SolverConfig(**bad)
-        else:
-            assert not loop_orderings_hold(**bad)
+    @pytest.mark.parametrize("bad, error", [
+        (dict(budget=0), ValueError),
+        (dict(delta0=1.0), TypeError),  # the lengths are module constants
+    ], ids=["budget-0", "length-setting"])
+    def test_bad_settings_refused(self, bad, error):
+        with pytest.raises(error):
+            SolverConfig(**bad)
 
     def test_defaults_valid(self):
         SolverConfig()
@@ -129,16 +110,15 @@ class TestConfigValidation:
 
 
 class TestIterationPhases:
-    def make_state(self, problem, config):
+    def make_state(self, problem, delta=RADIUS0, Delta=RADIUS0):
         ledger = EvalLedger(problem.r)
-        sample = initial_sample(problem, problem.x0, config.delta0, ledger, 1)
-        return committed_state(sample, problem.box, config.delta0,
-                               config.Delta0), ledger
+        sample = initial_sample(problem, problem.x0, delta, ledger, 1)
+        return committed_state(sample, problem.box, delta, Delta), ledger
 
     def test_criticality_shrinks_radii(self):
         problem = single_quadratic(2, [5, 5])
-        config = SolverConfig(delta0=0.5, Delta0=1.0)
-        state, ledger = self.make_state(problem, config)
+        config = SolverConfig()
+        state, ledger = self.make_state(problem, 0.5, 1.0)
         # a stationary model forces the criticality branch (delta > beta*pi = 0)
         model = state.model
         _commit(state, LinearModel(index=1, base=model.base.copy(), fx=model.fx,
@@ -157,18 +137,17 @@ class TestIterationPhases:
         comps = [ComponentOracle(1, lambda x: float(x[0] + 0.5 * x[1]))]
         problem = LovoProblem("lin", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
         config = SolverConfig()
-        state, ledger = self.make_state(problem, config)
+        state, ledger = self.make_state(problem)
         outcome = iterate(state, problem, config, ledger)
         assert outcome.kind == "successful_plain"
         assert outcome.rho == pytest.approx(1.0)
         assert outcome.full_length
-        assert state.delta == config.delta0 * TAU3
-        assert state.Delta == config.Delta0 * TAU3
+        assert state.delta == state.Delta == RADIUS0 * TAU3
 
     def test_swap_triggers_adjustment_and_rebuild(self):
         problem = linear_pair()
         config = SolverConfig(use_cheap_rho=False)
-        state, ledger = self.make_state(problem, config)
+        state, ledger = self.make_state(problem)
         assert state.model.fx == 5.0  # certified objective value at the start
         calls = count_calls(problem)
         before = ledger.total_component_evals
@@ -177,8 +156,7 @@ class TestIterationPhases:
         assert outcome.kind == "successful_adjusted"
         assert state.model.index == 2
         assert state.Gamma == 1
-        assert state.delta == config.delta0 * TAU4
-        assert state.Delta == config.Delta0 * TAU4
+        assert state.delta == state.Delta == RADIUS0 * TAU4
         assert np.array_equal(state.model.base, [4.0, 5.0])
         assert state.model.fx == pytest.approx(3.5)
         # full evaluation called both components once, rebuild called the
@@ -211,7 +189,7 @@ class TestIterationPhases:
         # before stepping again; the radii and the base stay put
         problem = single_quadratic(2, [8, 8])
         config = SolverConfig()
-        state, ledger = self.make_state(problem, config)
+        state, ledger = self.make_state(problem)
         state.delta, state.Delta = 0.25, 0.4
         state.model_doubted = True
         points = state.sample.points.copy()
@@ -233,8 +211,8 @@ class TestIterationPhases:
         comps = [ComponentOracle(1, lambda x: float(np.sum((np.asarray(x) - 20.0) ** 2)))]
         problem = LovoProblem("corner", comps, FeasibleBox([0, 0], [10, 10]),
                               [9.9, 9.9])
-        config = SolverConfig(delta0=0.1, Delta0=1.0)
-        state, ledger = self.make_state(problem, config)
+        config = SolverConfig()
+        state, ledger = self.make_state(problem, 0.1, 1.0)
         outcome = iterate(state, problem, config, ledger)
         assert outcome.kind == "altmov"
         assert not outcome.rho_defined and not outcome.radii_frozen
@@ -258,55 +236,53 @@ class TestStopping:
 
     def test_success(self):
         state, problem, ledger = self.make_state([0, 0], 1e-9, 1.0)
-        assert check_stopping(state, problem, SolverConfig(), ledger) == "success"
+        assert check_stopping(state, problem, ledger) == "success"
 
     def test_stalled(self):
         state, problem, ledger = self.make_state([1, 0], 1e-9, 1e-9, consec_alt=2)
-        assert check_stopping(state, problem, SolverConfig(), ledger) == "stalled"
+        assert check_stopping(state, problem, ledger) == "stalled"
 
     def test_stall_at_rounding_floor_of_large_values(self):
         # near f = 3125 values resolve nothing finer than the floor, which
         # lies well above delta_min; the stall test fires there and not above
-        config = SolverConfig()
-        floor = radius_floor(3125.0, config.delta_min)
+        floor = radius_floor(3125.0)
         assert floor == pytest.approx(0.1 * np.sqrt(np.finfo(float).eps * 3125.0))
-        assert floor > 8 * config.delta_min
+        assert floor > 8 * DELTA_MIN
         state, problem, ledger = self.make_state([1, 0], floor, floor,
                                                  consec_alt=2, fx=3125.0)
-        assert check_stopping(state, problem, config, ledger) == "stalled"
+        assert check_stopping(state, problem, ledger) == "stalled"
         state, problem, ledger = self.make_state([1, 0], 2 * floor, floor,
                                                  consec_alt=2, fx=3125.0)
-        assert check_stopping(state, problem, config, ledger) is None
+        assert check_stopping(state, problem, ledger) is None
         state, problem, ledger = self.make_state([1, 0], floor, 2 * floor,
                                                  consec_alt=2, fx=3125.0)
-        assert check_stopping(state, problem, config, ledger) is None
+        assert check_stopping(state, problem, ledger) is None
 
     def test_floor_is_delta_min_for_small_values(self):
-        assert radius_floor(0.0, 1e-8) == 1e-8
-        assert radius_floor(-40.0, 1e-8) == 1e-8
-        assert radius_floor(-3125.0, 1e-8) == radius_floor(3125.0, 1e-8)
+        assert radius_floor(0.0) == DELTA_MIN == 1e-8
+        assert radius_floor(-40.0) == DELTA_MIN
+        assert radius_floor(-3125.0) == radius_floor(3125.0)
 
     def test_maxcrit(self):
-        # a spell may ride delta from delta0 = 1 down to delta_min = 1e-8 by
+        # a spell may ride delta from RADIUS0 = 1 down to DELTA_MIN = 1e-8 by
         # halvings (27 of them), plus n = 2
-        config = SolverConfig()
-        assert config.maxcrit_for(2) == 27 + 2
+        assert MAXCRIT_RIDE == 27
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=29)
-        assert check_stopping(state, problem, config, ledger) is None
+        assert check_stopping(state, problem, ledger) is None
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=30)
-        assert check_stopping(state, problem, config, ledger) == "maxcrit_exceeded"
+        assert check_stopping(state, problem, ledger) == "maxcrit_exceeded"
 
     def test_budget(self):
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0)
         ledger.budget = ledger.total_component_evals + 1
         ledger._charge(1)  # the last evaluation the budget admits
-        assert check_stopping(state, problem, SolverConfig(), ledger) == (
+        assert check_stopping(state, problem, ledger) == (
             "budget_exhausted"
         )
 
     def test_continue(self):
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0)
-        assert check_stopping(state, problem, SolverConfig(), ledger) is None
+        assert check_stopping(state, problem, ledger) is None
 
 
 class TestSolve:
@@ -353,23 +329,22 @@ class TestSolve:
         grad = inst.component_gradient(result.i_final, x)
         assert np.linalg.norm(problem.box.project(x - grad) - x) < 1e-4
         last = result.history[-1]
-        floor = radius_floor(last.fx, config.delta_min)
-        assert floor > config.delta_min
+        floor = radius_floor(last.fx)
+        assert floor > DELTA_MIN
         if result.status == "stalled":
             assert last.delta == floor and last.Delta == floor
-        assert min(o.delta for o in result.history) >= config.delta_min
-        assert_radii_replay(config, result.history)
+        assert min(o.delta for o in result.history) >= DELTA_MIN
+        assert_radii_replay(result.history)
 
     def test_recovery_rebuilds_at_the_radius_it_keeps(self):
         inst = qd_instance(4, 2, 7, 0)
         problem = inst.to_problem()
-        config = SolverConfig()
         ledger = EvalLedger(problem.r)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
         fx = float(sample.values[0])
         state = committed_state(sample, problem.box, 1e-12, 1e-12)
-        _recover_geometry(state, problem, config, ledger)
-        floor = radius_floor(fx, config.delta_min)
+        _recover_geometry(state, problem, ledger)
+        floor = radius_floor(fx)
         assert state.delta == floor and state.Delta == floor
         offsets = np.abs(state.sample.points[1:] - state.sample.base).max(axis=1)
         assert np.allclose(offsets, floor, rtol=1e-6)
@@ -574,7 +549,7 @@ class TestCommittedRecord:
     ], ids=["qd-swap", "hs-criticality"])
     def test_model_is_the_sample_iterate(self, problem, config, kind):
         ledger = EvalLedger(problem.r, budget=config.budget)
-        state = _initial_state(problem, config, ledger)
+        state = _initial_state(problem, ledger)
         assert_committed(state, problem.box)
         history, status = [], None
         while status is None:
@@ -585,7 +560,7 @@ class TestCommittedRecord:
             history.append(outcome)
             assert_committed(state, problem.box)
             assert (outcome.index, outcome.fx) == (state.model.index, state.model.fx)
-            status = check_stopping(state, problem, config, ledger)
+            status = check_stopping(state, problem, ledger)
         if kind == "criticality":
             assert any(o.kind == "criticality" for o in history)
         else:
@@ -600,7 +575,7 @@ class TestCommittedRecord:
         problem = gen_qd(3, 3, seed=2, count=1)[0]
         config = SolverConfig(budget=1500, use_cheap_rho=False)
         ledger = EvalLedger(problem.r, budget=config.budget)
-        state = _initial_state(problem, config, ledger)
+        state = _initial_state(problem, ledger)
         iterate(state, problem, config, ledger)
         model, pi = state.model, state.pi
         monkeypatch.setattr(solver_module, "build_model", fail)
@@ -610,7 +585,7 @@ class TestCommittedRecord:
         assert not np.array_equal(state.sample.base, model.base)
         assert state.model is model and state.pi == pi
         monkeypatch.undo()
-        _recover_geometry(state, problem, config, ledger)
+        _recover_geometry(state, problem, ledger)
         assert_committed(state, problem.box)
         assert state.model.base.tobytes() == model.base.tobytes()
         assert (state.model.index, state.model.fx) == (model.index, model.fx)
@@ -660,7 +635,7 @@ class TestRadiiReplay:
         for problem in problems:
             result = solve(problem, config)
             assert result.history
-            assert_radii_replay(config, result.history)
+            assert_radii_replay(result.history)
             adjusted, successful = adjustment_counts(result.history)
             assert adjusted <= GAMMA_MAX * max(successful, 0) + 0
 
@@ -676,7 +651,7 @@ class TestRadiiReplay:
         assert len(history) == result.iterations
         assert any(o.index_swapped for o in history)
         assert any(o.radii_frozen for o in history)
-        assert_radii_replay(config, history)
+        assert_radii_replay(history)
         for o, logged in zip(result.history, history):
             assert np.array_equal(o.d, logged.d) and o.pi == logged.pi
 
@@ -783,4 +758,4 @@ class TestInvariants:
             with open(path) as fh:
                 logged = [SimpleNamespace(**json.loads(line)) for line in fh]
         assert len(logged) == result.iterations
-        assert_radii_replay(config, logged)
+        assert_radii_replay(logged)
