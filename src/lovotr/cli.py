@@ -43,7 +43,7 @@ def _parse_taus(text: str) -> list:
     return taus
 
 
-def _positive_int(text: str) -> int:
+def _parse_positive_int(text: str) -> int:
     """``--n``, ``--r``, ``--count``: an integer of at least 1."""
     try:
         value = int(text)
@@ -180,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-qd", help="generate QD problem instances")
-    gen.add_argument("--n", type=_positive_int, default=10)
-    gen.add_argument("--r", type=_positive_int, required=True)
+    gen.add_argument("--n", type=_parse_positive_int, default=10)
+    gen.add_argument("--r", type=_parse_positive_int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--count", type=_positive_int, default=50)
+    gen.add_argument("--count", type=_parse_positive_int, default=50)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=_cmd_gen_qd)
 
