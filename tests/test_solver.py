@@ -244,7 +244,7 @@ class TestStopping:
 
     def test_stall_at_rounding_floor_of_large_values(self):
         # near f = 3125 values resolve nothing finer than the floor, which
-        # lies well above delta_min; the stall test fires there and not above
+        # lies well above DELTA_MIN; the stall test fires there and not above
         floor = radius_floor(3125.0)
         assert floor == pytest.approx(0.1 * np.sqrt(np.finfo(float).eps * 3125.0))
         assert floor > 8 * DELTA_MIN
