@@ -102,10 +102,14 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
     keeps its trace, with ``status`` set to ``error:TypeName: message`` for
     the exception that ended it.  ``sample_log`` is the solver's per-iteration
     debug hook, called here as ``sample_log(problem_name, k, sample)``.
+    ``budget_rule`` sets every run's budget, so a ``config.budget`` raises
+    ``ValueError``.
     """
     if budget_rule not in BUDGET_RULES:
         raise ValueError(f"unknown budget rule {budget_rule!r}")
     config = config if config is not None else SolverConfig()
+    if config.budget is not None:
+        raise ValueError("config.budget must be None: budget_rule sets the budgets")
     n_max = max((p.n for p in problems), default=0)
     traces = []
     for problem in problems:

@@ -4,20 +4,17 @@ The sample set holds n+1 affinely independent feasible points, the first one
 being the base point (the solver's current iterate), together with the values
 of the working component there.  The determined linear model is obtained by
 solving the (n+1)x(n+1) interpolation system with rows ``[1, (y - base)^T]``.
-The sample set caches the inverse of that matrix; its condition number, the
-ratio of its extreme singular values, is computed from an SVD only on demand
-(``condition_estimate``).  Column ``j`` of the inverse
+The sample set caches the inverse of that matrix.  Column ``j`` of the inverse
 holds the coefficients of the affine Lagrange polynomial ``l_j`` (1 at point
 ``j``, 0 at the others), so ``[1, (x - base)^T] @ inverse`` gives every
 ``l_j(x)`` at once; the model coefficients, the sample exchange and the
 geometry step all read the cache.  The inverse depends on the points only and
 comes from a Householder QR factorization made by direct LAPACK calls: at
 n <= 12 the factorization itself takes microseconds and the generic scipy
-wrappers cost several times more.  The build accepts the system without an
-SVD when the bound ``||M||_F ||M^-1||_F >= cond(M)``, read off the inverse,
-is far below ``CONDITION_LIMIT``; only a system the bound cannot settle pays
-for the SVD.  The inverse is recomputed from scratch whenever a point moves;
-incremental updates are left as future work.
+wrappers cost several times more.  The build rejects the system when its
+Frobenius condition number ``||M||_F ||M^-1||_F``, read off the inverse,
+exceeds ``CONDITION_LIMIT``.  The inverse is recomputed from scratch whenever
+a point moves; incremental updates are left as future work.
 """
 
 from __future__ import annotations
@@ -27,19 +24,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from .errors import GeometryError, PointRejectedError
 from .problem import as_vector, eval_component
 
-# Interpolation systems with condition estimates beyond this are treated as
-# singular: the caller must repair the geometry before trusting the model.
+# Interpolation systems whose Frobenius condition number exceeds this are
+# treated as singular: the caller must repair the geometry before trusting
+# the model.
 CONDITION_LIMIT = 1e12
-
-# A build whose bound ||M||_F^2 ||M^-1||_F^2 on cond(M)^2 is at most this
-# passes the condition test without an SVD.  The factor 100 of headroom
-# covers the rounding in the computed inverse and in the SVD's own estimate.
-CERTIFIED_BOUND_SQ = (CONDITION_LIMIT / 100) ** 2
 
 # A candidate whose Lagrange weight falls below this adds no information to
 # the sample set and cannot safely replace any point.
@@ -110,28 +103,23 @@ class SampleSet:
         return m
 
     def condition_estimate(self) -> float:
-        """Ratio of the largest to the smallest singular value (``inf`` if singular).
+        """Frobenius condition number ``||M||_F ||M^-1||_F`` of the cached inverse.
 
-        Raises ``GeometryError`` as the factorization does.  The SVD runs on
-        every call; only debug output and tests ask for it.
+        It lies between ``cond_2(M)`` and ``(n+1) cond_2(M)``.  Raises
+        ``GeometryError`` as the factorization does.
         """
-        self._factorize()
-        return _svd_condition(self.interpolation_matrix())
+        inv = self._factorize()
+        return _frobenius_condition(self.interpolation_matrix(), inv)
 
     def _factorize(self) -> np.ndarray:
         """Cached inverse of the interpolation matrix.
 
-        A matrix with a non-finite entry, a condition number beyond
-        ``CONDITION_LIMIT`` or a failed LAPACK call raises ``GeometryError``.
         The inverse is ``R^-1 Q^T`` from the QR factorization
         ``dgeqrf``/``dorgqr``; ``dtrtrs`` reads only the upper triangle of the
-        packed factor.  The condition test is certified by the bound
-        ``||M||_F ||M^-1||_F``, which is at least ``cond(M)``: at or below
-        ``CONDITION_LIMIT / 100`` the SVD condition number cannot come near
-        the limit, so the SVD is skipped and ``condition_estimate`` computes
-        it on demand.  Otherwise (a larger or non-finite bound, or a failed
-        QR) the SVD decides, and its failure, a singular system and a failed
-        QR raise in that order.
+        packed factor.  A matrix with a non-finite entry or a failed LAPACK
+        call raises ``GeometryError``, and so does a singular one: an exact
+        zero pivot of ``R``, or a Frobenius condition number
+        ``||M||_F ||M^-1||_F`` beyond ``CONDITION_LIMIT`` (or not finite).
         """
         if self._basis is None:
             m = self.interpolation_matrix()
@@ -142,11 +130,14 @@ class SampleSet:
                 q, _, info = dorgqr(qr, tau)
             if info == 0:
                 inv, info = dtrtrs(qr, q.T)
-            if info != 0 or not (_frobenius_sq(m) * _frobenius_sq(inv)
-                                 <= CERTIFIED_BOUND_SQ):
-                _svd_condition(m)  # raises beyond CONDITION_LIMIT
-            if info != 0:
+            if info < 0:
                 raise GeometryError(f"QR of the interpolation system failed ({info=})")
+            cond = math.inf if info > 0 else _frobenius_condition(m, inv)
+            if not cond <= CONDITION_LIMIT:
+                raise GeometryError(
+                    f"interpolation system is numerically singular (cond={cond:.3e}); "
+                    "the sample set needs a geometry-improvement step"
+                )
             self._basis = inv
         return self._basis
 
@@ -174,18 +165,9 @@ def _frobenius_sq(a) -> float:
     return float(flat @ flat)
 
 
-def _svd_condition(m) -> float:
-    """``cond(m)`` from ``dgesdd``; ``GeometryError`` if beyond ``CONDITION_LIMIT``."""
-    _, sv, _, info = dgesdd(m, compute_uv=0)
-    if info != 0:
-        raise GeometryError(f"SVD of the interpolation system failed ({info=})")
-    cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
-    if cond > CONDITION_LIMIT:
-        raise GeometryError(
-            f"interpolation system is numerically singular (cond={cond:.3e}); "
-            "the sample set needs a geometry-improvement step"
-        )
-    return cond
+def _frobenius_condition(m, inv) -> float:
+    """``||m||_F ||inv||_F``: NaN or inf when ``inv`` is."""
+    return math.sqrt(_frobenius_sq(m) * _frobenius_sq(inv))
 
 
 def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) -> SampleSet:
@@ -193,8 +175,8 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
 
     The set is ``{x0} u {x0 +/- delta0 e_j : j = 1..n}``: the offset along
     coordinate ``j`` goes up unless that would leave the box, in which case it
-    goes down.  If the box is thinner than ``delta0`` in some coordinate the
-    offset shrinks to half the box width there (with a warning).  The working
+    goes down.  Where ``delta0`` fits neither way, the offset shrinks to half
+    the box width in that coordinate (with a warning).  The working
     component is evaluated at each new point; ``base_value`` passes in an
     already-known value at ``x0`` so it is not charged twice.
     """
@@ -206,23 +188,19 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
     points = np.tile(x0, (n + 1, 1))
     for j in range(n):
         step = delta0
-        if x0[j] + step <= upper[j]:
-            points[j + 1, j] += step
-        elif x0[j] - step >= lower[j]:
-            points[j + 1, j] -= step
-        else:
+        if x0[j] + step > upper[j] and x0[j] - step < lower[j]:
             step = 0.5 * (upper[j] - lower[j])
             warnings.warn(
                 f"box is thinner than {delta0} in coordinate {j}; "
                 f"shrinking the initial offset to {step}",
                 stacklevel=2,
             )
-            if x0[j] + step <= upper[j]:
-                points[j + 1, j] += step
-            elif x0[j] - step >= lower[j]:
-                points[j + 1, j] -= step
-            else:
-                raise GeometryError(f"cannot place an offset point in coordinate {j}")
+        if x0[j] + step <= upper[j]:
+            points[j + 1, j] += step
+        elif x0[j] - step >= lower[j]:
+            points[j + 1, j] -= step
+        else:
+            raise GeometryError(f"cannot place an offset point in coordinate {j}")
 
     values = np.empty(n + 1)
     values[0] = (

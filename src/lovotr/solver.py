@@ -547,7 +547,9 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
         Called after every iteration as ``callback(k, outcome, ledger)``.
     ledger : EvalLedger, optional
         Pass a pre-configured ledger to control metering; by default a
-        component-metered ledger honoring ``config.budget`` is created.
+        component-metered ledger honoring ``config.budget`` is created.  The
+        ledger's budget is the one that holds, so a ``config.budget`` that
+        differs from it raises ``ValueError``.
     sample_log : callable, optional
         Debug hook called after every iteration as ``sample_log(k, sample)``
         with the live sample set; see ``SampleSet.to_debug_dict``.
@@ -564,6 +566,9 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     config = config if config is not None else SolverConfig()
     if ledger is None:
         ledger = EvalLedger(problem.r, budget=config.budget)
+    elif config.budget is not None and config.budget != ledger.budget:
+        raise ValueError(f"config budget {config.budget} differs from the "
+                         f"ledger's budget {ledger.budget}")
 
     state = None
     history = []

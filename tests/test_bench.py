@@ -64,6 +64,11 @@ class TestRunCampaign:
                                 "maxcrit_exceeded", "geometry_failed")
             assert t.x_final is not None
 
+    def test_config_budget_refused(self):
+        # the budget rule sets every run's budget
+        with pytest.raises(ValueError, match="budget"):
+            run_campaign(gen_qd(3, 2, seed=5, count=1), SolverConfig(budget=5))
+
     def test_failed_run_is_flagged(self):
         def bomb(x):
             return float("nan")

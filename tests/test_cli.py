@@ -52,7 +52,7 @@ def test_full_pipeline(tmp_path, capsys):
                                                          "0.8", "0.85"]
 
 
-def test_config_file_and_sample_dump(tmp_path):
+def test_no_cheap_rho_and_sample_dump(tmp_path):
     problems = tmp_path / "problems"
     traces = tmp_path / "traces"
     main(["gen-qd", "--n", "2", "--r", "3", "--seed", "3",
@@ -74,11 +74,12 @@ def test_config_file_and_sample_dump(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert records and {"problem", "k", "points", "values",
                         "model_index", "condition_estimate"} <= set(records[0])
-    for record in records:  # computed on demand, it still reports the SVD value
+    for record in records:  # the Frobenius condition number of the dumped points
         points = np.asarray(record["points"])
         m = np.hstack([np.ones((len(points), 1)), points - points[0]])
         cond = record["condition_estimate"]
-        assert math.isfinite(cond) and cond == pytest.approx(np.linalg.cond(m), rel=1e-6)
+        assert math.isfinite(cond)
+        assert cond == pytest.approx(np.linalg.cond(m, "fro"), rel=1e-6)
 
 
 def _write_traces(directory, kappas):

@@ -4,12 +4,14 @@ A small fixed set is solved under both ``use_cheap_rho`` values at a budget of
 1500, and every iteration is hashed with the fields perfbench's behaviour
 digest reads: kind, rho, both radii (as float hex), working index, evaluation
 count, and the final value.  The set covers criticality iterations and
-``success``, ``stalled`` and ``budget_exhausted`` runs.  A change that is meant
+``success``, ``stalled`` and ``budget_exhausted`` runs, and at least one
+rebuild of a singular sample (``_recover_geometry``).  A change that is meant
 to move the numbers updates ``GOLDEN_SHA256`` and says so.
 """
 
 import hashlib
 
+import lovotr.solver
 from lovotr.solver import SolverConfig, solve
 from lovotr.testsets import HS_CATALOG, gen_hs, gen_mw, gen_qd
 
@@ -25,7 +27,15 @@ def golden_problems():
     ]
 
 
-def test_histories_match_the_golden_digest():
+def test_histories_match_the_golden_digest(monkeypatch):
+    recoveries = []
+    recover = lovotr.solver._recover_geometry
+
+    def counted_recover(*args):
+        recoveries.append(args)
+        return recover(*args)
+
+    monkeypatch.setattr(lovotr.solver, "_recover_geometry", counted_recover)
     digest = hashlib.sha256()
     statuses, kinds = set(), set()
     for problem in golden_problems():
@@ -42,4 +52,5 @@ def test_histories_match_the_golden_digest():
             kinds.update(o.kind for o in result.history)
     assert statuses == {"success", "stalled", "budget_exhausted"}
     assert "criticality" in kinds
+    assert recoveries  # the set rebuilds at least one singular sample
     assert digest.hexdigest() == GOLDEN_SHA256

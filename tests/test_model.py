@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import lovotr.model
 from conftest import central_diff_gradient, count_calls
 from lovotr.errors import GeometryError, PointRejectedError
 from lovotr.model import (
@@ -38,20 +37,6 @@ def quad_problem(n, lower=0.0, upper=10.0):
 
 def sample_from(points, values, model_index=1):
     return SampleSet(np.asarray(points, float), np.asarray(values, float), model_index)
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """The arguments of every ``dgesdd`` call made through ``lovotr.model``."""
-    calls = []
-    real_dgesdd = lovotr.model.dgesdd
-
-    def counted_dgesdd(*args, **kwargs):
-        calls.append(args)
-        return real_dgesdd(*args, **kwargs)
-
-    monkeypatch.setattr(lovotr.model, "dgesdd", counted_dgesdd)
-    return calls
 
 
 class TestInitialSample:
@@ -157,9 +142,10 @@ class TestFactorization:
                     s = sample_from(pts, np.zeros(n + 1))
                     m = s.interpolation_matrix()
                     inv = s._factorize()
-                    assert np.array_equal(inv, self.scipy_inverse(m))
-                    cond = s.condition_estimate()
-                    assert cond == pytest.approx(np.linalg.cond(m), rel=1e-6)
+                    reference = self.scipy_inverse(m)
+                    assert np.array_equal(inv, reference)
+                    cond = np.linalg.norm(m) * np.linalg.norm(reference)
+                    assert s.condition_estimate() == pytest.approx(cond, rel=1e-12)
                     checked += 1
         assert checked == 11 * 5 * 2
 
@@ -172,25 +158,29 @@ class TestFactorization:
                     s._factorize()
 
     def test_condition_limit_is_sharp(self):
-        # cond of [[0, 0], [1, 0], [0, h]] is nearly proportional to 1 / h
+        # the Frobenius condition number of [[0, 0], [1, 0], [0, h]] is nearly
+        # proportional to 1 / h
         def sample(h):
             return sample_from([[0, 0], [1, 0], [0, h]], [0, 1, 2])
 
-        k = np.linalg.cond(sample(1e-6).interpolation_matrix()) * 1e-6
+        def cond(s):
+            return np.linalg.cond(s.interpolation_matrix(), "fro")
+
+        k = cond(sample(1e-6)) * 1e-6
         above, below = sample(k / 1.001e12), sample(k / 0.999e12)
-        assert CONDITION_LIMIT < np.linalg.cond(above.interpolation_matrix()) < 1.01e12
-        assert 0.99e12 < np.linalg.cond(below.interpolation_matrix()) < CONDITION_LIMIT
+        assert CONDITION_LIMIT < cond(above) < 1.01e12
+        assert 0.99e12 < cond(below) < CONDITION_LIMIT
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match="singular"):
                 above._factorize()
             assert below.condition_estimate() < CONDITION_LIMIT
 
-    def test_certificate_decides_as_the_svd(self, rng, svd_calls):
-        # random, near-coincident and scaled samples with cond from 1 to 1e13:
-        # the build raises exactly when the SVD condition number is beyond the
-        # limit, whichever path (certificate or SVD) settles it
-        paths = Counter()
+    def test_build_decides_as_the_frobenius_condition(self, rng):
+        # random, near-coincident and scaled samples with condition numbers
+        # from 1 to 1e13: the build raises exactly when ||M||_F ||M^-1||_F of
+        # the reference inverse is beyond the limit
+        verdicts = Counter()
         decades = set()
         for _ in range(600):
             n = int(rng.integers(1, 13))
@@ -204,40 +194,22 @@ class TestFactorization:
                 pts = base + 10.0 ** rng.uniform(-13, 1) * (pts - base)
             s = sample_from(pts, np.zeros(n + 1))
             m = s.interpolation_matrix()
-            cond = np.linalg.cond(m)
+            reference = self.scipy_inverse(m)
+            cond = np.linalg.norm(m) * np.linalg.norm(reference)
             decades.add(int(math.log10(min(cond, 1e13))))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if cond > CONDITION_LIMIT:
                     with pytest.raises(GeometryError, match="singular"):
                         s._factorize()
-                    paths["rejected"] += 1
+                    verdicts["rejected"] += 1
                     continue
-                svd_calls.clear()
                 inv = s._factorize()
-            assert np.array_equal(inv, self.scipy_inverse(m))
-            paths["svd" if svd_calls else "certified"] += 1
-            assert s.condition_estimate() == pytest.approx(cond, rel=1e-6)
+            assert np.array_equal(inv, reference)
+            verdicts["accepted"] += 1
+            assert s.condition_estimate() == pytest.approx(cond, rel=1e-12)
         assert decades == set(range(14))
-        assert min(paths["certified"], paths["svd"], paths["rejected"]) >= 10
-
-    def test_well_conditioned_build_skips_the_svd(self, rng, svd_calls):
-        for n in range(1, 13):
-            # a perturbed coordinate stencil: cond(M) is a small multiple of 1
-            steps = np.eye(n) + 0.1 * rng.standard_normal((n, n))
-            base = rng.uniform(-5, 5, n)
-            s = sample_from(np.vstack([base, base + steps]), rng.uniform(-1, 1, n + 1))
-            m = s.interpolation_matrix()
-            assert np.linalg.cond(m) < 1e3
-            build_model(s)
-            _lagrange_values_at(s, s.base)
-            assert svd_calls == []
-            assert s.condition_estimate() == pytest.approx(np.linalg.cond(m), rel=1e-6)
-            assert s.condition_estimate() == s.condition_estimate()
-            svd_calls.clear()
-            s.touch()
-            build_model(s)
-            assert svd_calls == []
+        assert min(verdicts["accepted"], verdicts["rejected"]) >= 10
 
 
 class TestLagrange:

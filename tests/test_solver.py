@@ -466,6 +466,16 @@ class TestSolve:
         assert result.ledger.total_component_evals <= 10 + problem.r
         assert problem.box.contains(result.x_final)
 
+    def test_config_budget_must_match_the_ledger(self):
+        # the ledger meters the run, so a different config budget would be ignored
+        problem = gen_qd(3, 2, seed=5, count=1)[0]
+        with pytest.raises(ValueError, match="budget"):
+            solve(problem, SolverConfig(budget=5), ledger=EvalLedger(problem.r))
+        ledger = EvalLedger(problem.r, budget=5)
+        result = solve(problem, SolverConfig(budget=5), ledger=ledger)
+        assert result.status == "budget_exhausted"
+        assert ledger.total_component_evals <= 5 + problem.r - 1
+
     def test_oracle_failure_ends_in_oracle_error(self):
         calls = [0]
 
