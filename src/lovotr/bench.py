@@ -359,6 +359,9 @@ def read_traces(directory) -> list:
     ``.json`` file, a manifest value of the wrong type (see
     ``_MANIFEST_TYPES``), an empty CSV or a CSV row that is not ``t,f_best``
     raises ``ValueError`` naming the file (and the key, or the row's line).
+    So does a row that no run writes: a ``t`` that is negative or below the
+    previous row's, or an ``f_best`` that is not finite or above the previous
+    row's (``best_value`` reads the last row as the best).
     """
     traces = []
     for name in sorted(os.listdir(directory)):
@@ -386,12 +389,20 @@ def read_traces(directory) -> list:
             if next(reader, None) is None:
                 raise ValueError(f"{csv_path} is empty; expected the header 't,f_best'")
             for row in reader:
+                where = f"{csv_path}, line {reader.line_num}"
                 try:
                     t, f_best = row
-                    samples.append((int(t), float(f_best)))
+                    t, f_best = int(t), float(f_best)
                 except ValueError:
-                    raise ValueError(f"{csv_path}, line {reader.line_num}: expected a "
-                                     f"row 't,f_best', got {','.join(row)!r}") from None
+                    raise ValueError(f"{where}: expected a row 't,f_best', "
+                                     f"got {','.join(row)!r}") from None
+                prev_t, prev_f = samples[-1] if samples else (0, math.inf)
+                if not (t >= prev_t and math.isfinite(f_best) and f_best <= prev_f):
+                    raise ValueError(
+                        f"{where}: row {','.join(row)!r} is out of trace order; t must "
+                        "be >= 0 and >= the previous t, f_best finite and <= the "
+                        "previous f_best")
+                samples.append((t, f_best))
         traces.append(RunTrace(
             problem_name=manifest["problem"], n_p=manifest["n"], r_p=manifest["r"],
             metering=manifest.get("metering", "component"),

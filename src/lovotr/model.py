@@ -9,22 +9,29 @@ holds the coefficients of the affine Lagrange polynomial ``l_j`` (1 at point
 ``j``, 0 at the others), so ``[1, (x - base)^T] @ inverse`` gives every
 ``l_j(x)`` at once; the model coefficients, the sample exchange and the
 geometry step all read the cache.  The inverse depends on the points only and
-comes from a Householder QR factorization made by direct LAPACK calls: at
-n <= 12 the factorization itself takes microseconds and the generic scipy
-wrappers cost several times more.  The build rejects the system when its
-Frobenius condition number ``||M||_F ||M^-1||_F``, read off the inverse,
-exceeds ``CONDITION_LIMIT``.  The inverse is recomputed from scratch whenever
-a point moves; incremental updates are left as future work.
+comes from a Householder QR factorization made by direct calls to three
+LAPACK routines: at n <= 12 the factorization itself takes microseconds and
+the generic scipy wrappers cost several times more.  The routines come from
+scipy's compiled extension ``scipy.linalg._flapack``, which ``_load_flapack``
+loads by itself: the package import of ``scipy.linalg`` loads some 300
+modules this package never calls and would take most of the time of
+``import lovotr``.  The build rejects the system when its Frobenius condition
+number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
+``CONDITION_LIMIT``.  The inverse is recomputed from scratch whenever a point
+moves; incremental updates are left as future work.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from .errors import GeometryError, PointRejectedError
 from .problem import as_vector, eval_component
@@ -37,6 +44,34 @@ CONDITION_LIMIT = 1e12
 # A candidate whose Lagrange weight falls below this adds no information to
 # the sample set and cannot safely replace any point.
 MIN_LAGRANGE_WEIGHT = 1e-14
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, without ``scipy.linalg``.
+
+    Finding scipy's directories does not import scipy.  A copy already in
+    ``sys.modules`` is used; a loaded one is registered there, so the process
+    holds one copy whichever of ``scipy.linalg`` and this package comes first.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    found = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(root, "linalg") for root in roots or ()])
+    if found is None or found.origin is None:
+        raise ImportError("lovotr needs scipy's LAPACK extension "
+                          "scipy.linalg._flapack; install scipy>=1.10")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dgeqrf, dorgqr, dtrtrs = _flapack.dgeqrf, _flapack.dorgqr, _flapack.dtrtrs
 
 
 @dataclass

@@ -158,9 +158,19 @@ MANIFEST_FAULTS = {
 }
 
 
+# A CSV row no run writes, appended after (1, 10.0) and (2, 0.0).
+TRACE_ROW_FAULTS = {
+    "nan-f-best": "3,nan\n",
+    "negative-t": "-7,0.0\n",
+    "t-decreases": "1,0.0\n",
+    "f-best-rises": "3,5.0\n",
+}
+
+
 @pytest.mark.parametrize("fault", ["missing-dir", "empty-dir", "not-json",
                                    "not-a-manifest", "no-csv", "empty-csv",
-                                   "short-row", "bad-int", "missing-f-l",
+                                   "short-row", "bad-int", *TRACE_ROW_FAULTS,
+                                   "missing-f-l",
                                    "f-l-list", "f-l-string", "f-l-nan",
                                    "out-is-file", *MANIFEST_FAULTS])
 def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
@@ -185,11 +195,12 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     elif fault == "empty-csv":
         named = traces / "p0.csv"
         named.write_text("")
-    elif fault in ("short-row", "bad-int"):
+    elif fault in ("short-row", "bad-int", *TRACE_ROW_FAULTS):
         # header, then the rows (1, 10.0) and (2, 0.0); the bad row is line 4
         named = traces / "p0.csv"
         with open(named, "a") as fh:
-            fh.write({"short-row": "5\n", "bad-int": "x,1.0\n"}[fault])
+            fh.write({"short-row": "5\n", "bad-int": "x,1.0\n",
+                      **TRACE_ROW_FAULTS}[fault])
     elif fault == "missing-f-l":
         named = f_l
         f_l.unlink()
@@ -212,7 +223,7 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
         main(args)
     message = str(exc.value)
     assert str(named) in message and "\n" not in message
-    if fault in ("short-row", "bad-int"):
+    if fault in ("short-row", "bad-int", *TRACE_ROW_FAULTS):
         assert "line 4" in message
     if fault in MANIFEST_FAULTS:
         assert repr(MANIFEST_FAULTS[fault][0]) in message

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,47 @@ class TestFactorization:
             assert s.condition_estimate() == pytest.approx(cond, rel=1e-12)
         assert decades == set(range(14))
         assert min(verdicts["accepted"], verdicts["rejected"]) >= 10
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports lovotr from this checkout.
+
+    This session has imported ``scipy.linalg`` (above), so what ``import
+    lovotr`` loads by itself can only be seen from a new process.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestLapackExtension:
+    def test_import_and_solve_load_only_the_lapack_extension(self):
+        done = run_fresh(
+            "import sys\n"
+            "import lovotr\n"
+            "lovotr.solve(lovotr.gen_qd(3, 2, seed=5, count=1)[0])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['scipy.linalg._flapack']"
+
+    @pytest.mark.parametrize("first", ["scipy.linalg", "lovotr"])
+    def test_scipy_linalg_shares_the_routines(self, first):
+        done = run_fresh(
+            f"import {first}\n"
+            "import lovotr.model, scipy.linalg.lapack as lapack\n"
+            "print([getattr(lapack, f) is getattr(lovotr.model, f)\n"
+            "       for f in ('dgeqrf', 'dorgqr', 'dtrtrs')])\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[True, True, True]"
+
+    def test_missing_scipy_raises_import_error(self):
+        done = run_fresh("import sys\nsys.modules['scipy'] = None\nimport lovotr\n")
+        assert done.returncode != 0
+        assert "ImportError" in done.stderr and "scipy" in done.stderr.splitlines()[-1]
 
 
 class TestLagrange:
