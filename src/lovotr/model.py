@@ -17,8 +17,9 @@ loads by itself: the package import of ``scipy.linalg`` loads some 300
 modules this package never calls and would take most of the time of
 ``import lovotr``.  The build rejects the system when its Frobenius condition
 number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
-``CONDITION_LIMIT``.  The inverse is recomputed from scratch whenever a point
-moves; incremental updates are left as future work.
+``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.  The
+inverse is recomputed from scratch whenever a point moves; incremental
+updates are left as future work.
 """
 
 from __future__ import annotations
@@ -151,23 +152,30 @@ class SampleSet:
 
         The inverse is ``R^-1 Q^T`` from the QR factorization
         ``dgeqrf``/``dorgqr``; ``dtrtrs`` reads only the upper triangle of the
-        packed factor.  A matrix with a non-finite entry or a failed LAPACK
-        call raises ``GeometryError``, and so does a singular one: an exact
-        zero pivot of ``R``, or a Frobenius condition number
+        packed factor.  Finiteness is read off ``||M||_F^2``, which the
+        condition test needs anyway: a NaN or inf entry makes it NaN or inf,
+        and only then are the entries checked one by one.  A matrix with a
+        non-finite entry or a failed LAPACK call raises ``GeometryError``, and
+        so does a singular one: an exact zero pivot of ``R``, finite entries
+        whose ``||M||_F^2`` overflows, or a Frobenius condition number
         ``||M||_F ||M^-1||_F`` beyond ``CONDITION_LIMIT`` (or not finite).
         """
         if self._basis is None:
             m = self.interpolation_matrix()
-            if not np.logical_and.reduce(np.isfinite(m), axis=None):
+            m_sq = _frobenius_sq(m)
+            cond = math.inf
+            if m_sq < math.inf:
+                qr, tau, _, info = dgeqrf(m)
+                if info == 0:
+                    q, _, info = dorgqr(qr, tau)
+                if info == 0:
+                    inv, info = dtrtrs(qr, q.T)
+                if info < 0:
+                    raise GeometryError(f"QR of the interpolation system failed ({info=})")
+                if info == 0:
+                    cond = math.sqrt(m_sq * _frobenius_sq(inv))
+            elif not np.logical_and.reduce(np.isfinite(m), axis=None):
                 raise GeometryError("interpolation system has non-finite entries")
-            qr, tau, _, info = dgeqrf(m)
-            if info == 0:
-                q, _, info = dorgqr(qr, tau)
-            if info == 0:
-                inv, info = dtrtrs(qr, q.T)
-            if info < 0:
-                raise GeometryError(f"QR of the interpolation system failed ({info=})")
-            cond = math.inf if info > 0 else _frobenius_condition(m, inv)
             if not cond <= CONDITION_LIMIT:
                 raise GeometryError(
                     f"interpolation system is numerically singular (cond={cond:.3e}); "
@@ -178,8 +186,8 @@ class SampleSet:
 
     def find_row(self, x) -> int | None:
         """Index of the row exactly equal to the vector ``x``, or None."""
-        hits = np.nonzero(np.logical_and.reduce(self.points == x, axis=1))[0]
-        return int(hits[0]) if hits.size else None
+        hits = np.logical_and.reduce(self.points == x, axis=1)
+        return int(hits.argmax()) if np.logical_or.reduce(hits) else None
 
     def to_debug_dict(self) -> dict:
         try:
@@ -195,7 +203,7 @@ class SampleSet:
 
 
 def _frobenius_sq(a) -> float:
-    """Squared Frobenius norm; BLAS overflows to inf without a numpy warning."""
+    """Squared Frobenius norm; inf when the sum overflows (numpy then warns)."""
     flat = a.ravel("K")  # a view for C- and Fortran-ordered arrays alike
     return float(flat @ flat)
 
@@ -253,7 +261,7 @@ def build_model(sample: SampleSet) -> LinearModel:
     inv = sample._factorize()
     coeffs = inv @ sample.values
     return LinearModel(index=sample.model_index, base=sample.base.copy(),
-                       fx=float(sample.values[0]), g=coeffs[1:].copy())
+                       fx=float(sample.values[0]), g=coeffs[1:])
 
 
 def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:

@@ -271,7 +271,7 @@ def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
              **candidate) -> StepOutcome:
     """The committed iteration's snapshot; ``candidate`` holds the trial fields."""
     return StepOutcome(
-        kind=kind, pi=pi, d=np.asarray(d, dtype=float).copy(), delta=state.delta,
+        kind=kind, pi=pi, d=np.array(d, dtype=float), delta=state.delta,
         Delta=state.Delta, Gamma=state.Gamma, index=state.model.index,
         fx=state.model.fx, evals_total=ledger.total_component_evals, **candidate,
     )
@@ -354,7 +354,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     if state.model_doubted and state.repair_streak < 2 * problem.n:
         diff = state.sample.points[1:] - state.sample.base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
-        if dist.max() > STALE_FACTOR * state.Delta:
+        if np.maximum.reduce(dist) > STALE_FACTOR * state.Delta:
             return _geometry_iteration(state, problem, ledger, pi, stale=True,
                                        dist=dist)
         state.model_doubted = False

@@ -12,10 +12,16 @@ or where every descending coordinate is pinned, whichever comes first.  The
 first segment, up to the earliest breakpoint, is closed-form: when the ball is
 met there the step is ``-t g`` at the root ``t`` the segment loop would
 compute, and the loop over the sorted breakpoints runs only when a bound is
-met first.  The path has at most n breakpoints, so the cost is O(n log n), and
-no iterative scheme is required.  The same path construction, run along both
-signs of a Lagrange polynomial's gradient, yields the geometry-improvement
-step.
+met first.  When the ball of radius ``2 Delta`` around the base lies inside
+the box, no bound can be met before the ball, and the breakpoints and the
+feasibility clamp are skipped: the rounded gap to every face exceeds the
+first-segment step with a margin, so the breakpoint pass would take the same
+first-segment step and the clamp would leave it unchanged, bit for bit.  A
+path whose ``||g||^2`` overflows or underflows is traced along ``g`` scaled
+by a power of two, which moves every breakpoint but not the path.  The path
+has at most n breakpoints, so the cost is O(n log n), and no iterative scheme
+is required.  The same path construction, run along both signs of a Lagrange
+polynomial's gradient, yields the geometry-improvement step.
 """
 
 from __future__ import annotations
@@ -31,35 +37,71 @@ from .model import LinearModel, SampleSet
 # meaningless in floating point.
 FULL_STEP_RTOL = 1e-10
 
+# Smallest positive normal float.
+_TINY = float(np.finfo(float).tiny)
 
-def _trace_projected_path(base, direction, box, radius) -> np.ndarray:
+
+def _room(base, box) -> float:
+    """Distance from ``base`` to the nearest face of the box."""
+    return float(np.minimum.reduce(np.minimum(base - box.lower, box.upper - base)))
+
+
+def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray:
     """Endpoint of ``t -> P(base + t * direction) - base`` traced to ``radius``.
 
     ``base`` must be feasible.  Returns the step at the first ``t`` with
     ``||d(t)|| = radius``, or the path's limit point once all moving
-    coordinates are pinned at their bounds.
+    coordinates are pinned at their bounds.  ``room`` passes in
+    ``_room(base, box)`` when the caller has it.
     """
-    # Breakpoint of each coordinate: the t at which it reaches its bound.
-    # Fixed coordinates get NaN, which sorts after every moving one, even one
-    # whose breakpoint overflowed to inf.
-    t_break = np.empty(base.size)
-    t_break.fill(math.nan)
-    np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
-              direction, out=t_break, where=direction != 0.0)
-
-    # First segment in closed form: d(t) = t * direction up to the earliest
-    # breakpoint.  ``s`` is the segment loop's root for d = 0 in the loop's
-    # own arithmetic, so this branch returns exactly what the loop would.
     a = float(direction @ direction)
-    s = math.sqrt(4.0 * a * (radius * radius)) / (2.0 * a) if a > 0.0 else math.nan
-    t_first = np.fmin.reduce(t_break)  # NaN only when nothing moves
-    if 0.0 < t_first and s <= t_first:
-        d = s * direction
-    else:
-        d = _trace_segments(base, direction, box, radius, t_break)
+    if not _TINY <= a < math.inf:
+        # ||direction||^2 overflows or underflows.  A positive multiple traces
+        # the same path; a power of two bringing the largest entry into
+        # [0.5, 1) scales every entry exactly, barring underflow of entries
+        # far below the largest, whose motion is below rounding anyway.
+        direction = np.ldexp(direction, -np.frexp(np.maximum.reduce(np.abs(direction)))[1])
+        a = float(direction @ direction)
+    # First-segment root of ||t * direction|| = radius in the segment loop's
+    # own arithmetic; NaN when nothing moves (or an entry is NaN or inf).
+    rr = radius * radius
+    s = math.sqrt(4.0 * a * rr) / (2.0 * a) if a > 0.0 else math.nan
+    if room is None:
+        room = _room(base, box)
 
-    # Roundoff guards: the endpoint must be feasible and inside the ball.
-    d = np.minimum(np.maximum(base + d, box.lower), box.upper) - base
+    if 2.0 * radius <= room and s < math.inf and rr >= _TINY:
+        # Interior ball, bit for bit what the breakpoint pass below returns.
+        # A finite s means that a is a finite normal float and nothing
+        # overflowed; with radius^2 normal, s ||direction|| <= sqrt(2) radius
+        # (1 + O(n eps)), the sqrt(2) covering a subnormal 4 a radius^2 (a
+        # subnormal radius^2 rounds twice, and reached 1.9 radius).  So a
+        # moving coordinate j, whose gap g_j to its bound is at least
+        # room >= 2 radius, has s |direction_j| < g_j.  Its breakpoint below
+        # is fl(g_j / |direction_j|) (lower - base is -(base - lower)
+        # exactly), so by monotone rounding the earliest breakpoint is
+        # positive and at least s: the pass takes d = s * direction.  As
+        # |d_j| < g_j by a margin, fl(base + d) lies in the box, and the
+        # guard clamp leaves it unchanged.
+        d = (base + s * direction) - base
+    else:
+        # Breakpoint of each coordinate: the t at which it reaches its bound.
+        # Fixed coordinates get NaN, which sorts after every moving one, even
+        # one whose breakpoint overflowed to inf.
+        t_break = np.empty(base.size)
+        t_break.fill(math.nan)
+        np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
+                  direction, out=t_break, where=direction != 0.0)
+        # First segment in closed form: d(t) = t * direction up to the
+        # earliest breakpoint, where s is exactly the loop's root.
+        t_first = np.fmin.reduce(t_break)  # NaN only when nothing moves
+        if 0.0 < t_first and s <= t_first:
+            d = s * direction
+        else:
+            d = _trace_segments(base, direction, box, radius, t_break)
+        # Roundoff guard: the endpoint must be feasible.
+        d = np.minimum(np.maximum(base + d, box.lower), box.upper) - base
+
+    # Roundoff guard: the endpoint must lie inside the ball.
     norm = math.sqrt(d @ d)
     if norm > radius:
         d *= radius / norm
@@ -119,7 +161,7 @@ def select_target_for_altmov(sample: SampleSet, dist=None) -> int:
     if dist is None:
         diff = sample.points[1:] - sample.base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
-    return dist.size - int(np.argmax(dist[::-1]))  # last maximum, as a row 1..n
+    return dist.size - int(dist[::-1].argmax())  # last maximum, as a row 1..n
 
 
 def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
@@ -151,8 +193,9 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     def weight(d):  # |l_target(base + d)|
         return abs(c + float(w @ ((base + d) - base)))
 
-    d_plus = _trace_projected_path(base, w, box, delta)
-    d_minus = _trace_projected_path(base, -w, box, delta)
+    room = _room(base, box)
+    d_plus = _trace_projected_path(base, w, box, delta, room)
+    d_minus = _trace_projected_path(base, -w, box, delta, room)
     d = d_plus if weight(d_plus) >= weight(d_minus) else d_minus
     flat = not (np.logical_or.reduce(d_plus) or np.logical_or.reduce(d_minus))
     return d, flat

@@ -5,6 +5,7 @@ on success).  The five 50-problem QD campaigns are run once and shared; they
 take a few minutes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,15 @@ R_VALUES = (10, 25, 50, 75, 100)
 COUNT = 50
 TAU = 1e-5
 TERMINAL = ("success", "stalled")
+# Least-squares cases (family, n, r): criterion 7 takes the first eight; the
+# HS/MW set of criterion 3 takes all ten at start scales 1 and 10.
+MW_CASES = (
+    ("broyden_tridiagonal", 5, 2), ("trigonometric", 4, 2),
+    ("discrete_boundary_value", 6, 3), ("penalty_i", 4, 2),
+    ("extended_rosenbrock", 4, 2), ("variably_dimensioned", 4, 3),
+    ("brown_almost_linear", 4, 2), ("linear_full_rank", 3, 2),
+    ("chebyquad", 6, 3), ("powell_singular_extended", 8, 4),
+)
 
 
 def report(number, description, ok):
@@ -168,6 +178,59 @@ def test_criterion_3_weak_criticality(campaign):
               f"{truncated} budget-truncated runs excluded)", ok)
 
 
+def fd_projected_gradient(fn, x, box):
+    """``||P(x - g) - x||`` for a finite-difference gradient ``g`` of ``fn`` at ``x``.
+
+    Differences are central with h = 1e-6 max(1, |x_j|), and one-sided where
+    a step of h would leave the box.
+    """
+    g = np.empty(x.size)
+    for j in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        up, down = x.copy(), x.copy()
+        up[j] = min(x[j] + h, box.upper[j])
+        down[j] = max(x[j] - h, box.lower[j])
+        g[j] = (fn(up) - fn(down)) / (up[j] - down[j])
+    return float(np.linalg.norm(box.project(x - g) - x))
+
+
+def hs_mw_problems():
+    """The 26 valid two-entry HS combinations and MW_CASES at start scales 1 and 10."""
+    problems = []
+    for pair in itertools.combinations(HS_CATALOG, 2):
+        try:
+            problems.append(gen_hs(HS_CATALOG, list(pair)))
+        except ValueError:  # the pair's boxes do not intersect
+            continue
+    assert len(problems) == 26
+    for scale in (1.0, 10.0):
+        problems += [gen_mw(name, n, r, scale) for name, n, r in MW_CASES]
+    return problems
+
+
+def test_criterion_3_weak_criticality_hs_mw():
+    # the QD check above, on HS/MW with finite-difference gradients of the
+    # final component; runs the solver did not end itself are excluded
+    problems = hs_mw_problems()
+    traces = []  # in run order: the returned list is sorted by name
+    run_campaign(problems, SolverConfig(), callback=traces.append)
+    worst, worst_at = 0.0, "none"
+    checked = 0
+    for problem, trace in zip(problems, traces):
+        if trace.status not in TERMINAL:
+            continue
+        x = np.asarray(trace.x_final, dtype=float)
+        fn = problem.components[trace.i_final - 1].fn
+        pi_f = fd_projected_gradient(fn, x, problem.box)
+        if pi_f >= worst:
+            worst, worst_at = pi_f, trace.problem_name
+        checked += 1
+    ok = checked > 0 and worst < 1e-4
+    report(3, f"projected-gradient measure < 1e-4 on all {checked} solver-"
+              f"terminated HS/MW runs (max {worst:.2e} at {worst_at}; "
+              f"{len(traces) - checked} other runs excluded)", ok)
+
+
 def test_criterion_8_monotone_traces_and_feasibility(campaign):
     monotone = True
     for traces in campaign["traces"].values():
@@ -299,10 +362,7 @@ def test_criterion_7_state_machine_replay():
     for combo in (["hs1", "hs5"], ["hs3", "hs5"], ["hs5", "hs25"],
                   ["hs1", "hs3", "hs5"]):
         problems.append(gen_hs(HS_CATALOG, combo))
-    for name, n, r in (("broyden_tridiagonal", 5, 2), ("trigonometric", 4, 2),
-                       ("discrete_boundary_value", 6, 3), ("penalty_i", 4, 2),
-                       ("extended_rosenbrock", 4, 2), ("variably_dimensioned", 4, 3),
-                       ("brown_almost_linear", 4, 2), ("linear_full_rank", 3, 2)):
+    for name, n, r in MW_CASES[:8]:
         problems.append(gen_mw(name, n, r))
     assert len(problems) == 20
 

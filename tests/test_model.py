@@ -161,6 +161,13 @@ class TestFactorization:
                 with pytest.raises(GeometryError, match="non-finite"):
                     s._factorize()
 
+    def test_overflowing_norm_is_singular_not_non_finite(self):
+        # finite entries near 1e200 whose ||M||_F^2 overflows
+        s = sample_from([[0, 0], [1e200, 0], [0, 3e200]], [0, 1, 2])
+        assert np.all(np.isfinite(s.interpolation_matrix()))
+        with pytest.raises(GeometryError, match="singular"):
+            s._factorize()
+
     def test_condition_limit_is_sharp(self):
         # the Frobenius condition number of [[0, 0], [1, 0], [0, h]] is nearly
         # proportional to 1 / h

@@ -13,6 +13,7 @@ from lovotr.model import (
 )
 from lovotr.problem import FeasibleBox
 from lovotr.subproblem import (
+    _room,
     _trace_projected_path,
     altmov_linear,
     select_target_for_altmov,
@@ -105,8 +106,8 @@ class TestTrsbox:
         assert np.array_equal(trsbox_linear(model([0.5], [0.0]), box, 1.0), [0.0])
 
     def test_trace_matches_plain_reference(self, rng):
-        def assert_same(base, direction, box, radius):
-            got = _trace_projected_path(base, direction, box, radius)
+        def assert_same(base, direction, box, radius, room=None):
+            got = _trace_projected_path(base, direction, box, radius, room)
             ref = reference_trace(base, direction, box, radius)
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -177,6 +178,61 @@ class TestTrsbox:
                 sides.add(bool(s <= t_first))
                 assert_same(base, direction, box, float(radius))
         assert sides == {True, False}
+
+        # the interior branch, taken when 2 radius <= room: radii at half the
+        # room and one ulp either side, and smaller ones; bases of magnitude
+        # 1e6..1e12, where base + s d rounds, and bases on a face; room passed
+        # in and computed inside
+        interior = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            shift = 10.0 ** rng.uniform(6, 12) if rng.random() < 0.5 else 0.0
+            lower = shift + rng.uniform(-3, -0.1, n)
+            upper = shift + rng.uniform(0.1, 3, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(lower, upper)
+            face = rng.random(n) < 0.05
+            base[face] = np.where(rng.random(n) < 0.5, lower, upper)[face]
+            direction = rng.standard_normal(n)
+            direction[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+            if not np.any(direction):
+                continue
+            room = _room(base, box)
+            half = 0.5 * room
+            radii = [float(10.0 ** rng.uniform(-4, 0))]
+            if half > 0.0:
+                radii += [float(np.nextafter(half, 0.0)), half,
+                          float(np.nextafter(half, np.inf)),
+                          half * float(10.0 ** rng.uniform(-4, 0))]
+            for radius in radii:
+                interior.add(2.0 * radius <= room)
+                assert_same(base, direction, box, radius, room)
+                assert_same(base, direction, box, radius)
+        assert interior == {True, False}
+
+    def test_overflowing_and_underflowing_norms(self):
+        # ||g||^2 overflows or underflows; the path is the one of g scaled
+        box = FeasibleBox([0, 0], [1, 1])
+        base = np.array([0.5, 0.5])
+        d = trsbox_linear(model(base, [1e160, 3e159]), box, 0.1)
+        assert d == pytest.approx(-0.1 * np.array([1.0, 0.3]) / math.sqrt(1.09), rel=1e-12)
+        d = trsbox_linear(model(base, [3e-162, 1e-162]), box, 0.1)
+        assert d == pytest.approx(-0.1 * np.array([3.0, 1.0]) / math.sqrt(10.0), rel=1e-12)
+        for direction in ([1e200, 1e200], [-1e300, 2e299], [1e-170, 0.0]):
+            direction = np.array(direction)
+            unit = direction / np.max(np.abs(direction))
+            for at in (base, np.array([0.02, 0.97])):  # interior, near two faces
+                d = _trace_projected_path(at, direction, box, 0.1)
+                assert d == pytest.approx(reference_trace(at, unit, box, 0.1), rel=1e-12)
+
+    def test_zero_direction_in_the_interior(self):
+        # nothing moves: the first-segment root is NaN, and the step is zero
+        box = FeasibleBox([0, 0], [1, 1])
+        base = np.array([0.5, 0.5])
+        for direction in (np.zeros(2), np.array([0.0, -0.0])):
+            d = _trace_projected_path(base, direction, box, 0.1)
+            assert np.array_equal(d, [0.0, 0.0])
+            assert np.array_equal(d, reference_trace(base, direction, box, 0.1))
 
     def test_feasible_and_short_enough(self, rng):
         for _ in range(300):
@@ -292,6 +348,45 @@ class TestAltmov:
             assert np.all(base + d >= lower - 1e-15)
             assert np.all(base + d <= upper + 1e-15)
             assert np.linalg.norm(d) <= 0.7 * (1 + 1e-12)
+
+    def test_matches_two_reference_traces(self, rng):
+        # the better of the traces along +w and -w, bit for bit, with bases
+        # in the interior and on a face
+        on_face = interior = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            lower = rng.uniform(-3, 0, n)
+            upper = lower + rng.uniform(0.5, 4, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(lower, upper)
+            face = rng.random(n) < 0.15
+            base[face] = np.where(rng.random(n) < 0.5, lower, upper)[face]
+            pts = np.vstack([base] + [
+                np.clip(base + rng.normal(0, 1, n), lower, upper)
+                for _ in range(n)
+            ])
+            s = SampleSet(pts, np.zeros(n + 1), 1)
+            delta = float(10.0 ** rng.uniform(-3, 0.5))
+            try:
+                target = select_target_for_altmov(s)
+                d, flat = altmov_linear(s, box, delta, target)
+            except GeometryError:
+                continue
+            inv = s._factorize()
+            c, w = float(inv[0, target]), inv[1:, target]
+            plus = reference_trace(base, w, box, delta)
+            minus = reference_trace(base, -w, box, delta)
+
+            def weight(step):
+                return abs(c + float(w @ ((base + step) - base)))
+
+            ref = plus if weight(plus) >= weight(minus) else minus
+            assert np.array_equal(d, ref)
+            assert np.array_equal(np.signbit(d), np.signbit(ref))
+            assert flat == (not np.any(plus) and not np.any(minus))
+            on_face += bool(face.any())
+            interior += 2.0 * delta <= _room(base, box)
+        assert on_face >= 50 and interior >= 50
 
     def test_endpoint_beats_clipped_alternatives(self):
         # the returned endpoint maximizes the polynomial among both paths
