@@ -184,9 +184,14 @@ def data_profile(traces: list, tau: float, f_l_table: dict) -> DataProfile:
     """Solved-fraction profile of the traces at tolerance ``tau``.
 
     ``f_l_table`` must provide a reference value for every traced problem.
+    Each problem is counted once: two traces of one problem name raise
+    ``ValueError``.
     """
     solve_kappas = {}
     for trace in traces:
+        if trace.problem_name in solve_kappas:
+            raise ValueError(f"problem {trace.problem_name!r} has more than one trace; "
+                             "a data profile counts each problem once")
         try:
             f_l = f_l_table[trace.problem_name]
         except KeyError:

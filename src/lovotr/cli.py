@@ -158,9 +158,12 @@ def _cmd_bench_profile(args) -> int:
             raise SystemExit(f"reference-value file {args.f_l}: expected a JSON object "
                              "mapping problem names to finite numbers")
     f_l_table = bench.default_f_l(traces, overrides)
+    try:
+        profiles = [bench.data_profile(traces, tau, f_l_table) for tau in args.tau]
+    except ValueError as exc:  # one problem traced twice
+        raise SystemExit(f"{args.traces}: {exc}") from None
     _make_out_dir(args.out)
-    for tau in args.tau:
-        profile = bench.data_profile(traces, tau, f_l_table)
+    for tau, profile in zip(args.tau, profiles):
         stem = os.path.join(args.out, f"profile_tau{tau:g}")
         bench.emit(profile, stem + ".csv")
         if args.svg:

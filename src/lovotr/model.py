@@ -17,9 +17,9 @@ loads by itself: the package import of ``scipy.linalg`` loads some 300
 modules this package never calls and would take most of the time of
 ``import lovotr``.  The build rejects the system when its Frobenius condition
 number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
-``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.  The
-inverse is recomputed from scratch whenever a point moves; incremental
-updates are left as future work.
+``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.  That
+condition number is kept with the inverse.  The inverse is recomputed from
+scratch whenever a point moves; incremental updates are left as future work.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ class SampleSet:
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
         self._basis = None  # inverse of the interpolation matrix
+        self._cond = None  # its Frobenius condition number, kept with it
 
     @property
     def n(self) -> int:
@@ -127,7 +128,7 @@ class SampleSet:
         """Invalidate the cached factorization after a point moved.
 
         The factorization depends on the points only: writing new values
-        (a coincident-point refresh, a change of working component) keeps it.
+        (a change of working component) keeps it.
         """
         self._basis = None
 
@@ -144,8 +145,8 @@ class SampleSet:
         It lies between ``cond_2(M)`` and ``(n+1) cond_2(M)``.  Raises
         ``GeometryError`` as the factorization does.
         """
-        inv = self._factorize()
-        return _frobenius_condition(self.interpolation_matrix(), inv)
+        self._factorize()
+        return self._cond
 
     def _factorize(self) -> np.ndarray:
         """Cached inverse of the interpolation matrix.
@@ -181,7 +182,7 @@ class SampleSet:
                     f"interpolation system is numerically singular (cond={cond:.3e}); "
                     "the sample set needs a geometry-improvement step"
                 )
-            self._basis = inv
+            self._basis, self._cond = inv, cond
         return self._basis
 
     def find_row(self, x) -> int | None:
@@ -208,11 +209,6 @@ def _frobenius_sq(a) -> float:
     return float(flat @ flat)
 
 
-def _frobenius_condition(m, inv) -> float:
-    """``||m||_F ||inv||_F``: NaN or inf when ``inv`` is."""
-    return math.sqrt(_frobenius_sq(m) * _frobenius_sq(inv))
-
-
 def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) -> SampleSet:
     """Build the starting sample around ``x0`` with coordinate steps of size ``delta0``.
 
@@ -232,10 +228,11 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
     for j in range(n):
         step = delta0
         if x0[j] + step > upper[j] and x0[j] - step < lower[j]:
-            step = 0.5 * (upper[j] - lower[j])
+            width = upper[j] - lower[j]
+            step = 0.5 * width
             warnings.warn(
-                f"box is thinner than {delta0} in coordinate {j}; "
-                f"shrinking the initial offset to {step}",
+                f"x0 has less than {delta0} of room on either side in coordinate "
+                f"{j} (box width {width}); shrinking the initial offset to {step}",
                 stacklevel=2,
             )
         if x0[j] + step <= upper[j]:
@@ -346,15 +343,14 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float):
     move the base: repairs maintain the sample around the current iterate,
     they do not relocate it.  The replacement is refused when the candidate's
     Lagrange weight at the outgoing row is negligible, since that would make
-    the set singular.
+    the set singular.  ``l_row`` vanishes at the other sample points up to a
+    rounding error of about eps times the condition number, so a copy of one
+    is refused on a well-conditioned sample; a copy of row ``row`` itself
+    (weight 1) is written back with the new value.
     """
     if not 1 <= row < sample.npt:
         raise ValueError(f"cannot replace row {row}")
     x_new = as_vector(x_new, n=sample.n, name="x_new")
-    existing = sample.find_row(x_new)
-    if existing is not None:
-        sample.values[existing] = float(f_new)
-        return
     lag = _lagrange_values_at(sample, x_new)
     if abs(lag[row]) < MIN_LAGRANGE_WEIGHT:
         raise PointRejectedError(

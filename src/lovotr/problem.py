@@ -293,7 +293,7 @@ def choose_imin(values, previous_index: int | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # JSON serialization.  Generated problems carry a generator record and are
-# rebuilt as ``testsets.GENERATORS[kind](params)``; analytic test functions
+# rebuilt as ``testsets.GENERATORS[kind](**params)``; analytic test functions
 # are referenced by registry name inside the generator params.
 
 def problem_to_dict(problem: LovoProblem) -> dict:
@@ -328,8 +328,8 @@ def problem_from_dict(doc: dict) -> LovoProblem:
     if not (isinstance(kind, str) and kind in GENERATORS):
         raise ValueError(f"unknown generator kind {kind!r}")
     try:
-        problem = GENERATORS[kind](gen["params"])
-    except (KeyError, TypeError) as exc:
+        problem = GENERATORS[kind](**gen["params"])
+    except TypeError as exc:
         raise ValueError(f"bad params for generator kind {kind!r}: "
                          f"{type(exc).__name__}: {exc}") from None
     for key, got, expect in (

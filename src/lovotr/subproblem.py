@@ -8,20 +8,19 @@ tracing the piecewise-linear projected-gradient path
 
 Each coordinate moves linearly until it reaches its bound (its breakpoint) and
 is pinned there; the trace stops at the first ``t`` where ``||d(t)|| = Delta``
-or where every descending coordinate is pinned, whichever comes first.  The
-first segment, up to the earliest breakpoint, is closed-form: when the ball is
-met there the step is ``-t g`` at the root ``t`` the segment loop would
-compute, and the loop over the sorted breakpoints runs only when a bound is
-met first.  When the ball of radius ``2 Delta`` around the base lies inside
-the box, no bound can be met before the ball, and the breakpoints and the
-feasibility clamp are skipped: the rounded gap to every face exceeds the
-first-segment step with a margin, so the breakpoint pass would take the same
-first-segment step and the clamp would leave it unchanged, bit for bit.  A
-path whose ``||g||^2`` overflows or underflows is traced along ``g`` scaled
-by a power of two, which moves every breakpoint but not the path.  The path
-has at most n breakpoints, so the cost is O(n log n), and no iterative scheme
-is required.  The same path construction, run along both signs of a Lagrange
-polynomial's gradient, yields the geometry-improvement step.
+or where every descending coordinate is pinned, whichever comes first.  A loop
+over the sorted breakpoints traces it one segment at a time, the first segment
+included.  The one shortcut is the interior ball: when the ball of radius
+``2 Delta`` around the base lies inside the box, no bound can be met before
+the ball, and the breakpoints and the feasibility clamp are skipped: the
+rounded gap to every face exceeds the first-segment step with a margin, so the
+loop would take the same first-segment step and the clamp would leave it
+unchanged, bit for bit.  A path whose ``||g||^2`` overflows or underflows is
+traced along ``g`` scaled by a power of two, which moves every breakpoint but
+not the path.  The path has at most n breakpoints, so the cost is
+O(n log n), and no iterative scheme is required.  The same path construction,
+run along both signs of a Lagrange polynomial's gradient, yields the
+geometry-improvement step.
 """
 
 from __future__ import annotations
@@ -70,46 +69,42 @@ def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray
         room = _room(base, box)
 
     if 2.0 * radius <= room and s < math.inf and rr >= _TINY:
-        # Interior ball, bit for bit what the breakpoint pass below returns.
+        # Interior ball, bit for bit what the segment loop below returns.
         # A finite s means that a is a finite normal float and nothing
         # overflowed; with radius^2 normal, s ||direction|| <= sqrt(2) radius
         # (1 + O(n eps)), the sqrt(2) covering a subnormal 4 a radius^2 (a
         # subnormal radius^2 rounds twice, and reached 1.9 radius).  So a
         # moving coordinate j, whose gap g_j to its bound is at least
-        # room >= 2 radius, has s |direction_j| < g_j.  Its breakpoint below
-        # is fl(g_j / |direction_j|) (lower - base is -(base - lower)
+        # room >= 2 radius, has s |direction_j| < g_j.  Its breakpoint in the
+        # loop is fl(g_j / |direction_j|) (lower - base is -(base - lower)
         # exactly), so by monotone rounding the earliest breakpoint is
-        # positive and at least s: the pass takes d = s * direction.  As
-        # |d_j| < g_j by a margin, fl(base + d) lies in the box, and the
-        # guard clamp leaves it unchanged.
+        # positive and at least s: the loop's first segment ends at
+        # d = s * direction.  As |d_j| < g_j by a margin, fl(base + d) lies
+        # in the box, and the guard clamp leaves it unchanged.
         d = (base + s * direction) - base
     else:
-        # Breakpoint of each coordinate: the t at which it reaches its bound.
-        # Fixed coordinates get NaN, which sorts after every moving one, even
-        # one whose breakpoint overflowed to inf.
-        t_break = np.empty(base.size)
-        t_break.fill(math.nan)
-        np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
-                  direction, out=t_break, where=direction != 0.0)
-        # First segment in closed form: d(t) = t * direction up to the
-        # earliest breakpoint, where s is exactly the loop's root.
-        t_first = np.fmin.reduce(t_break)  # NaN only when nothing moves
-        if 0.0 < t_first and s <= t_first:
-            d = s * direction
-        else:
-            d = _trace_segments(base, direction, box, radius, t_break)
+        d = _trace_segments(base, direction, box, radius)
         # Roundoff guard: the endpoint must be feasible.
         d = np.minimum(np.maximum(base + d, box.lower), box.upper) - base
 
-    # Roundoff guard: the endpoint must lie inside the ball.
-    norm = math.sqrt(d @ d)
+    # Roundoff guard: the endpoint must lie inside the ball.  A step whose
+    # ||d||^2 overflows takes its norm without squaring.
+    sq = d @ d
+    norm = math.sqrt(sq) if sq < math.inf else math.hypot(*d.tolist())
     if norm > radius:
         d *= radius / norm
     return d
 
 
-def _trace_segments(base, direction, box, radius, t_break) -> np.ndarray:
-    """The path trace segment by segment, pinning one coordinate per breakpoint."""
+def _trace_segments(base, direction, box, radius) -> np.ndarray:
+    """The path trace segment by segment, from breakpoints it computes itself."""
+    # Breakpoint of each coordinate: the t at which it reaches its bound.
+    # Fixed coordinates get NaN, which sorts after every moving one, even one
+    # whose breakpoint overflowed to inf.
+    t_break = np.empty(base.size)
+    t_break.fill(math.nan)
+    np.divide(np.where(direction > 0.0, box.upper, box.lower) - base,
+              direction, out=t_break, where=direction != 0.0)
     d = np.zeros(base.size)
     v = direction.copy()  # velocity; a coordinate's entry is zeroed when it pins
     t_cur = 0.0
@@ -147,8 +142,6 @@ def trsbox_linear(model: LinearModel, box, Delta: float) -> np.ndarray:
     """
     if Delta <= 0:
         raise ValueError("Delta must be positive")
-    if not np.logical_or.reduce(model.g):  # np.any without its Python wrapper
-        return np.zeros_like(model.g)
     return _trace_projected_path(model.base, -model.g, box, Delta)
 
 

@@ -170,11 +170,6 @@ def gen_qd(n: int, r: int, seed: int, count: int) -> list:
     return [qd_instance(n, r, seed, k).to_problem() for k in range(count)]
 
 
-def _qd_factory(params: dict) -> LovoProblem:
-    return qd_instance(params["n"], params["r"], params["seed"],
-                       params["ordinal"]).to_problem()
-
-
 # ---------------------------------------------------------------------------
 # HS: bound-constrained catalog objectives and their combinations.
 #
@@ -311,10 +306,6 @@ def gen_hs(catalog: dict, combo: list) -> LovoProblem:
         x0=0.5 * (lower + upper),
         generator={"kind": "hs", "params": {"combo": list(combo)}},
     )
-
-
-def _hs_factory(params: dict) -> LovoProblem:
-    return gen_hs(HS_CATALOG, params["combo"])
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +508,9 @@ def gen_mw(function_id: str, n: int, r: int, start_scale: float = 1.0) -> LovoPr
     )
 
 
-def _mw_factory(params: dict) -> LovoProblem:
-    return gen_mw(params["function_id"], params["n"], params["r"],
-                  params.get("start_scale", 1.0))
-
-
-GENERATORS = {"qd": _qd_factory, "hs": _hs_factory, "mw": _mw_factory}
+# A problem document's generator params are the keyword arguments of its kind.
+GENERATORS = {
+    "qd": lambda **params: qd_instance(**params).to_problem(),
+    "hs": lambda **params: gen_hs(HS_CATALOG, **params),
+    "mw": gen_mw,
+}

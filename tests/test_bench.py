@@ -117,6 +117,14 @@ class TestDataProfile:
         profile = data_profile([t], 0.5, {"p": 0.0})
         assert profile.solve_kappas["p"] == pytest.approx(2.0)
 
+    def test_repeated_problem_is_an_error(self):
+        # one run solves p and one does not; a profile counts each problem once
+        solved = trace(samples=[(2, 10.0), (8, 0.0)])
+        unsolved = trace(samples=[(2, 10.0)])
+        for traces in ([solved, unsolved], [unsolved, solved]):
+            with pytest.raises(ValueError, match="'p' has more than one trace"):
+                data_profile(traces, 0.1, {"p": 0.0})
+
     def test_missing_reference_is_an_error(self):
         t = trace(samples=[(2, 1.0)])
         with pytest.raises(ValueError):

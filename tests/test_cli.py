@@ -172,7 +172,8 @@ TRACE_ROW_FAULTS = {
                                    "short-row", "bad-int", *TRACE_ROW_FAULTS,
                                    "missing-f-l",
                                    "f-l-list", "f-l-string", "f-l-nan",
-                                   "out-is-file", *MANIFEST_FAULTS])
+                                   "out-is-file", "repeated-problem",
+                                   *MANIFEST_FAULTS])
 def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     traces = tmp_path / "traces"
     args = ["bench", "profile", "--traces", str(traces),
@@ -219,6 +220,10 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     elif fault == "out-is-file":
         named = tmp_path / "profiles"
         named.write_text("")
+    elif fault == "repeated-problem":
+        # a second run of problem p0, never solved, under another file name
+        (traces / "p0-again.json").write_text((traces / "p0.json").read_text())
+        (traces / "p0-again.csv").write_text("t,f_best\n1,10.0\n")
     with pytest.raises(SystemExit) as exc:
         main(args)
     message = str(exc.value)
@@ -227,6 +232,8 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
         assert "line 4" in message
     if fault in MANIFEST_FAULTS:
         assert repr(MANIFEST_FAULTS[fault][0]) in message
+    if fault == "repeated-problem":
+        assert "'p0'" in message
     if fault == "out-is-file":
         assert "--out" in message and named.is_file()
     else:

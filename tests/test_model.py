@@ -67,6 +67,15 @@ class TestInitialSample:
             s = initial_sample(problem, [0.2], 2.0, EvalLedger(1), 1)
         assert np.array_equal(s.points, [[0.2], [0.7]])
 
+    def test_thin_box_warning_states_the_room_and_width(self):
+        # the box is wider than the offset, but x0 sits too near its middle
+        problem = quad_problem(2, lower=2.0, upper=3.5)
+        with pytest.warns(UserWarning) as caught:
+            initial_sample(problem, [2.75, 2.75], 1.0, EvalLedger(1), 1)
+        assert [str(w.message) for w in caught] == [
+            f"x0 has less than 1.0 of room on either side in coordinate {j} "
+            "(box width 1.5); shrinking the initial offset to 0.75" for j in (0, 1)]
+
     def test_evaluation_accounting(self):
         problem = quad_problem(3)
         calls = count_calls(problem)
@@ -167,6 +176,16 @@ class TestFactorization:
         assert np.all(np.isfinite(s.interpolation_matrix()))
         with pytest.raises(GeometryError, match="singular"):
             s._factorize()
+
+    def test_condition_estimate_follows_the_points(self):
+        s = sample_from([[0, 0], [1, 0], [0, 1]], [1, 2, 3])
+        for row, point in ((2, [0, 1e-3]), (1, [2, 0]), (2, [0, 1])):
+            before = s.condition_estimate()
+            replace_point(s, row, point, 0.0)
+            m = s.interpolation_matrix()
+            cond = np.linalg.norm(m) * np.linalg.norm(self.scipy_inverse(m))
+            assert s.condition_estimate() == pytest.approx(cond, rel=1e-12)
+            assert s.condition_estimate() != before
 
     def test_condition_limit_is_sharp(self):
         # the Frobenius condition number of [[0, 0], [1, 0], [0, h]] is nearly
@@ -528,6 +547,32 @@ class TestReplacePoint:
         assert np.array_equal(s.points[0], [0.0])
         assert np.array_equal(s.points[1], [0.5])
         assert s.values[1] == 0.25
+
+    def test_copy_of_another_row_is_rejected(self, rng):
+        # l_row vanishes at every other sample point, the base included, so a
+        # copy of one is refused and nothing moves
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            base = rng.uniform(-5, 5, n)
+            steps = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], n)
+            s = sample_from(np.vstack([base, base + np.diag(steps)]),
+                            rng.uniform(-1, 1, n + 1))
+            points, values, inv = s.points.copy(), s.values.copy(), s._factorize()
+            for row in range(1, n + 1):
+                for other in range(n + 1):
+                    if other == row:
+                        continue
+                    with pytest.raises(PointRejectedError):
+                        replace_point(s, row, points[other].copy(), -9.0)
+                    assert np.array_equal(s.points, points)
+                    assert np.array_equal(s.values, values)
+                    assert s._factorize() is inv
+
+    def test_copy_of_the_target_row_is_written_back(self):
+        s = sample_from([[0, 0], [1, 0], [0, 1]], [1, 2, 3])
+        replace_point(s, 2, [0, 1], 7.0)
+        assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
+        assert np.array_equal(s.values, [1, 2, 7])
 
     def test_promote_to_base_swaps_rows(self):
         s = sample_from([[0], [1]], [1, 2])

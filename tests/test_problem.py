@@ -433,6 +433,13 @@ class TestSerialization:
                     clone, ledger_b, i, x
                 )
 
+    def test_unknown_params_key_is_refused(self):
+        # a document's params are the generator's keyword arguments
+        doc = problem_to_dict(gen_qd(3, 2, seed=11, count=1)[0])
+        doc["generator"]["params"]["scale"] = 2.0
+        with pytest.raises(ValueError, match="bad params for generator kind 'qd'.*'scale'"):
+            problem_from_dict(doc)
+
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             problem_from_dict({"name": "x", "n": 1, "r": 1, "lower": [0],

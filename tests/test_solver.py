@@ -497,7 +497,7 @@ class TestSolve:
         assert result.f_final == np.sum((result.x_final - 3.3) ** 2)
         assert problem.box.contains(result.x_final)
 
-    @pytest.mark.filterwarnings("ignore:box is thinner")
+    @pytest.mark.filterwarnings("ignore:x0 has less than")
     @pytest.mark.parametrize("cause", ["initial", "repeat", "recovery"])
     def test_geometry_failure_is_named(self, monkeypatch, cause):
         import lovotr.solver as solver_module
@@ -713,7 +713,7 @@ def small_lovo_problems(draw):
 
 
 class TestInvariants:
-    @pytest.mark.filterwarnings("ignore:box is thinner")
+    @pytest.mark.filterwarnings("ignore:x0 has less than")
     @given(small_lovo_problems(), st.none() | st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
     def test_every_iteration_keeps_the_loop_invariants(self, case, nan_at):

@@ -79,6 +79,8 @@ def reference_trace(base, direction, box, radius):
         t_cur = t_next
     d = np.clip(base + d, box.lower, box.upper) - base
     norm = float(np.linalg.norm(d))
+    if norm == math.inf:  # the norm squares d, and ||d||^2 overflowed
+        norm = math.hypot(*d)
     if norm > radius:
         d *= radius / norm
     return d
@@ -105,6 +107,15 @@ class TestTrsbox:
         box = FeasibleBox([0], [1])
         assert np.array_equal(trsbox_linear(model([0.5], [0.0]), box, 1.0), [0.0])
 
+    def test_signed_zero_gradient_gives_positive_zeros(self):
+        # -g is (-0.0, 0.0); both the interior ball and the segment loop
+        # return +0.0 in every coordinate
+        box = FeasibleBox([0, 0], [1, 1])
+        for base, Delta in (([0.5, 0.5], 0.1), ([0.5, 0.5], 1.0), ([0.0, 1.0], 0.1)):
+            d = trsbox_linear(model(base, [0.0, -0.0]), box, Delta)
+            assert np.array_equal(d, [0.0, 0.0])
+            assert not np.any(np.signbit(d))
+
     def test_trace_matches_plain_reference(self, rng):
         def assert_same(base, direction, box, radius, room=None):
             got = _trace_projected_path(base, direction, box, radius, room)
@@ -113,7 +124,8 @@ class TestTrsbox:
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
         def first_segment(base, direction, box, radius):
-            # (s, t_first) of the trace's closed-form first segment
+            # (s, t_first) of the segment loop's first segment: the loop
+            # stops there when s <= t_first
             moving = direction != 0.0
             bound = np.where(direction > 0.0, box.upper, box.lower)
             t_first = float(np.min((bound[moving] - base[moving]) / direction[moving]))
@@ -224,6 +236,19 @@ class TestTrsbox:
             for at in (base, np.array([0.02, 0.97])):  # interior, near two faces
                 d = _trace_projected_path(at, direction, box, 0.1)
                 assert d == pytest.approx(reference_trace(at, unit, box, 0.1), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_ball_guard_takes_an_overflowing_norm(self):
+        # a step longer than about 1.3e154 overflows ||d||^2; the guard must
+        # still scale it onto the ball, not to zero
+        box = FeasibleBox([-1e200, -1e200], [1e200, 1e200])
+        base = np.zeros(2)
+        direction = np.array([1.0, 0.0])
+        d = _trace_projected_path(base, direction, box, 1e160)
+        assert np.array_equal(d, reference_trace(base, direction, box, 1e160))
+        assert d == pytest.approx([1e160, 0.0], rel=1e-12)
+        d = trsbox_linear(model(base, [-1.0, 0.0]), box, 1e160)
+        assert np.array_equal(d, reference_trace(base, direction, box, 1e160))
 
     def test_zero_direction_in_the_interior(self):
         # nothing moves: the first-segment root is NaN, and the step is zero
