@@ -17,9 +17,9 @@ loads by itself: the package import of ``scipy.linalg`` loads some 300
 modules this package never calls and would take most of the time of
 ``import lovotr``.  The build rejects the system when its Frobenius condition
 number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
-``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.  That
-condition number is kept with the inverse.  The inverse is recomputed from
-scratch whenever a point moves; incremental updates are left as future work.
+``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.  The
+inverse is recomputed from scratch whenever a point moves; incremental
+updates are left as future work.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class SampleSet:
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
         self._basis = None  # inverse of the interpolation matrix
-        self._cond = None  # its Frobenius condition number, kept with it
 
     @property
     def n(self) -> int:
@@ -145,8 +144,9 @@ class SampleSet:
         It lies between ``cond_2(M)`` and ``(n+1) cond_2(M)``.  Raises
         ``GeometryError`` as the factorization does.
         """
-        self._factorize()
-        return self._cond
+        inv = self._factorize()
+        m_sq = _frobenius_sq(self.interpolation_matrix())
+        return math.sqrt(m_sq * _frobenius_sq(inv))
 
     def _factorize(self) -> np.ndarray:
         """Cached inverse of the interpolation matrix.
@@ -182,7 +182,7 @@ class SampleSet:
                     f"interpolation system is numerically singular (cond={cond:.3e}); "
                     "the sample set needs a geometry-improvement step"
                 )
-            self._basis, self._cond = inv, cond
+            self._basis = inv
         return self._basis
 
     def find_row(self, x) -> int | None:
@@ -343,14 +343,17 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float):
     move the base: repairs maintain the sample around the current iterate,
     they do not relocate it.  The replacement is refused when the candidate's
     Lagrange weight at the outgoing row is negligible, since that would make
-    the set singular.  ``l_row`` vanishes at the other sample points up to a
-    rounding error of about eps times the condition number, so a copy of one
-    is refused on a well-conditioned sample; a copy of row ``row`` itself
-    (weight 1) is written back with the new value.
+    the set singular.  A copy of another sample point is refused outright:
+    ``l_row`` vanishes there only up to a rounding error of about eps times
+    the condition number, which can pass the weight test.  A copy of row
+    ``row`` itself (weight 1) is written back with the new value.
     """
     if not 1 <= row < sample.npt:
         raise ValueError(f"cannot replace row {row}")
     x_new = as_vector(x_new, n=sample.n, name="x_new")
+    existing = sample.find_row(x_new)
+    if existing is not None and existing != row:
+        raise PointRejectedError(f"candidate repeats sample point {existing}")
     lag = _lagrange_values_at(sample, x_new)
     if abs(lag[row]) < MIN_LAGRANGE_WEIGHT:
         raise PointRejectedError(

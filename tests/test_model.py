@@ -548,15 +548,21 @@ class TestReplacePoint:
         assert np.array_equal(s.points[1], [0.5])
         assert s.values[1] == 0.25
 
-    def test_copy_of_another_row_is_rejected(self, rng):
-        # l_row vanishes at every other sample point, the base included, so a
-        # copy of one is refused and nothing moves
+    @pytest.mark.parametrize("layout", ["stencil", "uniform"])
+    def test_copy_of_another_row_is_rejected(self, rng, layout):
+        # a copy of any other sample point, the base included, is refused and
+        # nothing moves; on uniform samples l_row can exceed the weight
+        # threshold there by rounding, so the weight test alone would let
+        # some copies in
         for _ in range(40):
             n = int(rng.integers(1, 13))
-            base = rng.uniform(-5, 5, n)
-            steps = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], n)
-            s = sample_from(np.vstack([base, base + np.diag(steps)]),
-                            rng.uniform(-1, 1, n + 1))
+            if layout == "stencil":
+                base = rng.uniform(-5, 5, n)
+                steps = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], n)
+                points = np.vstack([base, base + np.diag(steps)])
+            else:
+                points = rng.uniform(-1, 1, (n + 1, n))
+            s = sample_from(points, rng.uniform(-1, 1, n + 1))
             points, values, inv = s.points.copy(), s.values.copy(), s._factorize()
             for row in range(1, n + 1):
                 for other in range(n + 1):
