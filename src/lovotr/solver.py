@@ -36,9 +36,10 @@ default the reduction ratio is estimated from the working component alone (a
 certified underestimate) for up to ``NRHOMAX`` consecutive candidate
 evaluations before a full evaluation is forced.  Sample maintenance is
 single-point exchange: productive trust-region points enter the sample
-directly, anything else triggers one geometry step (``_geometry_step``), which
-resamples the point farthest from the base.  The same step repairs a stale
-sample and replaces a trust-region step too short to evaluate.  Index swaps
+directly.  Every other iteration that evaluates is one geometry iteration
+(``_geometry_iteration``), which resamples the point farthest from the base:
+it repairs a stale sample, replaces a trust-region step too short to evaluate,
+and follows a candidate that did not enter the sample.  Index swaps
 rebuild the sample values for the new component at the unchanged point
 locations (n evaluations; the certifying full evaluation gave the base value).
 The committed iterate is one record, the :class:`LinearModel` in
@@ -277,43 +278,34 @@ def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
     )
 
 
-def _geometry_step(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
-                   stale: bool, dist=None):
-    """Resample one point of the sample within ``delta`` of the base.
+def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
+                        pi: float, stale: bool, dist=None, **candidate) -> StepOutcome:
+    """Geometry-improvement iteration: resample one point within ``delta`` of the base.
 
     The target is the point farthest from the base; ``dist`` passes in the
     sample's distances from the base when the caller has them.  On stale
-    geometry the target is overwritten in place (the base never moves);
-    otherwise the new point goes through the sample exchange.  Returns the
-    geometry step and whether its point entered the sample.
+    geometry the target is overwritten in place (the base never moves) and
+    the radii stay put (repair work carries no evidence about the radii);
+    otherwise the new point goes through the sample exchange and both radii
+    shrink, as there is nothing left to repair at this scale.  A repair that
+    places no point shrinks them too.  ``candidate`` holds the fields of a
+    trust-region candidate evaluated first, if any.  Nothing is committed
+    before the model is rebuilt.
     """
     target = select_target_for_altmov(state.sample, dist)
     d_alt, flat = altmov_linear(state.sample, problem.box, state.delta, target)
-    if flat:
-        return d_alt, False
-    x_alt = problem.box.project(state.sample.base + d_alt)
-    f_alt = eval_component(problem, ledger, state.model.index, x_alt)
-    try:
-        if stale:
-            replace_point(state.sample, target, x_alt, f_alt)
-        else:
-            exchange_point(state.sample, x_alt, f_alt)
-    except PointRejectedError:
-        _log.debug("geometry point rejected by the sample exchange")
-        return d_alt, False
-    return d_alt, True
-
-
-def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
-                        pi: float, stale: bool, dist=None) -> StepOutcome:
-    """Geometry-improvement iteration without a trust-region candidate.
-
-    On stale geometry the farthest point is forcibly replaced and the radii
-    stay put (repair work carries no evidence about the radii); on fresh
-    geometry there is nothing left to repair at this scale, so both radii
-    shrink instead.  Nothing is committed before the model is rebuilt.
-    """
-    d_alt, placed = _geometry_step(state, problem, ledger, stale, dist)
+    placed = False
+    if not flat:
+        x_alt = problem.box.project(state.sample.base + d_alt)
+        f_alt = eval_component(problem, ledger, state.model.index, x_alt)
+        try:
+            if stale:
+                replace_point(state.sample, target, x_alt, f_alt)
+            else:
+                exchange_point(state.sample, x_alt, f_alt)
+            placed = True
+        except PointRejectedError:
+            _log.debug("geometry point rejected by the sample exchange")
     model = build_model(state.sample)
 
     # commit; frozen repairs are gate maintenance, not the "no further
@@ -328,7 +320,8 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLe
         state.repair_streak = 0
         state.consec_alt += 1
     state.consec_crit = 0
-    return _outcome(state, ledger, KIND_ALTMOV, pi, d_alt, radii_frozen=frozen)
+    return _outcome(state, ledger, KIND_ALTMOV, pi, d_alt, radii_frozen=frozen,
+                    **candidate)
 
 
 def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
@@ -390,12 +383,34 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
 
     accepted = rho >= ETA
 
+    # --- sample maintenance: insert the productive trust-region point, or
+    # take a geometry-improvement step within the sample radius instead.
+    row = None  # where the candidate sits in the sample, once inserted
+    if rho > 0.0:
+        try:
+            row = exchange_point(state.sample, x_new, f_insert)
+        except PointRejectedError:
+            if accepted:
+                # A sample set that cannot admit an accepted point needs the
+                # caller's geometry recovery, not a silent reclassification.
+                raise
+            _log.debug("trust-region point rejected by the sample exchange")
+    if row is None:
+        # Nothing entered, so rho < ETA: the radii shrink by TAU1, Gamma
+        # stays and nothing is adjusted, as on any fresh geometry iteration.
+        outcome = _geometry_iteration(
+            state, problem, ledger, pi, stale=False, rho=rho, rho_hat=rho_hat,
+            rho_defined=True, rho_was_cheap=cheap, full_length=full_length)
+        state.rho_cheap_streak = state.rho_cheap_streak + 1 if cheap else 0
+        state.model_doubted = True
+        return outcome
+
     # The working index can only be rechosen when the active set at the
     # accepted point was certified by a full evaluation; estimated-ratio
     # iterations keep the current index.
     i_next = i
     swapped = False
-    if accepted and rho > 0.0 and values_new is not None:
+    if accepted and values_new is not None:
         i_next = choose_imin(values_new, i)
         swapped = i_next != i
 
@@ -413,25 +428,11 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     else:
         radii_factor = 1.0
 
-    # --- sample maintenance: insert the productive trust-region point, or
-    # take a geometry-improvement step within the sample radius.
-    row = None  # where the candidate sits in the sample, once inserted
-    if rho > 0.0:
-        try:
-            row = exchange_point(state.sample, x_new, f_insert)
-        except PointRejectedError:
-            if accepted:
-                # A sample set that cannot admit an accepted point needs the
-                # caller's geometry recovery, not a silent reclassification.
-                raise
-            _log.debug("trust-region point rejected by the sample exchange")
-    if accepted and row not in (None, 0):
+    if accepted and row != 0:
         # Acceptance makes the candidate the new iterate even when the
         # working component alone did not improve (a certified swap can ride
         # on another component's decrease).
         promote_to_base(state.sample, row)
-    if row is None:
-        d, _ = _geometry_step(state, problem, ledger, stale=False)
 
     # --- model rebuild (certified index swap; the candidate is in row 0, so
     # the full evaluation holds the new base value) or incremental update.
@@ -448,17 +449,13 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     state.Gamma = gamma
     _commit(state, model, box)
     _update_radii(state, radii_factor, radii_factor)
-    if row is None:
-        kind = KIND_ALTMOV
-        state.consec_alt += 1
+    if not accepted:
+        kind = KIND_UNSUCCESSFUL
+    elif rho >= ETA1:
+        kind = KIND_SUCCESSFUL_ADJUSTED if adjusted else KIND_SUCCESSFUL_PLAIN
     else:
-        state.consec_alt = 0
-        if not accepted:
-            kind = KIND_UNSUCCESSFUL
-        elif rho >= ETA1:
-            kind = KIND_SUCCESSFUL_ADJUSTED if adjusted else KIND_SUCCESSFUL_PLAIN
-        else:
-            kind = KIND_ACCEPTABLE_ADJUSTED if adjusted else KIND_ACCEPTABLE_PLAIN
+        kind = KIND_ACCEPTABLE_ADJUSTED if adjusted else KIND_ACCEPTABLE_PLAIN
+    state.consec_alt = 0
     state.consec_crit = 0
     return _outcome(state, ledger, kind, pi, d, rho=rho, rho_hat=rho_hat,
                     rho_defined=True, rho_was_cheap=cheap, index_swapped=swapped,

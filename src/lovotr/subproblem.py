@@ -15,10 +15,12 @@ included.  The one shortcut is the interior ball: when the ball of radius
 the ball, and the breakpoints and the feasibility clamp are skipped: the
 rounded gap to every face exceeds the first-segment step with a margin, so the
 loop would take the same first-segment step and the clamp would leave it
-unchanged, bit for bit.  A path whose ``||g||^2`` overflows or underflows is
-traced along ``g`` scaled by a power of two, which moves every breakpoint but
-not the path.  The path has at most n breakpoints, so the cost is
-O(n log n), and no iterative scheme is required.  The same path construction,
+unchanged, bit for bit.  A path on which ``||g||^2``, ``Delta^2`` or their
+product overflows or underflows is traced from the origin in units of a power
+of two near ``Delta``, with the gaps to the bounds scaled alike, and along
+``g`` scaled by a power of two, which moves every breakpoint but not the path.
+The path has at most n breakpoints, so the cost is O(n log n), and no
+iterative scheme is required.  The same path construction,
 run along both signs of a Lagrange polynomial's gradient, yields the
 geometry-improvement step.
 """
@@ -26,6 +28,7 @@ geometry-improvement step.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,27 +57,38 @@ def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray
     ``_room(base, box)`` when the caller has it.
     """
     a = float(direction @ direction)
-    if not _TINY <= a < math.inf:
-        # ||direction||^2 overflows or underflows.  A positive multiple traces
-        # the same path; a power of two bringing the largest entry into
-        # [0.5, 1) scales every entry exactly, barring underflow of entries
-        # far below the largest, whose motion is below rounding anyway.
-        direction = np.ldexp(direction, -np.frexp(np.maximum.reduce(np.abs(direction)))[1])
-        a = float(direction @ direction)
+    rr = radius * radius
+    q = 4.0 * a * rr  # the segment loop's discriminants lie within 2 q
+    if (not (a >= _TINY and rr >= _TINY and _TINY <= q and 2.0 * q < math.inf)
+            and 0.0 < radius < math.inf and np.isfinite(direction).all()
+            and direction.any()):
+        # A square overflows or underflows.  The path depends on base and box
+        # only through the gaps to the bounds, and on direction only up to a
+        # positive factor, so trace it from the origin in units of 2^e, with
+        # e from frexp(radius), along direction scaled by the power of two
+        # that brings its largest entry into [0.5, 1): radius is then in
+        # [0.5, 1) and a in [0.25, n).  Every scaling is exact barring
+        # underflow of entries far below the largest, whose motion is below
+        # rounding anyway, and a gap that overflows lies beyond any step.
+        e = math.frexp(radius)[1]
+        with np.errstate(over="ignore"):
+            gaps = SimpleNamespace(lower=np.ldexp(box.lower - base, -e),
+                                   upper=np.ldexp(box.upper - base, -e))
+        unit = np.ldexp(direction, -np.frexp(np.maximum.reduce(np.abs(direction)))[1])
+        d = _trace_projected_path(np.zeros(base.size), unit, gaps, math.ldexp(radius, -e))
+        d = np.minimum(np.maximum(base + np.ldexp(d, e), box.lower), box.upper) - base
+        return _into_ball(d, radius)
     # First-segment root of ||t * direction|| = radius in the segment loop's
     # own arithmetic; NaN when nothing moves (or an entry is NaN or inf).
-    rr = radius * radius
-    s = math.sqrt(4.0 * a * rr) / (2.0 * a) if a > 0.0 else math.nan
+    s = math.sqrt(q) / (2.0 * a) if a > 0.0 else math.nan
     if room is None:
         room = _room(base, box)
 
-    if 2.0 * radius <= room and s < math.inf and rr >= _TINY:
+    if 2.0 * radius <= room and s < math.inf:
         # Interior ball, bit for bit what the segment loop below returns.
-        # A finite s means that a is a finite normal float and nothing
-        # overflowed; with radius^2 normal, s ||direction|| <= sqrt(2) radius
-        # (1 + O(n eps)), the sqrt(2) covering a subnormal 4 a radius^2 (a
-        # subnormal radius^2 rounds twice, and reached 1.9 radius).  So a
-        # moving coordinate j, whose gap g_j to its bound is at least
+        # A finite s and a positive radius mean that a, radius^2 and q are
+        # normal floats here, so s ||direction|| <= radius (1 + O(n eps)).
+        # So a moving coordinate j, whose gap g_j to its bound is at least
         # room >= 2 radius, has s |direction_j| < g_j.  Its breakpoint in the
         # loop is fl(g_j / |direction_j|) (lower - base is -(base - lower)
         # exactly), so by monotone rounding the earliest breakpoint is
@@ -87,8 +101,14 @@ def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray
         # Roundoff guard: the endpoint must be feasible.
         d = np.minimum(np.maximum(base + d, box.lower), box.upper) - base
 
-    # Roundoff guard: the endpoint must lie inside the ball.  A step whose
-    # ||d||^2 overflows takes its norm without squaring.
+    return _into_ball(d, radius)
+
+
+def _into_ball(d, radius) -> np.ndarray:
+    """Roundoff guard: ``d`` scaled onto the ball when it ends outside it.
+
+    A step whose ``||d||^2`` overflows takes its norm without squaring.
+    """
     sq = d @ d
     norm = math.sqrt(sq) if sq < math.inf else math.hypot(*d.tolist())
     if norm > radius:
@@ -162,10 +182,12 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
 
     The affine Lagrange polynomial of the replacement target is pushed along
     both signed projected-gradient paths (the same construction as the
-    trust-region step) and the better endpoint is returned; this is exact when
-    the box is inactive and a two-endpoint heuristic once it clips.  Ties go to
-    the positive direction.  The polynomial's constant term and gradient are
-    column ``target_index`` of the sample's cached inverse.
+    trust-region step) and the better endpoint is returned.  The step is exact,
+    clipped by the box or not: ``l_target`` is affine, so over the convex set
+    box-and-ball its range is an interval; each trace attains one end of it,
+    as ``trsbox_linear`` does, and the better end maximizes ``|l_target|``.
+    Ties go to the positive direction.  The polynomial's constant term and
+    gradient are column ``target_index`` of the sample's cached inverse.
 
     Returns ``(d, flat)``; ``flat`` signals that both paths were clipped to
     zero length, so the sample cannot be improved within this radius.

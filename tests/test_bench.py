@@ -80,6 +80,29 @@ class TestRunCampaign:
         assert traces[0].status.startswith("error:OracleError: ")
         assert "component 1 returned non-finite value nan" in traces[0].status
 
+    def test_raising_oracle_keeps_the_trace(self):
+        # an exception that is not an OracleError leaves solve; the campaign
+        # keeps the certified trace so far and has no final point
+        calls = [0]
+
+        def brittle(x):
+            calls[0] += 1
+            if calls[0] > 5:
+                raise TypeError("oracle broke")
+            return float((x[0] - 3.0) ** 2)
+
+        bad = LovoProblem(
+            "brittle", [ComponentOracle(1, brittle)], FeasibleBox([0], [10]), [5]
+        )
+        ok = gen_qd(2, 1, seed=8, count=1)[0]
+        traces = run_campaign([bad, ok], SolverConfig())
+        broken = next(t for t in traces if t.problem_name == "brittle")
+        assert broken.status == "error:TypeError: oracle broke"
+        assert broken.samples and broken.f_x0 == broken.samples[0][1] == 4.0
+        assert broken.x_final is None and broken.i_final is None
+        other = next(t for t in traces if t.problem_name != "brittle")
+        assert not other.status.startswith("error:") and other.x_final is not None
+
     def test_fmin_and_component_rules_coincide_for_single_component(self):
         problems = gen_qd(3, 1, seed=8, count=2)
         a = run_campaign(problems, SolverConfig(), budget_rule="component")

@@ -4,9 +4,11 @@ A small fixed set is solved under both ``use_cheap_rho`` values at a budget of
 1500, and every iteration is hashed with the fields perfbench's behaviour
 digest reads: kind, rho, both radii (as float hex), working index, evaluation
 count, and the final value.  The set covers criticality iterations and
-``success``, ``stalled`` and ``budget_exhausted`` runs, and at least one
-rebuild of a singular sample (``_recover_geometry``).  A change that is meant
-to move the numbers updates ``GOLDEN_SHA256`` and says so.
+``success``, ``stalled`` and ``budget_exhausted`` runs, at least one rebuild
+of a singular sample (``_recover_geometry``), and geometry iterations after an
+evaluated trust-region candidate that did not enter the sample (``altmov``
+with ``rho_defined``).  A change that is meant to move the numbers updates
+``GOLDEN_SHA256`` and says so.
 """
 
 import hashlib
@@ -38,6 +40,7 @@ def test_histories_match_the_golden_digest(monkeypatch):
     monkeypatch.setattr(lovotr.solver, "_recover_geometry", counted_recover)
     digest = hashlib.sha256()
     statuses, kinds = set(), set()
+    after_candidate = 0
     for problem in golden_problems():
         for use_cheap_rho in (True, False):
             result = solve(problem, SolverConfig(budget=1500,
@@ -50,7 +53,10 @@ def test_histories_match_the_golden_digest(monkeypatch):
             digest.update(float(result.f_final).hex().encode())
             statuses.add(result.status)
             kinds.update(o.kind for o in result.history)
+            after_candidate += sum(o.kind == "altmov" and o.rho_defined
+                                   for o in result.history)
     assert statuses == {"success", "stalled", "budget_exhausted"}
     assert "criticality" in kinds
+    assert after_candidate > 0
     assert recoveries  # the set rebuilds at least one singular sample
     assert digest.hexdigest() == GOLDEN_SHA256

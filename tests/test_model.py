@@ -574,6 +574,17 @@ class TestReplacePoint:
                     assert np.array_equal(s.values, values)
                     assert s._factorize() is inv
 
+    def test_zero_weight_at_the_target_is_rejected(self):
+        # (0, 0.5) lies on the line through the other two points, where
+        # l_1 = x_1 vanishes: it cannot replace point 1, and nothing moves
+        s = sample_from([[0, 0], [1, 0], [0, 1]], [1, 2, 3])
+        inv = s._factorize()
+        with pytest.raises(PointRejectedError, match="without degeneracy"):
+            replace_point(s, 1, [0, 0.5], 5.0)
+        assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
+        assert np.array_equal(s.values, [1, 2, 3])
+        assert s._factorize() is inv
+
     def test_copy_of_the_target_row_is_written_back(self):
         s = sample_from([[0, 0], [1, 0], [0, 1]], [1, 2, 3])
         replace_point(s, 2, [0, 1], 7.0)

@@ -16,7 +16,7 @@ from conftest import (
     central_diff_gradient,
     count_calls,
 )
-from lovotr.errors import BudgetExceededError, GeometryError
+from lovotr.errors import BudgetExceededError, GeometryError, PointRejectedError
 from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
@@ -183,6 +183,45 @@ class TestIterationPhases:
         # the rejected candidate falls back to one geometry step
         assert outcome.kind == "altmov" and outcome.rho_defined
         assert ledger.total_component_evals - before == 2
+
+    @staticmethod
+    def refusing_exchange(v):
+        """Step (2, 0) to (7, 5) lands on f1 = 1, where the exchange refuses it.
+
+        The sample (5,5), (6,5), (5,6) holds f1's minimum at (6,5), and the
+        candidate's Lagrange weight is zero at row 2, so no row is
+        admissible.  f2 takes the value ``v`` there, which sets the ratio.
+        """
+        comps = [
+            ComponentOracle(1, lambda x: float((x[0] - 6.0) ** 2)),
+            ComponentOracle(2, lambda x: float(v) if x[0] >= 6.99 else 20.0),
+        ]
+        problem = LovoProblem("refused", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
+        ledger = EvalLedger(problem.r)
+        sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
+        return problem, committed_state(sample, problem.box, 1.0, 2.0), ledger
+
+    def test_refused_candidate_takes_a_geometry_step(self):
+        problem, state, ledger = self.refusing_exchange(0.99)
+        before = ledger.total_component_evals
+        outcome = iterate(state, problem, SolverConfig(use_cheap_rho=False), ledger)
+        assert outcome.kind == "altmov" and outcome.rho_defined
+        assert outcome.rho == pytest.approx(0.005) and outcome.rho < ETA
+        assert not outcome.radii_frozen and not outcome.adjusted
+        assert (state.delta, state.Delta) == (1.0 * TAU1, 2.0 * TAU1)
+        assert state.model_doubted and state.rho_cheap_streak == 0
+        # the full evaluation at the candidate, then one geometry evaluation
+        assert ledger.total_component_evals - before == 2 + 1
+        assert np.array_equal(state.model.base, [5.0, 5.0])
+
+    def test_refused_accepted_candidate_raises(self):
+        problem, state, ledger = self.refusing_exchange(0.0)
+        model, pi = state.model, state.pi
+        radii = (state.delta, state.Delta, state.Gamma)
+        with pytest.raises(PointRejectedError):
+            iterate(state, problem, SolverConfig(use_cheap_rho=False), ledger)
+        assert state.model is model and state.pi == pi
+        assert (state.delta, state.Delta, state.Gamma) == radii
 
     def test_stale_sample_is_repaired_with_frozen_radii(self):
         # after a poor ratio, a sample point beyond 2 * Delta is replaced
@@ -475,6 +514,44 @@ class TestSolve:
         result = solve(problem, SolverConfig(budget=5), ledger=ledger)
         assert result.status == "budget_exhausted"
         assert ledger.total_component_evals <= 5 + problem.r - 1
+
+    def test_flat_geometry_step_evaluates_nothing(self, monkeypatch):
+        # near 1e9 the floor radius 1e-8 is below the rounding of x, so a
+        # geometry step rounds to the base on both signed paths: it is flat,
+        # costs no evaluation and shrinks both radii
+        import lovotr.solver as solver_module
+
+        flat_at = []
+        altmov = solver_module.altmov_linear
+
+        def recorded(*args):
+            d, flat = altmov(*args)
+            flat_at.append(flat)
+            return d, flat
+
+        monkeypatch.setattr(solver_module, "altmov_linear", recorded)
+        far = 1e9
+        comps = [
+            ComponentOracle(1, lambda x: float(np.sum((x - far) ** 2))),
+            ComponentOracle(2, lambda x: float(np.sum((x - [far + 2, far - 2]) ** 2))),
+        ]
+        problem = LovoProblem("far", comps, FeasibleBox([far - 5] * 2, [far + 5] * 2),
+                              [far + 1] * 2)
+        flat_steps = []
+
+        def watch(k, outcome, ledger):
+            if flat_at and flat_at[-1]:
+                flat_steps.append(outcome)
+            flat_at.clear()
+
+        result = solve(problem, SolverConfig(budget=5000), callback=watch)
+        assert result.status in (STATUS_SUCCESS, STATUS_STALLED)
+        assert flat_steps
+        evals = {o.k: o.evals_total for o in result.history}
+        for o in flat_steps:
+            assert o.kind == "altmov" and not o.radii_frozen and not np.any(o.d)
+            if not o.rho_defined:  # no trust-region candidate was evaluated first
+                assert o.evals_total == evals.get(o.k - 1, o.evals_total)
 
     def test_oracle_failure_ends_in_oracle_error(self):
         calls = [0]

@@ -86,6 +86,27 @@ def reference_trace(base, direction, box, radius):
     return d
 
 
+def max_linear_2d(u, lo, hi, r):
+    """Brute-force maximum of ``u . d`` over the box [lo, hi] cut by the ball ``||d|| <= r``.
+
+    A linear function on this convex set peaks at a vertex of its boundary:
+    a box corner inside the ball, a crossing of a box edge with the circle,
+    or the circle's point along ``u``.  Every candidate is tried.
+    """
+    cands = [np.array([x, y]) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+    cands.append(r * u / math.hypot(*u))
+    for j in range(2):
+        for b in (lo[j], hi[j]):
+            if abs(b) <= r:
+                h = math.sqrt(r * r - b * b)
+                for t in (h, -h):
+                    p = np.empty(2)
+                    p[j], p[1 - j] = b, t
+                    cands.append(p)
+    return max(float(u @ p) for p in cands
+               if np.all(p >= lo) and np.all(p <= hi) and p @ p <= r * r * (1 + 1e-15))
+
+
 class TestTrsbox:
     def test_ball_binds_in_the_interior(self):
         box = FeasibleBox([0, 0], [10, 10])
@@ -238,17 +259,49 @@ class TestTrsbox:
                 assert d == pytest.approx(reference_trace(at, unit, box, 0.1), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_ball_guard_takes_an_overflowing_norm(self):
-        # a step longer than about 1.3e154 overflows ||d||^2; the guard must
-        # still scale it onto the ball, not to zero
+    def test_ball_guard_takes_an_overflowing_norm(self, monkeypatch):
+        # at the largest radius whose square is finite, a step rounded just
+        # past the ball overflows ||d||^2; the guard must still scale it onto
+        # the ball, not to zero
+        hypot_calls = []
+        hypot = math.hypot
+        monkeypatch.setattr(math, "hypot", lambda *v: hypot_calls.append(v) or hypot(*v))
         box = FeasibleBox([-1e200, -1e200], [1e200, 1e200])
         base = np.zeros(2)
-        direction = np.array([1.0, 0.0])
-        d = _trace_projected_path(base, direction, box, 1e160)
-        assert np.array_equal(d, reference_trace(base, direction, box, 1e160))
-        assert d == pytest.approx([1e160, 0.0], rel=1e-12)
-        d = trsbox_linear(model(base, [-1.0, 0.0]), box, 1e160)
-        assert np.array_equal(d, reference_trace(base, direction, box, 1e160))
+        direction = np.array([1e-4, 1e-4])
+        radius = 1.3407807929942596e154
+        assert radius * radius < math.inf
+        d = _trace_projected_path(base, direction, box, radius)
+        assert hypot_calls
+        assert np.array_equal(d, reference_trace(base, direction, box, radius))
+        assert d == pytest.approx([radius / math.sqrt(2.0)] * 2, rel=1e-12)
+        d = trsbox_linear(model(base, -direction), box, radius)
+        assert np.array_equal(d, reference_trace(base, direction, box, radius))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_squared_radius_out_of_range(self):
+        # radius^2, or the scale 4 ||direction||^2 radius^2 of the segment
+        # loop's discriminant, overflows or underflows; the path is traced in
+        # units of a power of two near the radius, so it still meets the ball
+        # on the segment that crosses it
+        box = FeasibleBox([-1e200, -1e200], [1e150, 1e200])
+        d = _trace_projected_path(np.zeros(2), np.array([1.0, 1.0]), box, 1e160)
+        assert d.tolist() == [1e150, 1e160]
+        wide = FeasibleBox([-1e200, -1e200], [1e200, 1e200])
+        d = _trace_projected_path(np.zeros(2), np.array([1.0, 0.0]), wide, 1e160)
+        assert d.tolist() == [1e160, 0.0]
+        d = _trace_projected_path(np.zeros(2), np.array([1e100, 2e100]), wide, 1e60)
+        assert d == pytest.approx(1e60 / math.sqrt(5.0) * np.array([1.0, 2.0]), rel=1e-12)
+        unit = FeasibleBox([-1, -1], [1, 1])
+        d = _trace_projected_path(np.zeros(2), np.array([1e-100, 0.0]), unit, 1e-75)
+        assert d.tolist() == [1e-75, 0.0]
+        for radius in (1e-170, 1e-320):
+            d = _trace_projected_path(np.zeros(2), np.array([1.0, 1.0]), unit, radius)
+            assert d == pytest.approx([radius / math.sqrt(2.0)] * 2,
+                                      rel=1e-12 if radius > 1e-300 else 1e-3)
+        base = np.array([1.0, 0.0])  # on the upper face of coordinate 1
+        d = _trace_projected_path(base, np.array([1.0, 1.0]), unit, 1e-170)
+        assert d.tolist() == [0.0, 1e-170]
 
     def test_zero_direction_in_the_interior(self):
         # nothing moves: the first-segment root is NaN, and the step is zero
@@ -412,6 +465,38 @@ class TestAltmov:
             on_face += bool(face.any())
             interior += 2.0 * delta <= _room(base, box)
         assert on_face >= 50 and interior >= 50
+
+    def test_maximizes_the_weight_over_box_and_ball(self, rng):
+        # the better of the two signed traces is the exact maximizer of
+        # |l_target| over box-and-ball, clipped or not: brute force at n = 2
+        clipped, worst = 0, 0.0
+        while clipped < 270:
+            lower = rng.uniform(-3, 0, 2)
+            upper = lower + rng.uniform(0.2, 4, 2)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(lower, upper)
+            face = rng.random(2) < 0.2
+            base[face] = np.where(rng.random(2) < 0.5, lower, upper)[face]
+            pts = np.vstack([base] + [
+                np.clip(base + rng.normal(0, 1, 2), lower, upper) for _ in range(2)
+            ])
+            s = SampleSet(pts, np.zeros(3), 1)
+            delta = float(10.0 ** rng.uniform(-1, 0.7))
+            if delta <= min(np.min(base - lower), np.min(upper - base)):
+                continue  # the box does not clip the ball
+            target = int(rng.integers(1, 3))
+            try:
+                d, _ = altmov_linear(s, box, delta, target)
+            except GeometryError:
+                continue
+            inv = s._factorize()
+            c, w = float(inv[0, target]), inv[1:, target]
+            lo, hi = lower - base, upper - base
+            best = max(c + max_linear_2d(w, lo, hi, delta),
+                       -c + max_linear_2d(-w, lo, hi, delta))
+            worst = max(worst, (best - abs(c + float(w @ d))) / best)
+            clipped += 1
+        assert worst <= 1e-14
 
     def test_endpoint_beats_clipped_alternatives(self):
         # the returned endpoint maximizes the polynomial among both paths
