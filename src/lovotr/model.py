@@ -17,9 +17,18 @@ loads by itself: the package import of ``scipy.linalg`` loads some 300
 modules this package never calls and would take most of the time of
 ``import lovotr``.  The build rejects the system when its Frobenius condition
 number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
-``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.  The
-inverse is recomputed from scratch whenever a point moves; incremental
-updates are left as future work.
+``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.
+
+The sample set also caches the matrix itself and the base's room to the box,
+the quantities that depend on the base.  A write that leaves the base in place
+(a geometry repair, or an exchange that keeps the base) rewrites one row of
+the matrix, computed by the same ``x - base`` subtraction as a fresh build, so
+the cached matrix always equals a fresh one bit for bit; a base move drops
+both.  The inverse is recomputed from scratch after every point move.  An
+incremental inverse (a rank-one update of the old one) was tried: it changes
+the inverse in the last bits, and those bits moved the iteration histories and
+cost evaluations (3% more on the QD n=10, r=10 campaign, 21% more on the HS/MW
+set), while the factorization it saves is a few microseconds at n <= 12.
 """
 
 from __future__ import annotations
@@ -102,14 +111,18 @@ class SampleSet:
     """
 
     def __init__(self, points, values, model_index):
-        self.points = np.asarray(points, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        # Copies: the caches below follow writes made through this object,
+        # so a caller's later change to its own array must not reach them.
+        self.points = np.array(points, dtype=float)
+        self.values = np.array(values, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] != self.points.shape[1] + 1:
             raise ValueError(f"expected (n+1, n) points, got {self.points.shape}")
         if self.values.shape != (self.points.shape[0],):
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
-        self._basis = None  # inverse of the interpolation matrix
+        self._matrix = None     # interpolation matrix, rows [1, (y - base)^T]
+        self._basis = None      # its inverse
+        self._base_room = None  # (box, distance from the base to its nearest face)
 
     @property
     def n(self) -> int:
@@ -124,19 +137,49 @@ class SampleSet:
         return self.points[0]
 
     def touch(self):
-        """Invalidate the cached factorization after a point moved.
+        """Drop every cached quantity after the points changed.
 
-        The factorization depends on the points only: writing new values
-        (a change of working component) keeps it.
+        This is the write contract: code that writes to ``points`` other
+        than through this module's functions must call ``touch()``
+        afterwards, or the matrix, its inverse and the base's room go stale
+        without any error.  The caches depend on the points only: writing new
+        values (a change of working component) keeps them.
         """
+        self._matrix = None
+        self._basis = None
+        self._base_room = None
+
+    def _write_row(self, row: int, x, value: float, m_row):
+        """Put ``(x, value)`` into non-base row ``row``; ``m_row`` is ``[1, (x - base)^T]``.
+
+        The base stays, so the cached matrix takes the new row and keeps the
+        others; only the inverse is dropped.
+        """
+        self.points[row] = x
+        self.values[row] = value
+        if self._matrix is not None:
+            self._matrix[row] = m_row
         self._basis = None
 
     def interpolation_matrix(self) -> np.ndarray:
-        """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning."""
-        m = np.empty((self.npt, self.npt))
-        m[:, 0] = 1.0
-        m[:, 1:] = self.points - self.base
-        return m
+        """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning.
+
+        The array is the sample's cache, kept up to date by its writes: read
+        it, do not write to it.
+        """
+        if self._matrix is None:
+            m = np.empty((self.npt, self.npt))
+            m[:, 0] = 1.0
+            m[:, 1:] = self.points - self.base
+            self._matrix = m
+        return self._matrix
+
+    def room(self, box) -> float:
+        """Distance from the base to the nearest face of ``box``, cached until the base moves."""
+        cached = self._base_room
+        if cached is None or cached[0] is not box:
+            cached = self._base_room = (box, _room(self.base, box))
+        return cached[1]
 
     def condition_estimate(self) -> float:
         """Frobenius condition number ``||M||_F ||M^-1||_F`` of the cached inverse.
@@ -203,6 +246,11 @@ class SampleSet:
         }
 
 
+def _room(base, box) -> float:
+    """Distance from ``base`` to the nearest face of the box."""
+    return float(np.minimum.reduce(np.minimum(base - box.lower, box.upper - base)))
+
+
 def _frobenius_sq(a) -> float:
     """Squared Frobenius norm; inf when the sum overflows (numpy then warns)."""
     flat = a.ravel("K")  # a view for C- and Fortran-ordered arrays alike
@@ -261,19 +309,27 @@ def build_model(sample: SampleSet) -> LinearModel:
                        fx=float(sample.values[0]), g=coeffs[1:])
 
 
-def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
-    """All Lagrange values ``l_j(x)``, j = 0..n, at the vector ``x``."""
-    inv = sample._factorize()
+def _matrix_row(sample: SampleSet, x) -> np.ndarray:
+    """``[1, (x - base)^T]``: the interpolation-matrix row of the vector ``x``."""
     row = np.empty(sample.npt)
     row[0] = 1.0
     row[1:] = x - sample.base
-    return row @ inv
+    return row
+
+
+def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
+    """All Lagrange values ``l_j(x)``, j = 0..n, at the vector ``x``."""
+    inv = sample._factorize()
+    return _matrix_row(sample, x) @ inv
 
 
 def promote_to_base(sample: SampleSet, row: int):
     """Swap sample row ``row`` (not 0) into the base slot."""
-    sample.points[[0, row]] = sample.points[[row, 0]]
-    sample.values[[0, row]] = sample.values[[row, 0]]
+    points, values = sample.points, sample.values
+    base = points[0].copy()
+    points[0] = points[row]
+    points[row] = base
+    values[0], values[row] = values[row], values[0]
     sample.touch()
 
 
@@ -302,8 +358,10 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
         sample.values[row] = f_new
         return row
 
-    weight = np.abs(_lagrange_values_at(sample, x_new))
-    best_old = int(np.argmin(sample.values))
+    inv = sample._factorize()
+    m_row = _matrix_row(sample, x_new)
+    weight = abs(m_row @ inv)
+    best_old = int(sample.values.argmin())
     improves_best = f_new < sample.values[best_old]
     improves_base = f_new < sample.values[0]
 
@@ -312,26 +370,28 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
         admissible[best_old] = False
     if not improves_base:
         admissible[0] = False
-    if not admissible.any():
+    if not np.logical_or.reduce(admissible):
         raise PointRejectedError(
             "candidate point adds no interpolation information; "
             "take a geometry-improvement step instead"
         )
 
     x_best = x_new if improves_best else sample.points[best_old]
-    score = weight * np.sum((sample.points - x_best) ** 2, axis=1)
+    diff = sample.points - x_best
+    score = weight * np.add.reduce(diff * diff, axis=1)
     score[~admissible] = -1.0
-    t_out = int(np.flatnonzero(score == score.max())[-1])  # ties: the last row
+    t_out = score.size - 1 - int(score[::-1].argmax())  # ties: the last row
 
     if improves_base:
         # Keep the old base in the vacated slot and center the set on the
         # candidate, which now carries the smallest base-slot value.
         sample.points[t_out] = sample.points[0]
         sample.values[t_out] = sample.values[0]
-        t_out = 0
-    sample.points[t_out] = x_new
-    sample.values[t_out] = f_new
-    sample.touch()
+        sample.points[0] = x_new
+        sample.values[0] = f_new
+        sample.touch()
+        return 0
+    sample._write_row(t_out, x_new, f_new, m_row)
     return t_out
 
 
@@ -354,14 +414,13 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float):
     existing = sample.find_row(x_new)
     if existing is not None and existing != row:
         raise PointRejectedError(f"candidate repeats sample point {existing}")
-    lag = _lagrange_values_at(sample, x_new)
-    if abs(lag[row]) < MIN_LAGRANGE_WEIGHT:
+    inv = sample._factorize()
+    m_row = _matrix_row(sample, x_new)
+    if abs((m_row @ inv)[row]) < MIN_LAGRANGE_WEIGHT:
         raise PointRejectedError(
             f"candidate cannot replace sample point {row} without degeneracy"
         )
-    sample.points[row] = x_new
-    sample.values[row] = float(f_new)
-    sample.touch()
+    sample._write_row(row, x_new, float(f_new), m_row)
 
 
 def rebuild_for_index(sample: SampleSet, problem, ledger, new_index: int,

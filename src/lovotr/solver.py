@@ -345,14 +345,14 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # 2n repairs in a row bound the repair cost of one poor-ratio episode
     # before a trust-region step is forced.
     if state.model_doubted and state.repair_streak < 2 * problem.n:
-        diff = state.sample.points[1:] - state.sample.base
+        diff = state.sample.interpolation_matrix()[1:, 1:]  # points[1:] - base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
         if np.maximum.reduce(dist) > STALE_FACTOR * state.Delta:
             return _geometry_iteration(state, problem, ledger, pi, stale=True,
                                        dist=dist)
         state.model_doubted = False
 
-    d = trsbox_linear(state.model, box, state.Delta)
+    d = trsbox_linear(state.model, box, state.Delta, state.sample.room(box))
     dnorm = math.sqrt(d @ d)
     full_length = dnorm >= state.Delta * (1.0 - FULL_STEP_RTOL)
     predicted = -float(state.model.g @ d)

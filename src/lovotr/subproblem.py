@@ -22,7 +22,12 @@ of two near ``Delta``, with the gaps to the bounds scaled alike, and along
 The path has at most n breakpoints, so the cost is O(n log n), and no
 iterative scheme is required.  The same path construction,
 run along both signs of a Lagrange polynomial's gradient, yields the
-geometry-improvement step.
+geometry-improvement step.  In the interior ball the two signs share the
+squared norm and the first-segment length ``s``, so ``altmov_linear`` forms
+``s w`` once and takes both endpoints from it: negation is exact, so this is
+bit for bit the two traces.  The distance from the base to the box, which
+decides the interior ball, is cached by the sample set until the base moves
+(``SampleSet.room``); both steps read it there.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import GeometryError
-from .model import LinearModel, SampleSet
+from .model import LinearModel, SampleSet, _room
 
 # ||d|| = Delta is tested with this relative slack; exact equality is
 # meaningless in floating point.
@@ -41,11 +46,6 @@ FULL_STEP_RTOL = 1e-10
 
 # Smallest positive normal float.
 _TINY = float(np.finfo(float).tiny)
-
-
-def _room(base, box) -> float:
-    """Distance from ``base`` to the nearest face of the box."""
-    return float(np.minimum.reduce(np.minimum(base - box.lower, box.upper - base)))
 
 
 def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray:
@@ -59,7 +59,7 @@ def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray
     a = float(direction @ direction)
     rr = radius * radius
     q = 4.0 * a * rr  # the segment loop's discriminants lie within 2 q
-    if (not (a >= _TINY and rr >= _TINY and _TINY <= q and 2.0 * q < math.inf)
+    if (not _normal_squares(a, rr, q)
             and 0.0 < radius < math.inf and np.isfinite(direction).all()
             and direction.any()):
         # A square overflows or underflows.  The path depends on base and box
@@ -102,6 +102,11 @@ def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray
         d = np.minimum(np.maximum(base + d, box.lower), box.upper) - base
 
     return _into_ball(d, radius)
+
+
+def _normal_squares(a, rr, q) -> bool:
+    """``||direction||^2``, ``radius^2`` and ``q = 4 a rr`` are normal, with ``2 q`` finite."""
+    return a >= _TINY and rr >= _TINY and _TINY <= q and 2.0 * q < math.inf
 
 
 def _into_ball(d, radius) -> np.ndarray:
@@ -153,16 +158,18 @@ def _trace_segments(base, direction, box, radius) -> np.ndarray:
         t_cur = t_next
 
 
-def trsbox_linear(model: LinearModel, box, Delta: float) -> np.ndarray:
+def trsbox_linear(model: LinearModel, box, Delta: float, room=None) -> np.ndarray:
     """Step minimizing the linear model over box-and-ball, by an exact path trace.
 
     Returns ``d`` with ``base + d`` feasible and ``||d|| <= Delta`` (up to a
     1e-12 relative roundoff allowance, which the trace enforces by scaling).
-    A zero model gradient yields the zero step.
+    A zero model gradient yields the zero step.  ``room`` passes in the
+    distance from ``model.base`` to the nearest face of the box when the
+    caller has it (``SampleSet.room`` caches it).
     """
     if Delta <= 0:
         raise ValueError("Delta must be positive")
-    return _trace_projected_path(model.base, -model.g, box, Delta)
+    return _trace_projected_path(model.base, -model.g, box, Delta, room)
 
 
 def select_target_for_altmov(sample: SampleSet, dist=None) -> int:
@@ -172,7 +179,7 @@ def select_target_for_altmov(sample: SampleSet, dist=None) -> int:
     caller has already computed them.
     """
     if dist is None:
-        diff = sample.points[1:] - sample.base
+        diff = sample.interpolation_matrix()[1:, 1:]  # points[1:] - base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
     return dist.size - int(dist[::-1].argmax())  # last maximum, as a row 1..n
 
@@ -188,6 +195,10 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     as ``trsbox_linear`` does, and the better end maximizes ``|l_target|``.
     Ties go to the positive direction.  The polynomial's constant term and
     gradient are column ``target_index`` of the sample's cached inverse.
+    When the interior-ball branch of the trace applies, it applies to both
+    signs, which share ``||w||^2`` and the first-segment length ``s``: both
+    endpoints come from one ``s w``, bit for bit the two traces, as negation
+    is exact.
 
     Returns ``(d, flat)``; ``flat`` signals that both paths were clipped to
     zero length, so the sample cannot be improved within this radius.
@@ -208,9 +219,19 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     def weight(d):  # |l_target(base + d)|
         return abs(c + float(w @ ((base + d) - base)))
 
-    room = _room(base, box)
-    d_plus = _trace_projected_path(base, w, box, delta, room)
-    d_minus = _trace_projected_path(base, -w, box, delta, room)
+    room = sample.room(box)
+    a = float(w @ w)
+    rr = delta * delta
+    q = 4.0 * a * rr
+    s = math.sqrt(q) / (2.0 * a) if _normal_squares(a, rr, q) else math.inf
+    if 2.0 * delta <= room and s < math.inf:
+        # The interior branch of _trace_projected_path, once for both signs.
+        sw = s * w
+        d_plus = _into_ball((base + sw) - base, delta)
+        d_minus = _into_ball((base - sw) - base, delta)
+    else:
+        d_plus = _trace_projected_path(base, w, box, delta, room)
+        d_minus = _trace_projected_path(base, -w, box, delta, room)
     d = d_plus if weight(d_plus) >= weight(d_minus) else d_minus
     flat = not (np.logical_or.reduce(d_plus) or np.logical_or.reduce(d_minus))
     return d, flat

@@ -7,11 +7,15 @@ count, and the final value.  The set covers criticality iterations and
 ``success``, ``stalled`` and ``budget_exhausted`` runs, at least one rebuild
 of a singular sample (``_recover_geometry``), and geometry iterations after an
 evaluated trust-region candidate that did not enter the sample (``altmov``
-with ``rho_defined``).  A change that is meant to move the numbers updates
-``GOLDEN_SHA256`` and says so.
+with ``rho_defined``).  It also covers every way a write reaches the sample's
+cached interpolation matrix: frozen repairs (``radii_frozen``) and exchanges
+that keep the base rewrite one row, and accepted steps and exchanges that
+hand the candidate the base slot drop it.  A change that is meant to move the
+numbers updates ``GOLDEN_SHA256`` and says so.
 """
 
 import hashlib
+from collections import Counter
 
 import lovotr.solver
 from lovotr.solver import SolverConfig, solve
@@ -38,9 +42,18 @@ def test_histories_match_the_golden_digest(monkeypatch):
         return recover(*args)
 
     monkeypatch.setattr(lovotr.solver, "_recover_geometry", counted_recover)
+    exchange_rows = Counter()  # True: the candidate took the base slot
+    exchange = lovotr.solver.exchange_point
+
+    def counted_exchange(*args):
+        row = exchange(*args)
+        exchange_rows[row == 0] += 1
+        return row
+
+    monkeypatch.setattr(lovotr.solver, "exchange_point", counted_exchange)
     digest = hashlib.sha256()
     statuses, kinds = set(), set()
-    after_candidate = 0
+    after_candidate = frozen = 0
     for problem in golden_problems():
         for use_cheap_rho in (True, False):
             result = solve(problem, SolverConfig(budget=1500,
@@ -55,8 +68,11 @@ def test_histories_match_the_golden_digest(monkeypatch):
             kinds.update(o.kind for o in result.history)
             after_candidate += sum(o.kind == "altmov" and o.rho_defined
                                    for o in result.history)
+            frozen += sum(o.radii_frozen for o in result.history)
     assert statuses == {"success", "stalled", "budget_exhausted"}
-    assert "criticality" in kinds
+    assert {"criticality", "unsuccessful"} <= kinds
     assert after_candidate > 0
+    assert frozen > 0  # row writes by replace_point
+    assert exchange_rows[False] > 0 and exchange_rows[True] > 0
     assert recoveries  # the set rebuilds at least one singular sample
     assert digest.hexdigest() == GOLDEN_SHA256

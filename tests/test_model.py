@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff_gradient, count_calls
 from lovotr.errors import GeometryError, PointRejectedError
@@ -17,6 +19,7 @@ from lovotr.model import (
     MIN_LAGRANGE_WEIGHT,
     SampleSet,
     _lagrange_values_at,
+    _room,
     build_model,
     exchange_point,
     initial_sample,
@@ -634,6 +637,86 @@ class TestRebuildForIndex:
         assert np.linalg.norm(model.g - fd) <= 1e-6 * np.linalg.norm(fd)
         analytic = inst.component_gradient(2, x0)
         assert np.linalg.norm(model.g - analytic) <= 1e-6 * np.linalg.norm(analytic)
+
+
+WRITES = ("exchange", "coincident", "hand_over", "replace", "promote", "rebuild")
+
+
+class TestSampleCaches:
+    """The cached matrix, inverse and room always equal a fresh sample's."""
+
+    @staticmethod
+    def assert_matches_fresh(sample, box):
+        fresh = SampleSet(sample.points.copy(), sample.values.copy(),
+                          sample.model_index)
+        assert sample.interpolation_matrix().tobytes() == \
+            fresh.interpolation_matrix().tobytes()
+        try:
+            expected = fresh._factorize()
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                sample._factorize()
+        else:
+            assert sample._factorize().tobytes() == expected.tobytes()
+        assert sample.room(box) == _room(fresh.points[0], box)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           writes=st.lists(st.sampled_from(WRITES), min_size=1, max_size=12))
+    def test_every_write_keeps_the_caches_fresh(self, n, seed, writes):
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-3, 0, n)
+        upper = lower + rng.uniform(0.5, 4, n)
+        box = FeasibleBox(lower, upper)
+        comps = [ComponentOracle(1, lambda x: float(x @ x)),
+                 ComponentOracle(2, lambda x: float(np.sum(np.abs(x))))]
+        problem = LovoProblem("caches", comps, box, lower)
+        ledger = EvalLedger(2)
+        sample = sample_from(rng.uniform(lower, upper, (n + 1, n)),
+                             rng.uniform(-1, 1, n + 1))
+        for write in writes:
+            # fill every cache, so that a write path that skips its update
+            # leaves a stale one behind
+            sample.interpolation_matrix()
+            sample.room(box)
+            try:
+                sample._factorize()
+            except GeometryError:
+                pass
+            row = int(rng.integers(1, n + 1))
+            x_new = rng.uniform(lower, upper)
+            try:
+                if write == "exchange":
+                    exchange_point(sample, x_new, float(rng.uniform(-1, 2)))
+                elif write == "coincident":
+                    exchange_point(sample, sample.points[row].copy(), -5.0)
+                elif write == "hand_over":
+                    exchange_point(sample, x_new, float(sample.values.min()) - 1.0)
+                elif write == "replace":
+                    replace_point(sample, row, x_new, float(rng.uniform(-1, 2)))
+                elif write == "promote":
+                    promote_to_base(sample, row)
+                else:
+                    rebuild_for_index(sample, problem, ledger,
+                                      3 - sample.model_index, float(sample.values[0]))
+            except (GeometryError, PointRejectedError):
+                pass
+            self.assert_matches_fresh(sample, box)
+
+    def test_construction_copies_the_arrays(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        values = np.array([1.0, 2.0, 3.0])
+        s = SampleSet(points, values, 1)
+        box = FeasibleBox([-1, -1], [2, 2])
+        m, inv, room = s.interpolation_matrix().copy(), s._factorize().copy(), s.room(box)
+        points[0] = [0.5, 0.5]
+        points[2] = [9.0, 9.0]
+        values[:] = 0.0
+        assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
+        assert np.array_equal(s.values, [1, 2, 3])
+        assert np.array_equal(s.interpolation_matrix(), m)
+        assert np.array_equal(s._factorize(), inv)
+        assert s.room(box) == room == 1.0
 
 
 class TestStationarity:

@@ -244,6 +244,27 @@ class TestIterationPhases:
         assert not np.array_equal(state.sample.points[2], points[2])
         assert np.linalg.norm(state.sample.points[2] - points[0]) <= 0.25
 
+    def test_frozen_repair_rewrites_one_matrix_row(self):
+        # the repair keeps the base, so the sample's cached interpolation
+        # matrix takes the new row in place and its cached room stays
+        problem = single_quadratic(2, [8, 8])
+        state, ledger = self.make_state(problem)
+        state.delta, state.Delta = 0.25, 0.4
+        state.model_doubted = True
+        matrix = state.sample.interpolation_matrix()
+        before = matrix.copy()
+        state.sample.room(problem.box)
+        room = state.sample._base_room
+        outcome = iterate(state, problem, SolverConfig(), ledger)
+        assert outcome.kind == "altmov" and outcome.radii_frozen
+        after = state.sample.interpolation_matrix()
+        assert after is matrix
+        assert np.array_equal(after[:2], before[:2])
+        assert not np.array_equal(after[2], before[2])
+        expected = np.concatenate([[1.0], state.sample.points[2] - state.sample.base])
+        assert after[2].tobytes() == expected.tobytes()
+        assert state.sample._base_room is room
+
     def test_short_step_shrinks_both_radii(self):
         # the box clips the trust-region step to a quarter of Delta, which is
         # not worth an evaluation: a geometry step on a fresh sample shrinks

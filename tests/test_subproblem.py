@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -465,6 +466,61 @@ class TestAltmov:
             on_face += bool(face.any())
             interior += 2.0 * delta <= _room(base, box)
         assert on_face >= 50 and interior >= 50
+
+    def test_shared_trace_matches_two_trace_calls(self, rng):
+        # the interior branch traces both signs at once; every case matches
+        # one _trace_projected_path call per sign bit for bit, including
+        # bases on a face and squares that overflow or underflow (the change
+        # of units), reached through a rescaled inverse or an extreme radius
+        tiny = float(np.finfo(float).tiny)
+        branches = Counter()
+        for k in range(3000):
+            n = int(rng.integers(1, 12))
+            lower = rng.uniform(-3, 0, n)
+            upper = lower + rng.uniform(0.5, 4, n)
+            box = FeasibleBox(lower, upper)
+            base = rng.uniform(lower, upper)
+            if rng.random() < 0.3:
+                face = rng.random(n) < 0.5
+                face[rng.integers(n)] = True
+                base[face] = np.where(rng.random(n) < 0.5, lower, upper)[face]
+            pts = np.vstack([base, np.clip(base + rng.normal(0, 1, (n, n)),
+                                           lower, upper)])
+            s = SampleSet(pts, np.zeros(n + 1), 1)
+            try:
+                inv = s._factorize()
+            except GeometryError:
+                continue
+            delta = float(10.0 ** rng.uniform(-8, math.log10(30.0)))
+            if k % 10 == 0:
+                s._basis = np.ldexp(inv, int(rng.choice([-600, 600])))
+            elif k % 10 == 1:
+                delta = float(rng.choice([1e-170, 1e160]))
+            target = int(rng.integers(1, n + 1))
+            with np.errstate(over="ignore"):
+                d, flat = altmov_linear(s, box, delta, target)
+
+            inv = s._factorize()
+            c, w = float(inv[0, target]), inv[1:, target]
+            with np.errstate(over="ignore"):
+                a, rr = float(w @ w), delta * delta
+                q = 4.0 * a * rr
+                plus = _trace_projected_path(base, w, box, delta)
+                minus = _trace_projected_path(base, -w, box, delta)
+
+                def weight(step):
+                    return abs(c + float(w @ ((base + step) - base)))
+
+                ref = plus if weight(plus) >= weight(minus) else minus
+            assert d.tobytes() == ref.tobytes()
+            assert flat == (not np.any(plus) and not np.any(minus))
+            if not (tiny <= min(a, rr, q) and 2.0 * q < math.inf):
+                branches["change of units"] += 1
+            elif 2.0 * delta <= _room(base, box):
+                branches["interior"] += 1
+            else:
+                branches["clipped"] += 1
+        assert min(branches.values()) >= 200, branches
 
     def test_maximizes_the_weight_over_box_and_ball(self, rng):
         # the better of the two signed traces is the exact maximizer of
