@@ -100,8 +100,9 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
     overshoot a component budget by at most ``r - 1`` single evaluations).  A
     run that ends in ``oracle_error`` (keeping its ``x_final``) or raises
     keeps its trace, with ``status`` set to ``error:TypeName: message`` for
-    the exception that ended it.  ``sample_log`` is the solver's per-iteration
-    debug hook, called here as ``sample_log(problem_name, k, sample)``.
+    the exception that ended it.  ``sample_log`` is a per-iteration debug
+    hook, called as ``sample_log(problem_name, k, sample)`` with the solver's
+    live sample set.
     ``budget_rule`` sets every run's budget, so a ``config.budget`` raises
     ``ValueError``.
     """
@@ -117,9 +118,10 @@ def run_campaign(problems: list, config: SolverConfig | None = None,
         ledger = EvalLedger(problem.r, budget=budget, metering=budget_rule)
         log = None
         if sample_log is not None:
-            log = lambda k, sample, _name=problem.name: sample_log(_name, k, sample)
+            log = (lambda k, _, state, _name=problem.name:
+                   sample_log(_name, k, state.sample))
         try:
-            result = solve(problem, config, ledger=ledger, sample_log=log)
+            result = solve(problem, config, ledger=ledger, callback=log)
             status = result.status
             if status == STATUS_ORACLE:
                 status = f"error:OracleError: {result.error}"

@@ -137,27 +137,29 @@ class SampleSet:
         return self.points[0]
 
     def touch(self):
-        """Drop every cached quantity after the points changed.
+        """Drop every cached quantity after the base moved.
 
         This is the write contract: code that writes to ``points`` other
-        than through this module's functions must call ``touch()``
-        afterwards, or the matrix, its inverse and the base's room go stale
-        without any error.  The caches depend on the points only: writing new
-        values (a change of working component) keeps them.
+        than through ``_write_row`` or ``promote_to_base`` must call
+        ``touch()`` afterwards, or the matrix, its inverse and the base's
+        room go stale without any error.  The caches depend on the points
+        only: writing new values (a change of working component) keeps them.
         """
         self._matrix = None
         self._basis = None
         self._base_room = None
 
     def _write_row(self, row: int, x, value: float, m_row):
-        """Put ``(x, value)`` into non-base row ``row``; ``m_row`` is ``[1, (x - base)^T]``.
+        """Put ``(x, value)`` into row ``row``; ``m_row`` is ``[1, (x - base)^T]``.
 
-        The base stays, so the cached matrix takes the new row and keeps the
-        others; only the inverse is dropped.
+        A non-base row takes its place in the cached matrix and drops only the
+        inverse; row 0 moves the base and drops every cache.
         """
         self.points[row] = x
         self.values[row] = value
-        if self._matrix is not None:
+        if row == 0:
+            self.touch()
+        elif self._matrix is not None:
             self._matrix[row] = m_row
         self._basis = None
 
@@ -343,12 +345,14 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
     Lagrange weight ``|l_t(x_new)|`` reaches ``MIN_LAGRANGE_WEIGHT`` and it is
     not protected: the current best point is, unless the candidate improves on
     it, and so is the base point, unless the candidate improves on the base
-    value, in which case the base slot is handed to the candidate and the old
-    base is kept where the removed point sat.  With no admissible row the
-    candidate is rejected (``PointRejectedError``).
+    value.  With no admissible row the candidate is rejected
+    (``PointRejectedError``).
 
-    A candidate coinciding with an existing point refreshes that point's value
-    and changes nothing else.  Returns the row where ``x_new`` sits afterwards.
+    The candidate takes the outgoing row, and ``promote_to_base`` then hands
+    it the base slot when it improves on the base value: it becomes the
+    solver's iterate whatever its reduction ratio.  A candidate coinciding
+    with an existing point refreshes that point's value and changes nothing
+    else.  Returns the row where ``x_new`` sits afterwards.
     """
     x_new = as_vector(x_new, n=sample.n, name="x_new")
     f_new = float(f_new)
@@ -382,17 +386,10 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
     score[~admissible] = -1.0
     t_out = score.size - 1 - int(score[::-1].argmax())  # ties: the last row
 
-    if improves_base:
-        # Keep the old base in the vacated slot and center the set on the
-        # candidate, which now carries the smallest base-slot value.
-        sample.points[t_out] = sample.points[0]
-        sample.values[t_out] = sample.values[0]
-        sample.points[0] = x_new
-        sample.values[0] = f_new
-        sample.touch()
-        return 0
     sample._write_row(t_out, x_new, f_new, m_row)
-    return t_out
+    if improves_base and t_out != 0:
+        promote_to_base(sample, t_out)
+    return 0 if improves_base else t_out
 
 
 def replace_point(sample: SampleSet, row: int, x_new, f_new: float):

@@ -13,7 +13,11 @@ base.  An iteration passes through four phases:
   to its apparent stationarity, so both radii shrink and nothing is evaluated;
 * step acceptance: the trust-region step is evaluated and accepted when the
   reduction ratio reaches ``ETA``; on acceptance the working index is rechosen
-  from the active set whenever a full objective evaluation certified it;
+  from the active set whenever a full objective evaluation certified it.  The
+  iterate, the sample's base, moves to an accepted candidate and, whatever
+  the ratio, to any point the exchange admits below the base value, so under
+  the cheap ratio every candidate that enters is the next iterate and ``ETA``
+  only names the outcome's kind;
 * radii adjustment: an accepted step that swaps the working component inflates
   both radii by ``TAU4``, at most ``GAMMA_MAX + 1`` times between successful
   iterations (the ``Gamma`` counter, reset whenever ``rho >= ETA1``);
@@ -154,7 +158,7 @@ class SolverState:
 
     ``model`` is the committed iterate and ``pi`` its stationarity measure,
     set together by ``_commit``; a failed iteration may leave ``sample``
-    half-changed, never ``model``.
+    half-changed, never ``model``.  ``ledger`` meters the run's evaluations.
     """
 
     delta: float
@@ -163,6 +167,7 @@ class SolverState:
     sample: SampleSet
     model: LinearModel
     pi: float
+    ledger: EvalLedger
     rho_cheap_streak: int = 0
     consec_crit: int = 0
     consec_alt: int = 0
@@ -268,18 +273,17 @@ def _commit(state: SolverState, model: LinearModel, box):
     state.pi = model_stationarity(model, box)
 
 
-def _outcome(state: SolverState, ledger: EvalLedger, kind: str, pi: float, d,
-             **candidate) -> StepOutcome:
+def _outcome(state: SolverState, kind: str, pi: float, d, **candidate) -> StepOutcome:
     """The committed iteration's snapshot; ``candidate`` holds the trial fields."""
     return StepOutcome(
         kind=kind, pi=pi, d=np.array(d, dtype=float), delta=state.delta,
         Delta=state.Delta, Gamma=state.Gamma, index=state.model.index,
-        fx=state.model.fx, evals_total=ledger.total_component_evals, **candidate,
+        fx=state.model.fx, evals_total=state.ledger.total_component_evals, **candidate,
     )
 
 
-def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLedger,
-                        pi: float, stale: bool, dist=None, **candidate) -> StepOutcome:
+def _geometry_iteration(state: SolverState, problem: LovoProblem, pi: float,
+                        stale: bool, dist=None, **candidate) -> StepOutcome:
     """Geometry-improvement iteration: resample one point within ``delta`` of the base.
 
     The target is the point farthest from the base; ``dist`` passes in the
@@ -297,7 +301,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLe
     placed = False
     if not flat:
         x_alt = problem.box.project(state.sample.base + d_alt)
-        f_alt = eval_component(problem, ledger, state.model.index, x_alt)
+        f_alt = eval_component(problem, state.ledger, state.model.index, x_alt)
         try:
             if stale:
                 replace_point(state.sample, target, x_alt, f_alt)
@@ -320,13 +324,12 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem, ledger: EvalLe
         state.repair_streak = 0
         state.consec_alt += 1
     state.consec_crit = 0
-    return _outcome(state, ledger, KIND_ALTMOV, pi, d_alt, radii_frozen=frozen,
-                    **candidate)
+    return _outcome(state, KIND_ALTMOV, pi, d_alt, radii_frozen=frozen, **candidate)
 
 
-def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
-            ledger: EvalLedger) -> StepOutcome:
-    """Run exactly one iteration, mutating ``state`` and ``ledger``."""
+def iterate(state: SolverState, problem: LovoProblem,
+            config: SolverConfig) -> StepOutcome:
+    """Run exactly one iteration, mutating ``state`` and its ledger."""
     box = problem.box
     pi = state.pi
 
@@ -337,19 +340,19 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         state.consec_crit += 1
         state.consec_alt = 0
         state.repair_streak = 0
-        return _outcome(state, ledger, KIND_CRITICALITY, pi, np.zeros(problem.n))
+        return _outcome(state, KIND_CRITICALITY, pi, np.zeros(problem.n))
 
     # --- geometry gate: after a poor reduction ratio, a sample point far
     # outside the trust region is the usual culprit; repair before stepping
-    # again rather than shrinking the radii on a meaningless ratio.  At most
-    # 2n repairs in a row bound the repair cost of one poor-ratio episode
-    # before a trust-region step is forced.
+    # again rather than shrinking the radii on a meaningless ratio.  A repair
+    # places its point within delta <= Delta of a base that stays, so each one
+    # clears a point beyond 2 * Delta and a streak ends after at most n.  The
+    # cap of 2n guards against repairs that rounding places beyond 2 * Delta.
     if state.model_doubted and state.repair_streak < 2 * problem.n:
         diff = state.sample.interpolation_matrix()[1:, 1:]  # points[1:] - base
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
         if np.maximum.reduce(dist) > STALE_FACTOR * state.Delta:
-            return _geometry_iteration(state, problem, ledger, pi, stale=True,
-                                       dist=dist)
+            return _geometry_iteration(state, problem, pi, stale=True, dist=dist)
         state.model_doubted = False
 
     d = trsbox_linear(state.model, box, state.Delta, state.sample.room(box))
@@ -358,7 +361,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     predicted = -float(state.model.g @ d)
     if dnorm < 0.5 * state.Delta or predicted <= 0.0:
         # Short or non-descending steps are not worth an evaluation.
-        return _geometry_iteration(state, problem, ledger, pi, stale=False)
+        return _geometry_iteration(state, problem, pi, stale=False)
 
     fx, i = state.model.fx, state.model.index
     x_new = box.project(state.model.base + d)
@@ -370,14 +373,14 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     cheap = False
     values_new = None
     if use_full:
-        values_new = eval_fmin(problem, ledger, x_new)
+        values_new = eval_fmin(problem, state.ledger, x_new)
         f_insert = float(values_new[i - 1])
         rho = (fx - float(values_new.min())) / predicted
         rho_hat = (fx - f_insert) / predicted
         # The full ratio can only see a deeper minimum at the candidate.
         assert rho_hat <= rho
     else:
-        f_insert = eval_component(problem, ledger, i, x_new)
+        f_insert = eval_component(problem, state.ledger, i, x_new)
         rho = rho_hat = (fx - f_insert) / predicted
         cheap = True
 
@@ -399,7 +402,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         # Nothing entered, so rho < ETA: the radii shrink by TAU1, Gamma
         # stays and nothing is adjusted, as on any fresh geometry iteration.
         outcome = _geometry_iteration(
-            state, problem, ledger, pi, stale=False, rho=rho, rho_hat=rho_hat,
+            state, problem, pi, stale=False, rho=rho, rho_hat=rho_hat,
             rho_defined=True, rho_was_cheap=cheap, full_length=full_length)
         state.rho_cheap_streak = state.rho_cheap_streak + 1 if cheap else 0
         state.model_doubted = True
@@ -437,7 +440,7 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
     # --- model rebuild (certified index swap; the candidate is in row 0, so
     # the full evaluation holds the new base value) or incremental update.
     if swapped:
-        model = rebuild_for_index(state.sample, problem, ledger, i_next,
+        model = rebuild_for_index(state.sample, problem, state.ledger, i_next,
                                   float(values_new[i_next - 1]))
     else:
         model = build_model(state.sample)
@@ -457,13 +460,12 @@ def iterate(state: SolverState, problem: LovoProblem, config: SolverConfig,
         kind = KIND_ACCEPTABLE_ADJUSTED if adjusted else KIND_ACCEPTABLE_PLAIN
     state.consec_alt = 0
     state.consec_crit = 0
-    return _outcome(state, ledger, kind, pi, d, rho=rho, rho_hat=rho_hat,
+    return _outcome(state, kind, pi, d, rho=rho, rho_hat=rho_hat,
                     rho_defined=True, rho_was_cheap=cheap, index_swapped=swapped,
                     full_length=full_length, adjusted=adjusted)
 
 
-def check_stopping(state: SolverState, problem: LovoProblem,
-                   ledger: EvalLedger) -> str | None:
+def check_stopping(state: SolverState, problem: LovoProblem) -> str | None:
     """Terminal status after an iteration, or None to continue.
 
     Both tests use the floor the radii stop at, ``radius_floor(fx)``:
@@ -491,7 +493,7 @@ def check_stopping(state: SolverState, problem: LovoProblem,
         return STATUS_STALLED
     if state.consec_crit > problem.n + MAXCRIT_RIDE:
         return STATUS_MAXCRIT
-    if ledger.exhausted():
+    if state.ledger.exhausted():
         return STATUS_BUDGET
     return None
 
@@ -504,10 +506,10 @@ def _initial_state(problem: LovoProblem, ledger: EvalLedger) -> SolverState:
     model = build_model(sample)
     return SolverState(delta=RADIUS0, Delta=RADIUS0, Gamma=0,
                        sample=sample, model=model,
-                       pi=model_stationarity(model, problem.box))
+                       pi=model_stationarity(model, problem.box), ledger=ledger)
 
 
-def _recover_geometry(state: SolverState, problem: LovoProblem, ledger: EvalLedger):
+def _recover_geometry(state: SolverState, problem: LovoProblem):
     """Rebuild the sample from scratch around the committed base.
 
     The new sample has the radius the state carries afterwards: ``delta``,
@@ -516,7 +518,7 @@ def _recover_geometry(state: SolverState, problem: LovoProblem, ledger: EvalLedg
     committed = state.model
     floor = radius_floor(committed.fx)
     delta = max(state.delta, floor)
-    sample = initial_sample(problem, committed.base, delta, ledger,
+    sample = initial_sample(problem, committed.base, delta, state.ledger,
                             committed.index, base_value=committed.fx)
     state.sample = sample
     _commit(state, build_model(sample), problem.box)
@@ -525,8 +527,7 @@ def _recover_geometry(state: SolverState, problem: LovoProblem, ledger: EvalLedg
 
 
 def solve(problem: LovoProblem, config: SolverConfig | None = None,
-          callback=None, ledger: EvalLedger | None = None,
-          sample_log=None) -> SolveResult:
+          callback=None, ledger: EvalLedger | None = None) -> SolveResult:
     """Minimize the pointwise minimum of the problem's components over its box.
 
     The run has one exit.  ``check_stopping`` names its status, or the
@@ -541,15 +542,15 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     config : SolverConfig, optional
         Defaults are used when omitted.
     callback : callable, optional
-        Called after every iteration as ``callback(k, outcome, ledger)``.
+        Called after every iteration as ``callback(k, outcome, state)`` with
+        the live :class:`SolverState`: its ``sample`` (see
+        ``SampleSet.to_debug_dict``), ``model``, ``delta``, ``Delta`` and
+        ``ledger``.  A callback may read the state but must not write to it.
     ledger : EvalLedger, optional
         Pass a pre-configured ledger to control metering; by default a
         component-metered ledger honoring ``config.budget`` is created.  The
         ledger's budget is the one that holds, so a ``config.budget`` that
         differs from it raises ``ValueError``.
-    sample_log : callable, optional
-        Debug hook called after every iteration as ``sample_log(k, sample)``
-        with the live sample set; see ``SampleSet.to_debug_dict``.
 
     Returns
     -------
@@ -575,18 +576,16 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
         status = None
         while status is None:
             try:
-                outcome = iterate(state, problem, config, ledger)
+                outcome = iterate(state, problem, config)
             except GeometryError:
                 # a second consecutive failure leaves through the handler
-                _recover_geometry(state, problem, ledger)
-                outcome = iterate(state, problem, config, ledger)
+                _recover_geometry(state, problem)
+                outcome = iterate(state, problem, config)
             outcome.k = len(history)
             history.append(outcome)
             if callback is not None:
-                callback(outcome.k, outcome, ledger)
-            if sample_log is not None:
-                sample_log(outcome.k, state.sample)
-            status = check_stopping(state, problem, ledger)
+                callback(outcome.k, outcome, state)
+            status = check_stopping(state, problem)
     except BudgetExceededError:
         status = STATUS_BUDGET
     except OracleError as exc:

@@ -86,3 +86,30 @@ def test_model_calls_the_traced_eval_component():
     import lovotr.problem
 
     assert lovotr.model.eval_component is lovotr.problem.eval_component
+
+
+# perfbench's campaign calls ``solve(problem, config, ledger=ledger,
+# callback=cb)`` with a positional ``cb(k, outcome, led)``.
+def test_solve_takes_problem_config_callback_ledger():
+    params = list(inspect.signature(lovotr.solve).parameters)
+    assert params == ["problem", "config", "callback", "ledger"]
+
+
+def test_solve_calls_the_benchmark_callback_with_the_live_state():
+    problem = lovotr.gen_qd(3, 2, seed=5, count=1)[0]
+    ledger = lovotr.EvalLedger(problem.r, budget=300)
+    seen = []
+
+    def cb(k, outcome, led):
+        assert led.ledger is ledger
+        # the sample the run writes to: its base is the committed iterate
+        assert led.sample.base.tobytes() == led.model.base.tobytes()
+        assert led.sample.values[0] == outcome.fx
+        seen.append((k, led, led.sample))
+
+    result = lovotr.solve(problem, lovotr.SolverConfig(), ledger=ledger, callback=cb)
+    assert [k for k, _, _ in seen] == list(range(result.iterations))
+    state = seen[-1][1]
+    assert all(led is state for _, led, _ in seen)
+    assert seen[-1][2] is state.sample
+    assert state.sample.base.tobytes() == result.x_final.tobytes()

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from lovotr import cli
-from lovotr.bench import RunTrace, run_campaign, write_trace
+from lovotr.bench import RunTrace, campaign_budget, run_campaign, write_trace
 from lovotr.cli import main
-from lovotr.problem import load_problem, problem_to_dict
-from lovotr.solver import SolverConfig
+from lovotr.problem import EvalLedger, load_problem, problem_to_dict
+from lovotr.solver import SolverConfig, solve
 from lovotr.testsets import HS_CATALOG, gen_hs
 
 
@@ -56,7 +56,7 @@ def test_no_cheap_rho_and_sample_dump(tmp_path):
     problems = tmp_path / "problems"
     traces = tmp_path / "traces"
     main(["gen-qd", "--n", "2", "--r", "3", "--seed", "3",
-          "--count", "1", "--out", str(problems)])
+          "--count", "2", "--out", str(problems)])
     dump = tmp_path / "samples.jsonl"
     assert main(["bench", "run", "--problems", str(problems), "--no-cheap-rho",
                  "--out", str(traces), "--dump-samples", str(dump)]) == 0
@@ -74,6 +74,15 @@ def test_no_cheap_rho_and_sample_dump(tmp_path):
     records = [json.loads(line) for line in dump.read_text().splitlines()]
     assert records and {"problem", "k", "points", "values",
                         "model_index", "condition_estimate"} <= set(records[0])
+    # one record per iteration of each problem's run, in order
+    loaded = cli._load_problems(problems)
+    assert len(loaded) == 2
+    for problem in loaded:
+        budget = campaign_budget(problem, 2, "component")
+        result = solve(problem, SolverConfig(use_cheap_rho=False),
+                       ledger=EvalLedger(problem.r, budget=budget))
+        ks = [r["k"] for r in records if r["problem"] == problem.name]
+        assert ks == list(range(result.iterations)) and ks
     for record in records:  # the Frobenius condition number of the dumped points
         points = np.asarray(record["points"])
         m = np.hstack([np.ones((len(points), 1)), points - points[0]])

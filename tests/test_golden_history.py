@@ -54,6 +54,7 @@ def test_histories_match_the_golden_digest(monkeypatch):
     digest = hashlib.sha256()
     statuses, kinds = set(), set()
     after_candidate = frozen = 0
+    streaks = []  # (longest run of consecutive frozen repairs, n) per run
     for problem in golden_problems():
         for use_cheap_rho in (True, False):
             result = solve(problem, SolverConfig(budget=1500,
@@ -69,10 +70,18 @@ def test_histories_match_the_golden_digest(monkeypatch):
             after_candidate += sum(o.kind == "altmov" and o.rho_defined
                                    for o in result.history)
             frozen += sum(o.radii_frozen for o in result.history)
+            run = longest = 0
+            for o in result.history:
+                run = run + 1 if o.radii_frozen else 0
+                longest = max(longest, run)
+            streaks.append((longest, problem.n))
     assert statuses == {"success", "stalled", "budget_exhausted"}
     assert {"criticality", "unsuccessful"} <= kinds
     assert after_candidate > 0
     assert frozen > 0  # row writes by replace_point
     assert exchange_rows[False] > 0 and exchange_rows[True] > 0
     assert recoveries  # the set rebuilds at least one singular sample
+    # a repair places its point within delta <= Delta of a base that stays,
+    # so each one clears a point beyond 2 * Delta: a streak ends within n
+    assert all(longest <= n for longest, n in streaks), streaks
     assert digest.hexdigest() == GOLDEN_SHA256

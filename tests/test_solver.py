@@ -64,11 +64,11 @@ def single_quadratic(n, c, lower=0.0, upper=10.0):
     )
 
 
-def committed_state(sample, box, delta, Delta):
-    """A state committed to the model of ``sample``."""
+def committed_state(sample, box, delta, Delta, ledger):
+    """A state committed to the model of ``sample``, metered by ``ledger``."""
     model = build_model(sample)
     return SolverState(delta=delta, Delta=Delta, Gamma=0, sample=sample, model=model,
-                       pi=model_stationarity(model, box))
+                       pi=model_stationarity(model, box), ledger=ledger)
 
 
 def linear_pair():
@@ -113,7 +113,7 @@ class TestIterationPhases:
     def make_state(self, problem, delta=RADIUS0, Delta=RADIUS0):
         ledger = EvalLedger(problem.r)
         sample = initial_sample(problem, problem.x0, delta, ledger, 1)
-        return committed_state(sample, problem.box, delta, Delta), ledger
+        return committed_state(sample, problem.box, delta, Delta, ledger), ledger
 
     def test_criticality_shrinks_radii(self):
         problem = single_quadratic(2, [5, 5])
@@ -124,7 +124,7 @@ class TestIterationPhases:
         _commit(state, LinearModel(index=1, base=model.base.copy(), fx=model.fx,
                                    g=np.zeros(2)), problem.box)
         before = ledger.total_component_evals
-        outcome = iterate(state, problem, config, ledger)
+        outcome = iterate(state, problem, config)
         assert outcome.kind == "criticality"
         assert outcome.rho == 0.0 and np.all(outcome.d == 0)
         assert state.delta == 0.5 * TAU1
@@ -138,7 +138,7 @@ class TestIterationPhases:
         problem = LovoProblem("lin", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
         config = SolverConfig()
         state, ledger = self.make_state(problem)
-        outcome = iterate(state, problem, config, ledger)
+        outcome = iterate(state, problem, config)
         assert outcome.kind == "successful_plain"
         assert outcome.rho == pytest.approx(1.0)
         assert outcome.full_length
@@ -151,7 +151,7 @@ class TestIterationPhases:
         assert state.model.fx == 5.0  # certified objective value at the start
         calls = count_calls(problem)
         before = ledger.total_component_evals
-        outcome = iterate(state, problem, config, ledger)
+        outcome = iterate(state, problem, config)
         assert outcome.index_swapped and outcome.adjusted
         assert outcome.kind == "successful_adjusted"
         assert state.model.index == 2
@@ -173,16 +173,33 @@ class TestIterationPhases:
         config = SolverConfig()
         ledger = EvalLedger(1)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
-        state = committed_state(sample, problem.box, 1.0, 1.0)
+        state = committed_state(sample, problem.box, 1.0, 1.0, ledger)
         assert state.model.fx == 0.0
         before = ledger.total_component_evals
-        outcome = iterate(state, problem, config, ledger)
+        outcome = iterate(state, problem, config)
         assert not outcome.index_swapped
         assert np.array_equal(state.model.base, [5.0, 5.0])
         assert state.delta == TAU1  # failed step shrinks the radii
         # the rejected candidate falls back to one geometry step
         assert outcome.kind == "altmov" and outcome.rho_defined
         assert ledger.total_component_evals - before == 2
+
+    def test_unsuccessful_cheap_candidate_becomes_the_iterate(self):
+        # f1 = -x1 + 0.49 (x1 - 5)^2 gives the step (2, 0) a cheap ratio of
+        # 0.04 / 1.51: positive, so the candidate lies below the base value
+        # and takes the base slot, yet below ETA, so the step is unsuccessful
+        comps = [
+            ComponentOracle(1, lambda x: float(-x[0] + 0.49 * (x[0] - 5.0) ** 2)),
+            ComponentOracle(2, lambda x: 100.0),
+        ]
+        problem = LovoProblem("shallow", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
+        state, ledger = self.make_state(problem, 0.5, 2.0)
+        outcome = iterate(state, problem, SolverConfig())
+        assert outcome.kind == "unsuccessful" and outcome.rho_was_cheap
+        assert 0.0 < outcome.rho < ETA
+        assert np.array_equal(state.model.base, [7.0, 5.0])
+        assert state.model.fx == problem.components[0]([7.0, 5.0])
+        assert (state.delta, state.Delta) == (0.5 * TAU1, 2.0 * TAU1)
 
     @staticmethod
     def refusing_exchange(v):
@@ -199,12 +216,12 @@ class TestIterationPhases:
         problem = LovoProblem("refused", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
         ledger = EvalLedger(problem.r)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
-        return problem, committed_state(sample, problem.box, 1.0, 2.0), ledger
+        return problem, committed_state(sample, problem.box, 1.0, 2.0, ledger), ledger
 
     def test_refused_candidate_takes_a_geometry_step(self):
         problem, state, ledger = self.refusing_exchange(0.99)
         before = ledger.total_component_evals
-        outcome = iterate(state, problem, SolverConfig(use_cheap_rho=False), ledger)
+        outcome = iterate(state, problem, SolverConfig(use_cheap_rho=False))
         assert outcome.kind == "altmov" and outcome.rho_defined
         assert outcome.rho == pytest.approx(0.005) and outcome.rho < ETA
         assert not outcome.radii_frozen and not outcome.adjusted
@@ -219,7 +236,7 @@ class TestIterationPhases:
         model, pi = state.model, state.pi
         radii = (state.delta, state.Delta, state.Gamma)
         with pytest.raises(PointRejectedError):
-            iterate(state, problem, SolverConfig(use_cheap_rho=False), ledger)
+            iterate(state, problem, SolverConfig(use_cheap_rho=False))
         assert state.model is model and state.pi == pi
         assert (state.delta, state.Delta, state.Gamma) == radii
 
@@ -233,7 +250,7 @@ class TestIterationPhases:
         state.model_doubted = True
         points = state.sample.points.copy()
         before = ledger.total_component_evals
-        outcome = iterate(state, problem, config, ledger)
+        outcome = iterate(state, problem, config)
         assert outcome.kind == "altmov" and outcome.radii_frozen
         assert not outcome.rho_defined
         assert (state.delta, state.Delta) == (0.25, 0.4)
@@ -255,7 +272,7 @@ class TestIterationPhases:
         before = matrix.copy()
         state.sample.room(problem.box)
         room = state.sample._base_room
-        outcome = iterate(state, problem, SolverConfig(), ledger)
+        outcome = iterate(state, problem, SolverConfig())
         assert outcome.kind == "altmov" and outcome.radii_frozen
         after = state.sample.interpolation_matrix()
         assert after is matrix
@@ -273,7 +290,7 @@ class TestIterationPhases:
                               [9.9, 9.9])
         config = SolverConfig()
         state, ledger = self.make_state(problem, 0.1, 1.0)
-        outcome = iterate(state, problem, config, ledger)
+        outcome = iterate(state, problem, config)
         assert outcome.kind == "altmov"
         assert not outcome.rho_defined and not outcome.radii_frozen
         assert state.delta == 0.1 * TAU1
@@ -289,18 +306,18 @@ class TestStopping:
                             g=np.asarray(g, float))
         state = SolverState(
             delta=delta, Delta=Delta, Gamma=0, sample=sample, model=model,
-            pi=model_stationarity(model, problem.box),
+            pi=model_stationarity(model, problem.box), ledger=ledger,
             consec_alt=consec_alt, consec_crit=consec_crit,
         )
         return state, problem, ledger
 
     def test_success(self):
         state, problem, ledger = self.make_state([0, 0], 1e-9, 1.0)
-        assert check_stopping(state, problem, ledger) == "success"
+        assert check_stopping(state, problem) == "success"
 
     def test_stalled(self):
         state, problem, ledger = self.make_state([1, 0], 1e-9, 1e-9, consec_alt=2)
-        assert check_stopping(state, problem, ledger) == "stalled"
+        assert check_stopping(state, problem) == "stalled"
 
     def test_stall_at_rounding_floor_of_large_values(self):
         # near f = 3125 values resolve nothing finer than the floor, which
@@ -310,13 +327,13 @@ class TestStopping:
         assert floor > 8 * DELTA_MIN
         state, problem, ledger = self.make_state([1, 0], floor, floor,
                                                  consec_alt=2, fx=3125.0)
-        assert check_stopping(state, problem, ledger) == "stalled"
+        assert check_stopping(state, problem) == "stalled"
         state, problem, ledger = self.make_state([1, 0], 2 * floor, floor,
                                                  consec_alt=2, fx=3125.0)
-        assert check_stopping(state, problem, ledger) is None
+        assert check_stopping(state, problem) is None
         state, problem, ledger = self.make_state([1, 0], floor, 2 * floor,
                                                  consec_alt=2, fx=3125.0)
-        assert check_stopping(state, problem, ledger) is None
+        assert check_stopping(state, problem) is None
 
     def test_floor_is_delta_min_for_small_values(self):
         assert radius_floor(0.0) == DELTA_MIN == 1e-8
@@ -328,21 +345,21 @@ class TestStopping:
         # halvings (27 of them), plus n = 2
         assert MAXCRIT_RIDE == 27
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=29)
-        assert check_stopping(state, problem, ledger) is None
+        assert check_stopping(state, problem) is None
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0, consec_crit=30)
-        assert check_stopping(state, problem, ledger) == "maxcrit_exceeded"
+        assert check_stopping(state, problem) == "maxcrit_exceeded"
 
     def test_budget(self):
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0)
         ledger.budget = ledger.total_component_evals + 1
         ledger._charge(1)  # the last evaluation the budget admits
-        assert check_stopping(state, problem, ledger) == (
+        assert check_stopping(state, problem) == (
             "budget_exhausted"
         )
 
     def test_continue(self):
         state, problem, ledger = self.make_state([1, 0], 1.0, 1.0)
-        assert check_stopping(state, problem, ledger) is None
+        assert check_stopping(state, problem) is None
 
 
 class TestSolve:
@@ -402,8 +419,8 @@ class TestSolve:
         ledger = EvalLedger(problem.r)
         sample = initial_sample(problem, problem.x0, 1.0, ledger, 1)
         fx = float(sample.values[0])
-        state = committed_state(sample, problem.box, 1e-12, 1e-12)
-        _recover_geometry(state, problem, ledger)
+        state = committed_state(sample, problem.box, 1e-12, 1e-12, ledger)
+        _recover_geometry(state, problem)
         floor = radius_floor(fx)
         assert state.delta == floor and state.Delta == floor
         offsets = np.abs(state.sample.points[1:] - state.sample.base).max(axis=1)
@@ -560,7 +577,7 @@ class TestSolve:
                               [far + 1] * 2)
         flat_steps = []
 
-        def watch(k, outcome, ledger):
+        def watch(k, outcome, state):
             if flat_at and flat_at[-1]:
                 flat_steps.append(outcome)
             flat_at.clear()
@@ -623,7 +640,7 @@ class TestSolve:
         problem = single_quadratic(2, [3.0, 7.0])
         seen = []
         result = solve(problem, SolverConfig(budget=300),
-                       callback=lambda k, o, ledger: seen.append((k, o.kind)))
+                       callback=lambda k, o, state: seen.append((k, o.kind)))
         assert [k for k, _ in seen] == list(range(result.iterations))
         path = tmp_path / "history.jsonl"
         result.write_history_jsonl(path)
@@ -631,12 +648,16 @@ class TestSolve:
         assert len(records) == result.iterations
         assert set(records[0]) == {f.name for f in dataclasses.fields(StepOutcome)}
 
-    def test_sample_log_hook(self):
+    def test_callback_reads_the_live_sample(self):
+        # the hook receives the run state; its sample is what a dump reads
         problem = single_quadratic(2, [3.0, 7.0])
         dumps = []
-        solve(problem, SolverConfig(budget=100),
-              sample_log=lambda k, s: dumps.append(s.to_debug_dict()))
-        assert dumps and "condition_estimate" in dumps[0]
+        result = solve(problem, SolverConfig(budget=100),
+                       callback=lambda k, o, state: dumps.append(
+                           state.sample.to_debug_dict()))
+        assert len(dumps) == result.iterations
+        assert "condition_estimate" in dumps[0]
+        assert dumps[-1]["points"][0] == result.x_final.tolist()
 
 
 def assert_committed(state, box):
@@ -662,13 +683,13 @@ class TestCommittedRecord:
         history, status = [], None
         while status is None:
             try:
-                outcome = iterate(state, problem, config, ledger)
+                outcome = iterate(state, problem, config)
             except BudgetExceededError:
                 break
             history.append(outcome)
             assert_committed(state, problem.box)
             assert (outcome.index, outcome.fx) == (state.model.index, state.model.fx)
-            status = check_stopping(state, problem, ledger)
+            status = check_stopping(state, problem)
         if kind == "criticality":
             assert any(o.kind == "criticality" for o in history)
         else:
@@ -684,21 +705,21 @@ class TestCommittedRecord:
         config = SolverConfig(budget=1500, use_cheap_rho=False)
         ledger = EvalLedger(problem.r, budget=config.budget)
         state = _initial_state(problem, ledger)
-        iterate(state, problem, config, ledger)
+        iterate(state, problem, config)
         model, pi = state.model, state.pi
         monkeypatch.setattr(solver_module, "build_model", fail)
         with pytest.raises(GeometryError):
-            iterate(state, problem, config, ledger)
+            iterate(state, problem, config)
         # the failed iteration had moved the sample's base; the record stays
         assert not np.array_equal(state.sample.base, model.base)
         assert state.model is model and state.pi == pi
         monkeypatch.undo()
-        _recover_geometry(state, problem, ledger)
+        _recover_geometry(state, problem)
         assert_committed(state, problem.box)
         assert state.model.base.tobytes() == model.base.tobytes()
         assert (state.model.index, state.model.fx) == (model.index, model.fx)
         for _ in range(5):
-            iterate(state, problem, config, ledger)
+            iterate(state, problem, config)
             assert_committed(state, problem.box)
 
 
@@ -830,8 +851,12 @@ class TestInvariants:
 
         committed = []  # fx committed by each iteration so far
 
-        def check(k, outcome, ledger):
-            assert outcome.delta <= outcome.Delta, (k, outcome.delta, outcome.Delta)
+        def check(k, outcome, state):
+            # a criticality step shrinks delta more than Delta, and every
+            # other update scales or floors both alike
+            assert state.delta <= state.Delta, (k, state.delta, state.Delta)
+            assert (outcome.delta, outcome.Delta) == (state.delta, state.Delta)
+            ledger = state.ledger
             assert not outside, outside[0]
             assert ledger.total_component_evals <= budget + problem.r - 1
             # every charge is one oracle call; the NaN, if any, ends the run
