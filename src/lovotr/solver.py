@@ -283,11 +283,10 @@ def _outcome(state: SolverState, kind: str, pi: float, d, **candidate) -> StepOu
 
 
 def _geometry_iteration(state: SolverState, problem: LovoProblem, pi: float,
-                        stale: bool, dist=None, **candidate) -> StepOutcome:
+                        stale: bool, **candidate) -> StepOutcome:
     """Geometry-improvement iteration: resample one point within ``delta`` of the base.
 
-    The target is the point farthest from the base; ``dist`` passes in the
-    sample's distances from the base when the caller has them.  On stale
+    The target is the point farthest from the base.  On stale
     geometry the target is overwritten in place (the base never moves) and
     the radii stay put (repair work carries no evidence about the radii);
     otherwise the new point goes through the sample exchange and both radii
@@ -296,7 +295,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem, pi: float,
     trust-region candidate evaluated first, if any.  Nothing is committed
     before the model is rebuilt.
     """
-    target = select_target_for_altmov(state.sample, dist)
+    target = select_target_for_altmov(state.sample)
     d_alt, flat = altmov_linear(state.sample, problem.box, state.delta, target)
     placed = False
     if not flat:
@@ -348,11 +347,10 @@ def iterate(state: SolverState, problem: LovoProblem,
     # places its point within delta <= Delta of a base that stays, so each one
     # clears a point beyond 2 * Delta and a streak ends after at most n.  The
     # cap of 2n guards against repairs that rounding places beyond 2 * Delta.
+    # The sample caches the distances and a repair updates one of them.
     if state.model_doubted and state.repair_streak < 2 * problem.n:
-        diff = state.sample.interpolation_matrix()[1:, 1:]  # points[1:] - base
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
-        if np.maximum.reduce(dist) > STALE_FACTOR * state.Delta:
-            return _geometry_iteration(state, problem, pi, stale=True, dist=dist)
+        if np.maximum.reduce(state.sample.distances()) > STALE_FACTOR * state.Delta:
+            return _geometry_iteration(state, problem, pi, stale=True)
         state.model_doubted = False
 
     d = trsbox_linear(state.model, box, state.Delta, state.sample.room(box))

@@ -48,13 +48,13 @@ FULL_STEP_RTOL = 1e-10
 _TINY = float(np.finfo(float).tiny)
 
 
-def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray:
+def _trace_projected_path(base, direction, box, radius, room=None):
     """Endpoint of ``t -> P(base + t * direction) - base`` traced to ``radius``.
 
-    ``base`` must be feasible.  Returns the step at the first ``t`` with
-    ``||d(t)|| = radius``, or the path's limit point once all moving
-    coordinates are pinned at their bounds.  ``room`` passes in
-    ``_room(base, box)`` when the caller has it.
+    ``base`` must be feasible.  Returns ``(d, sq)`` as ``_into_ball`` does:
+    the step at the first ``t`` with ``||d(t)|| = radius``, or the path's
+    limit point once all moving coordinates are pinned at their bounds.
+    ``room`` passes in ``_room(base, box)`` when the caller has it.
     """
     a = float(direction @ direction)
     rr = radius * radius
@@ -75,7 +75,7 @@ def _trace_projected_path(base, direction, box, radius, room=None) -> np.ndarray
             gaps = SimpleNamespace(lower=np.ldexp(box.lower - base, -e),
                                    upper=np.ldexp(box.upper - base, -e))
         unit = np.ldexp(direction, -np.frexp(np.maximum.reduce(np.abs(direction)))[1])
-        d = _trace_projected_path(np.zeros(base.size), unit, gaps, math.ldexp(radius, -e))
+        d, _ = _trace_projected_path(np.zeros(base.size), unit, gaps, math.ldexp(radius, -e))
         d = np.minimum(np.maximum(base + np.ldexp(d, e), box.lower), box.upper) - base
         return _into_ball(d, radius)
     # First-segment root of ||t * direction|| = radius in the segment loop's
@@ -109,16 +109,22 @@ def _normal_squares(a, rr, q) -> bool:
     return a >= _TINY and rr >= _TINY and _TINY <= q and 2.0 * q < math.inf
 
 
-def _into_ball(d, radius) -> np.ndarray:
+def _into_ball(d, radius):
     """Roundoff guard: ``d`` scaled onto the ball when it ends outside it.
 
     A step whose ``||d||^2`` overflows takes its norm without squaring.
+    Returns ``(d, sq)``, with ``sq`` the square the guard formed: ``d @ d``,
+    or ``radius^2`` once ``d`` is scaled onto the ball.  So ``sq > 0`` means
+    ``d`` is nonzero (scaling keeps an entry of at least about
+    ``radius / sqrt(n)``), while ``sq == 0`` leaves a zero ``d`` or a square
+    that underflowed.
     """
-    sq = d @ d
+    sq = float(d @ d)
     norm = math.sqrt(sq) if sq < math.inf else math.hypot(*d.tolist())
     if norm > radius:
         d *= radius / norm
-    return d
+        sq = radius * radius
+    return d, sq
 
 
 def _trace_segments(base, direction, box, radius) -> np.ndarray:
@@ -169,18 +175,15 @@ def trsbox_linear(model: LinearModel, box, Delta: float, room=None) -> np.ndarra
     """
     if Delta <= 0:
         raise ValueError("Delta must be positive")
-    return _trace_projected_path(model.base, -model.g, box, Delta, room)
+    return _trace_projected_path(model.base, -model.g, box, Delta, room)[0]
 
 
-def select_target_for_altmov(sample: SampleSet, dist=None) -> int:
+def select_target_for_altmov(sample: SampleSet) -> int:
     """Index of the non-base sample point farthest from the base (ties: largest index).
 
-    ``dist`` passes in the distances of rows 1..n from the base when the
-    caller has already computed them.
+    The distances are the sample's cache (``SampleSet.distances``).
     """
-    if dist is None:
-        diff = sample.interpolation_matrix()[1:, 1:]  # points[1:] - base
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
+    dist = sample.distances()
     return dist.size - int(dist[::-1].argmax())  # last maximum, as a row 1..n
 
 
@@ -198,7 +201,9 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     When the interior-ball branch of the trace applies, it applies to both
     signs, which share ``||w||^2`` and the first-segment length ``s``: both
     endpoints come from one ``s w``, bit for bit the two traces, as negation
-    is exact.
+    is exact.  Whether ``w`` or an endpoint is zero is read off its square,
+    ``w @ w`` or the one ``_into_ball`` formed; only a square of zero, which
+    may have underflowed, sends the test to the entries themselves.
 
     Returns ``(d, flat)``; ``flat`` signals that both paths were clipped to
     zero length, so the sample cannot be improved within this radius.
@@ -209,7 +214,8 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
         raise ValueError("delta must be positive")
     inv = sample._factorize()
     c, w = float(inv[0, target_index]), inv[1:, target_index]
-    if not np.logical_or.reduce(w):
+    a = float(w @ w)
+    if not a > 0.0 and not np.logical_or.reduce(w):
         raise GeometryError(
             f"Lagrange polynomial of point {target_index} has zero gradient; "
             "the sample set must be rebuilt"
@@ -220,18 +226,18 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
         return abs(c + float(w @ ((base + d) - base)))
 
     room = sample.room(box)
-    a = float(w @ w)
     rr = delta * delta
     q = 4.0 * a * rr
     s = math.sqrt(q) / (2.0 * a) if _normal_squares(a, rr, q) else math.inf
     if 2.0 * delta <= room and s < math.inf:
         # The interior branch of _trace_projected_path, once for both signs.
         sw = s * w
-        d_plus = _into_ball((base + sw) - base, delta)
-        d_minus = _into_ball((base - sw) - base, delta)
+        d_plus, sq_plus = _into_ball((base + sw) - base, delta)
+        d_minus, sq_minus = _into_ball((base - sw) - base, delta)
     else:
-        d_plus = _trace_projected_path(base, w, box, delta, room)
-        d_minus = _trace_projected_path(base, -w, box, delta, room)
+        d_plus, sq_plus = _trace_projected_path(base, w, box, delta, room)
+        d_minus, sq_minus = _trace_projected_path(base, -w, box, delta, room)
     d = d_plus if weight(d_plus) >= weight(d_minus) else d_minus
-    flat = not (np.logical_or.reduce(d_plus) or np.logical_or.reduce(d_minus))
+    flat = not (sq_plus > 0.0 or sq_minus > 0.0
+                or np.logical_or.reduce(d_plus) or np.logical_or.reduce(d_minus))
     return d, flat

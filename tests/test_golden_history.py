@@ -10,13 +10,16 @@ evaluated trust-region candidate that did not enter the sample (``altmov``
 with ``rho_defined``).  It also covers every way a write reaches the sample's
 cached interpolation matrix: frozen repairs (``radii_frozen``) and exchanges
 that keep the base rewrite one row, and accepted steps and exchanges that
-hand the candidate the base slot drop it.  A change that is meant to move the
-numbers updates ``GOLDEN_SHA256`` and says so.
+hand the candidate the base slot drop it.  Frozen repairs also update one
+entry of the cached row distances in place, and a swap into the base slot
+carries the cached row lists over.  A change that is meant to move the numbers
+updates ``GOLDEN_SHA256`` and says so.
 """
 
 import hashlib
 from collections import Counter
 
+import lovotr.model
 import lovotr.solver
 from lovotr.solver import SolverConfig, solve
 from lovotr.testsets import HS_CATALOG, gen_hs, gen_mw, gen_qd
@@ -51,6 +54,22 @@ def test_histories_match_the_golden_digest(monkeypatch):
         return row
 
     monkeypatch.setattr(lovotr.solver, "exchange_point", counted_exchange)
+    in_place = Counter()  # cache writes that updated an array instead of dropping it
+    replace, promote = lovotr.solver.replace_point, lovotr.model.promote_to_base
+
+    def counted_replace(sample, *args):
+        dist = sample._dist
+        replace(sample, *args)
+        in_place["distances"] += dist is not None and sample._dist is dist
+
+    def counted_promote(sample, row):
+        rows = sample._rows
+        promote(sample, row)
+        in_place["row lists"] += rows is not None and sample._rows is rows
+
+    monkeypatch.setattr(lovotr.solver, "replace_point", counted_replace)
+    for module in (lovotr.solver, lovotr.model):  # exchange_point promotes too
+        monkeypatch.setattr(module, "promote_to_base", counted_promote)
     digest = hashlib.sha256()
     statuses, kinds = set(), set()
     after_candidate = frozen = 0
@@ -80,6 +99,7 @@ def test_histories_match_the_golden_digest(monkeypatch):
     assert after_candidate > 0
     assert frozen > 0  # row writes by replace_point
     assert exchange_rows[False] > 0 and exchange_rows[True] > 0
+    assert in_place["distances"] > 0 and in_place["row lists"] > 0
     assert recoveries  # the set rebuilds at least one singular sample
     # a repair places its point within delta <= Delta of a base that stays,
     # so each one clears a point beyond 2 * Delta: a streak ends within n

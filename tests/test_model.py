@@ -642,11 +642,26 @@ class TestRebuildForIndex:
 WRITES = ("exchange", "coincident", "hand_over", "replace", "promote", "rebuild")
 
 
+def reference_find_row(points, x):
+    """First row equal to ``x`` under the array comparison ``points == x``."""
+    hits = np.logical_and.reduce(points == x, axis=1)
+    return int(hits.argmax()) if hits.any() else None
+
+
+def with_signed_zeros(rng, x, lower, upper):
+    """``x`` with about a quarter of its feasible coordinates set to +0.0 or -0.0."""
+    x = x.copy()
+    zero = (lower <= 0.0) & (upper >= 0.0) & (rng.random(x.size) < 0.25)
+    x[zero] = np.where(rng.random(x.size) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
 class TestSampleCaches:
-    """The cached matrix, inverse and room always equal a fresh sample's."""
+    """The cached matrix, inverse, room, row lists and distances always equal a
+    fresh sample's, and ``find_row`` answers as the array comparison does."""
 
     @staticmethod
-    def assert_matches_fresh(sample, box):
+    def assert_matches_fresh(sample, box, rng):
         fresh = SampleSet(sample.points.copy(), sample.values.copy(),
                           sample.model_index)
         assert sample.interpolation_matrix().tobytes() == \
@@ -659,6 +674,24 @@ class TestSampleCaches:
         else:
             assert sample._factorize().tobytes() == expected.tobytes()
         assert sample.room(box) == _room(fresh.points[0], box)
+        assert sample.distances().tobytes() == fresh.distances().tobytes()
+        if sample._rows is not None:  # the row lists, signs of zeros included
+            assert np.array(sample._rows).tobytes() == fresh.points.tobytes()
+        points = fresh.points
+        for row in points:
+            x = row.copy()
+            assert sample.find_row(x) == reference_find_row(points, x)
+            x = np.nextafter(row, math.inf)
+            assert sample.find_row(x) == reference_find_row(points, x)
+            x = np.where(row == 0.0, -row, row)  # the zeros' signs flipped
+            assert sample.find_row(x) == reference_find_row(points, x)
+        # a duplicated row: the first match wins
+        k = int(rng.integers(0, sample.n))
+        duplicated = points.copy()
+        duplicated[-1] = points[k]
+        dup = SampleSet(duplicated, sample.values, sample.model_index)
+        assert dup.find_row(points[k].copy()) == reference_find_row(duplicated, points[k]) \
+            == k
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
@@ -672,19 +705,22 @@ class TestSampleCaches:
                  ComponentOracle(2, lambda x: float(np.sum(np.abs(x))))]
         problem = LovoProblem("caches", comps, box, lower)
         ledger = EvalLedger(2)
-        sample = sample_from(rng.uniform(lower, upper, (n + 1, n)),
+        points = rng.uniform(lower, upper, (n + 1, n))
+        sample = sample_from([with_signed_zeros(rng, p, lower, upper) for p in points],
                              rng.uniform(-1, 1, n + 1))
         for write in writes:
             # fill every cache, so that a write path that skips its update
             # leaves a stale one behind
             sample.interpolation_matrix()
             sample.room(box)
+            sample.distances()
+            sample.find_row(sample.base)
             try:
                 sample._factorize()
             except GeometryError:
                 pass
             row = int(rng.integers(1, n + 1))
-            x_new = rng.uniform(lower, upper)
+            x_new = with_signed_zeros(rng, rng.uniform(lower, upper), lower, upper)
             try:
                 if write == "exchange":
                     exchange_point(sample, x_new, float(rng.uniform(-1, 2)))
@@ -701,7 +737,23 @@ class TestSampleCaches:
                                       3 - sample.model_index, float(sample.values[0]))
             except (GeometryError, PointRejectedError):
                 pass
-            self.assert_matches_fresh(sample, box)
+            self.assert_matches_fresh(sample, box, rng)
+
+    def test_find_row_compares_as_ieee_floats(self):
+        s = sample_from([[0.0, -0.0], [math.nan, 1.0], [1.0, 1.0]], [0, 0, 0])
+        assert s.find_row([-0.0, 0.0]) == 0
+        assert s.find_row(np.array([math.nan, 1.0])) is None
+        assert s.find_row(s.points[1]) is None  # a NaN equals nothing, itself included
+        assert s.find_row((1, 1)) == 2
+
+    def test_find_row_takes_only_a_length_n_vector(self):
+        # broadcasting would let a scalar or a length-1 vector "equal" any
+        # row whose entries are all equal, here row 1
+        s = sample_from([[0, 0], [1, 1], [0, 1]], [0, 0, 0])
+        for x in (1.0, [1.0], [[1.0, 1.0]], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                s.find_row(x)
+        assert s.find_row([1, 1]) == 1
 
     def test_construction_copies_the_arrays(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

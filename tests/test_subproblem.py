@@ -140,7 +140,7 @@ class TestTrsbox:
 
     def test_trace_matches_plain_reference(self, rng):
         def assert_same(base, direction, box, radius, room=None):
-            got = _trace_projected_path(base, direction, box, radius, room)
+            got, _ = _trace_projected_path(base, direction, box, radius, room)
             ref = reference_trace(base, direction, box, radius)
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -256,7 +256,7 @@ class TestTrsbox:
             direction = np.array(direction)
             unit = direction / np.max(np.abs(direction))
             for at in (base, np.array([0.02, 0.97])):  # interior, near two faces
-                d = _trace_projected_path(at, direction, box, 0.1)
+                d, _ = _trace_projected_path(at, direction, box, 0.1)
                 assert d == pytest.approx(reference_trace(at, unit, box, 0.1), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -272,7 +272,7 @@ class TestTrsbox:
         direction = np.array([1e-4, 1e-4])
         radius = 1.3407807929942596e154
         assert radius * radius < math.inf
-        d = _trace_projected_path(base, direction, box, radius)
+        d, _ = _trace_projected_path(base, direction, box, radius)
         assert hypot_calls
         assert np.array_equal(d, reference_trace(base, direction, box, radius))
         assert d == pytest.approx([radius / math.sqrt(2.0)] * 2, rel=1e-12)
@@ -286,22 +286,22 @@ class TestTrsbox:
         # units of a power of two near the radius, so it still meets the ball
         # on the segment that crosses it
         box = FeasibleBox([-1e200, -1e200], [1e150, 1e200])
-        d = _trace_projected_path(np.zeros(2), np.array([1.0, 1.0]), box, 1e160)
+        d, _ = _trace_projected_path(np.zeros(2), np.array([1.0, 1.0]), box, 1e160)
         assert d.tolist() == [1e150, 1e160]
         wide = FeasibleBox([-1e200, -1e200], [1e200, 1e200])
-        d = _trace_projected_path(np.zeros(2), np.array([1.0, 0.0]), wide, 1e160)
+        d, _ = _trace_projected_path(np.zeros(2), np.array([1.0, 0.0]), wide, 1e160)
         assert d.tolist() == [1e160, 0.0]
-        d = _trace_projected_path(np.zeros(2), np.array([1e100, 2e100]), wide, 1e60)
+        d, _ = _trace_projected_path(np.zeros(2), np.array([1e100, 2e100]), wide, 1e60)
         assert d == pytest.approx(1e60 / math.sqrt(5.0) * np.array([1.0, 2.0]), rel=1e-12)
         unit = FeasibleBox([-1, -1], [1, 1])
-        d = _trace_projected_path(np.zeros(2), np.array([1e-100, 0.0]), unit, 1e-75)
+        d, _ = _trace_projected_path(np.zeros(2), np.array([1e-100, 0.0]), unit, 1e-75)
         assert d.tolist() == [1e-75, 0.0]
         for radius in (1e-170, 1e-320):
-            d = _trace_projected_path(np.zeros(2), np.array([1.0, 1.0]), unit, radius)
+            d, _ = _trace_projected_path(np.zeros(2), np.array([1.0, 1.0]), unit, radius)
             assert d == pytest.approx([radius / math.sqrt(2.0)] * 2,
                                       rel=1e-12 if radius > 1e-300 else 1e-3)
         base = np.array([1.0, 0.0])  # on the upper face of coordinate 1
-        d = _trace_projected_path(base, np.array([1.0, 1.0]), unit, 1e-170)
+        d, _ = _trace_projected_path(base, np.array([1.0, 1.0]), unit, 1e-170)
         assert d.tolist() == [0.0, 1e-170]
 
     def test_zero_direction_in_the_interior(self):
@@ -309,7 +309,7 @@ class TestTrsbox:
         box = FeasibleBox([0, 0], [1, 1])
         base = np.array([0.5, 0.5])
         for direction in (np.zeros(2), np.array([0.0, -0.0])):
-            d = _trace_projected_path(base, direction, box, 0.1)
+            d, _ = _trace_projected_path(base, direction, box, 0.1)
             assert np.array_equal(d, [0.0, 0.0])
             assert np.array_equal(d, reference_trace(base, direction, box, 0.1))
 
@@ -505,8 +505,8 @@ class TestAltmov:
             with np.errstate(over="ignore"):
                 a, rr = float(w @ w), delta * delta
                 q = 4.0 * a * rr
-                plus = _trace_projected_path(base, w, box, delta)
-                minus = _trace_projected_path(base, -w, box, delta)
+                plus, _ = _trace_projected_path(base, w, box, delta)
+                minus, _ = _trace_projected_path(base, -w, box, delta)
 
                 def weight(step):
                     return abs(c + float(w @ ((base + step) - base)))
@@ -572,6 +572,41 @@ class TestAltmov:
         with pytest.raises(GeometryError):
             altmov_linear(s, box, 1.0, 1)
 
+    @pytest.mark.parametrize("case", ["tiny gradient", "underflowing step",
+                                      "rounded-away step", "zero column"])
+    def test_zero_tests_match_the_reductions(self, case):
+        # the zero-gradient and flat verdicts are read off squares; where a
+        # square is zero, only the entries tell a true zero from an underflow
+        for corner in (5.0, 0.0, 1e10):  # interior ball; base on a face; huge base
+            base = np.array([corner, 5.0])
+            box = FeasibleBox([0, 0], [2e10, 10])
+            s = SampleSet(np.vstack([base, base + [1, 0], base + [0, 1]]), np.zeros(3), 1)
+            inv = s._factorize().copy()
+            delta = 1e-8 if case == "rounded-away step" else 1.0
+            if case == "tiny gradient":
+                inv[1:, 1] = [1e-170, -2e-170]
+            elif case == "underflowing step":
+                delta = 1e-170
+            elif case == "zero column":
+                inv[1:, 1] = [0.0, -0.0]
+            s._basis = inv
+            w = inv[1:, 1]
+            if not np.logical_or.reduce(w):
+                with pytest.raises(GeometryError):
+                    altmov_linear(s, box, delta, 1)
+                continue
+            d, flat = altmov_linear(s, box, delta, 1)
+            plus, _ = _trace_projected_path(base, w, box, delta)
+            minus, _ = _trace_projected_path(base, -w, box, delta)
+            assert flat == (not np.logical_or.reduce(plus)
+                            and not np.logical_or.reduce(minus))
+            # a step below half the rounding unit of the base rounds away
+            assert flat == (delta < 0.5 * np.spacing(corner))
+            if case == "tiny gradient":
+                assert float(w @ w) == 0.0
+            elif case == "underflowing step":
+                assert float(d @ d) == 0.0
+
     def test_bad_target_rejected(self):
         box = FeasibleBox([0], [10])
         with pytest.raises(ValueError):
@@ -603,5 +638,5 @@ class TestSelectTarget:
             for j, dj in enumerate(dist, start=1):
                 if dj >= best:
                     best, expected = float(dj), j
+            assert np.array_equal(s.distances(), dist)
             assert select_target_for_altmov(s) == expected
-            assert select_target_for_altmov(s, dist) == expected
