@@ -30,11 +30,22 @@ repairs and the geometry gate: the rows as lists of Python floats, which
 write updates one entry of each, the distance by the same per-row reduction
 of squares as a fresh computation.  A base move drops the distances, and the
 row lists too unless it swaps a row into the base slot, which swaps their two
-entries.  The inverse is recomputed from scratch after every point move.  An
+entries.  The sample's ``n``, ``npt`` and ``base`` are plain attributes set
+once: ``base`` is the view ``points[0]``, which stays current because
+``points`` is never rebound and every write changes its rows in place.  The
+inverse is recomputed from scratch after every point move.  An
 incremental inverse (a rank-one update of the old one) was tried: it changes
 the inverse in the last bits, and those bits moved the iteration histories and
 cost evaluations (3% more on the QD n=10, r=10 campaign, 21% more on the HS/MW
 set), while the factorization it saves is a few microseconds at n <= 12.
+
+The products of this module, of the trust-region and geometry steps and of
+the solver loop call ``ndarray.dot`` rather than the ``@`` operator.  Both
+reach the same BLAS kernel (``ddot`` or ``dgemv``), but ``@`` dispatches
+through the ``matmul`` ufunc first, which at n = 10 costs about as much again
+as the product itself.  The two give the same bits except for the sign of a
+zero product of two length-1 vectors, which the loop reads alike
+(``tests/test_products.py``).
 """
 
 from __future__ import annotations
@@ -126,23 +137,15 @@ class SampleSet:
         if self.values.shape != (self.points.shape[0],):
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
+        self.npt, self.n = self.points.shape
+        # A view: ``points`` is never rebound and its rows are written in
+        # place, so ``base`` always reads the current row 0.
+        self.base = self.points[0]
         self._matrix = None     # interpolation matrix, rows [1, (y - base)^T]
         self._basis = None      # its inverse
         self._base_room = None  # (box, distance from the base to its nearest face)
         self._rows = None       # the points as lists of Python floats
         self._dist = None       # distances of rows 1..n from the base
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def npt(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def base(self) -> np.ndarray:
-        return self.points[0]
 
     def touch(self):
         """Drop every cached quantity after the base moved.
@@ -265,7 +268,10 @@ class SampleSet:
         nothing.  The rows are compared as cached lists of Python floats,
         which for n <= 12 is several times faster than an array comparison.
         """
-        x = as_vector(x, n=self.n).tolist()
+        return self._find(as_vector(x, n=self.n).tolist())
+
+    def _find(self, x: list) -> int | None:
+        """``find_row`` for a list of n Python floats, which it does not check."""
         rows = self._rows
         if rows is None:
             rows = self._rows = self.points.tolist()
@@ -292,7 +298,7 @@ def _room(base, box) -> float:
 def _frobenius_sq(a) -> float:
     """Squared Frobenius norm; inf when the sum overflows (numpy then warns)."""
     flat = a.ravel("K")  # a view for C- and Fortran-ordered arrays alike
-    return float(flat @ flat)
+    return float(flat.dot(flat))
 
 
 def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) -> SampleSet:
@@ -342,7 +348,7 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
 def build_model(sample: SampleSet) -> LinearModel:
     """Solve the interpolation system and return the determined linear model."""
     inv = sample._factorize()
-    coeffs = inv @ sample.values
+    coeffs = inv.dot(sample.values)
     return LinearModel(index=sample.model_index, base=sample.base.copy(),
                        fx=float(sample.values[0]), g=coeffs[1:])
 
@@ -358,7 +364,7 @@ def _matrix_row(sample: SampleSet, x) -> np.ndarray:
 def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
     """All Lagrange values ``l_j(x)``, j = 0..n, at the vector ``x``."""
     inv = sample._factorize()
-    return _matrix_row(sample, x) @ inv
+    return _matrix_row(sample, x).dot(inv)
 
 
 def promote_to_base(sample: SampleSet, row: int):
@@ -401,14 +407,14 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
     x_new = as_vector(x_new, n=sample.n, name="x_new")
     f_new = float(f_new)
 
-    row = sample.find_row(x_new)
+    row = sample._find(x_new.tolist())
     if row is not None:
         sample.values[row] = f_new
         return row
 
     inv = sample._factorize()
     m_row = _matrix_row(sample, x_new)
-    weight = abs(m_row @ inv)
+    weight = abs(m_row.dot(inv))
     best_old = int(sample.values.argmin())
     improves_best = f_new < sample.values[best_old]
     improves_base = f_new < sample.values[0]
@@ -452,12 +458,12 @@ def replace_point(sample: SampleSet, row: int, x_new, f_new: float):
     if not 1 <= row < sample.npt:
         raise ValueError(f"cannot replace row {row}")
     x_new = as_vector(x_new, n=sample.n, name="x_new")
-    existing = sample.find_row(x_new)
+    existing = sample._find(x_new.tolist())
     if existing is not None and existing != row:
         raise PointRejectedError(f"candidate repeats sample point {existing}")
     inv = sample._factorize()
     m_row = _matrix_row(sample, x_new)
-    if abs((m_row @ inv)[row]) < MIN_LAGRANGE_WEIGHT:
+    if abs(m_row.dot(inv)[row]) < MIN_LAGRANGE_WEIGHT:
         raise PointRejectedError(
             f"candidate cannot replace sample point {row} without degeneracy"
         )
@@ -483,4 +489,4 @@ def rebuild_for_index(sample: SampleSet, problem, ledger, new_index: int,
 def model_stationarity(model: LinearModel, box) -> float:
     """Projected-gradient stationarity measure ``||P(base - g) - base||``."""
     step = box.project(model.base - model.g) - model.base
-    return math.sqrt(step @ step)
+    return math.sqrt(step.dot(step))

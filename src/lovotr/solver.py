@@ -354,9 +354,9 @@ def iterate(state: SolverState, problem: LovoProblem,
         state.model_doubted = False
 
     d = trsbox_linear(state.model, box, state.Delta, state.sample.room(box))
-    dnorm = math.sqrt(d @ d)
+    dnorm = math.sqrt(d.dot(d))
     full_length = dnorm >= state.Delta * (1.0 - FULL_STEP_RTOL)
-    predicted = -float(state.model.g @ d)
+    predicted = -float(state.model.g.dot(d))
     if dnorm < 0.5 * state.Delta or predicted <= 0.0:
         # Short or non-descending steps are not worth an evaluation.
         return _geometry_iteration(state, problem, pi, stale=False)

@@ -664,6 +664,11 @@ class TestSampleCaches:
     def assert_matches_fresh(sample, box, rng):
         fresh = SampleSet(sample.points.copy(), sample.values.copy(),
                           sample.model_index)
+        # the plain attributes: base is a view of row 0, written in place
+        assert (sample.n, sample.npt) == (fresh.n, fresh.npt)
+        assert sample.base.shape == (sample.n,)
+        assert sample.base.ctypes.data == sample.points[0].ctypes.data
+        assert np.shares_memory(sample.base, sample.points[0])
         assert sample.interpolation_matrix().tobytes() == \
             fresh.interpolation_matrix().tobytes()
         try:
@@ -754,6 +759,17 @@ class TestSampleCaches:
             with pytest.raises(ValueError):
                 s.find_row(x)
         assert s.find_row([1, 1]) == 1
+
+    def test_writes_take_only_a_length_n_vector(self):
+        s = sample_from([[0, 0], [1, 1], [0, 1]], [0, 1, 2])
+        for x in ([1.0], [[2.0, 2.0]], [2.0, 2.0, 2.0]):
+            with pytest.raises(ValueError):
+                exchange_point(s, x, -1.0)
+            with pytest.raises(ValueError):
+                replace_point(s, 1, x, -1.0)
+            with pytest.raises(ValueError):
+                s.find_row(x)
+        assert np.array_equal(s.points, [[0, 0], [1, 1], [0, 1]])
 
     def test_construction_copies_the_arrays(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

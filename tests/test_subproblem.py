@@ -326,6 +326,39 @@ class TestTrsbox:
             assert np.all(base + d >= lower) and np.all(base + d <= upper)
             assert np.linalg.norm(d) <= Delta * (1 + 1e-12)
 
+    def test_norm_and_feasibility_hold_up_to_rounding(self, rng):
+        # the guarantee the docstring states: ||d|| exceeds Delta by a few
+        # ulps at most, and projecting base + d moves a coordinate by at most
+        # one spacing of max(|base_j|, |d_j|); bases on a face and scales far
+        # from 1 make the rounding show
+        eps = np.finfo(float).eps
+        outside = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            lower = rng.uniform(-5, 0, n) * scale
+            upper = lower + rng.uniform(0.01, 5, n) * scale
+            box = FeasibleBox(lower, upper)
+            pin = rng.random(n)
+            base = np.where(pin < 0.15, lower,
+                            np.where(pin > 0.85, upper, rng.uniform(lower, upper)))
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4)
+            Delta = scale * 10.0 ** rng.uniform(-4, 1)
+            d = trsbox_linear(model(base, g), box, Delta)
+            assert math.sqrt(math.fsum((d * d).tolist())) <= Delta * (1.0 + 4.0 * eps)
+            x = base + d
+            moved = np.abs(box.project(x) - x)
+            assert np.all(moved <= np.spacing(np.maximum(np.abs(base), np.abs(d))))
+            outside += bool(moved.any())
+        assert outside > 0  # exact feasibility is not what the trace keeps
+
+    def test_nan_radius_raises(self):
+        box = FeasibleBox([0, 0], [10, 10])
+        m = model([5.0, 5.0], [1.0, 2.0])
+        for Delta in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                trsbox_linear(m, box, Delta)
+
     def test_matches_grid_bruteforce(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 3))
@@ -606,6 +639,13 @@ class TestAltmov:
                 assert float(w @ w) == 0.0
             elif case == "underflowing step":
                 assert float(d @ d) == 0.0
+
+    def test_nan_radius_raises(self):
+        s = SampleSet(np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]), np.zeros(3), 1)
+        box = FeasibleBox([0, 0], [10, 10])
+        for delta in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                altmov_linear(s, box, delta, 1)
 
     def test_bad_target_rejected(self):
         box = FeasibleBox([0], [10])
