@@ -309,7 +309,9 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
     goes down.  Where ``delta0`` fits neither way, the offset shrinks to half
     the box width in that coordinate (with a warning).  The working
     component is evaluated at each new point; ``base_value`` passes in an
-    already-known value at ``x0`` so it is not charged twice.
+    already-known value at ``x0`` so it is not charged twice.  ``x0`` is
+    projected onto the box first: this is where outside points enter, and the
+    oracles below expect feasible ones.
     """
     x0 = problem.box.project(x0)
     if delta0 <= 0:

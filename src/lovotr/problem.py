@@ -75,7 +75,9 @@ class ComponentOracle:
     """One black-box component: a 1-based index and its evaluation function.
 
     The function must be deterministic and return a finite value everywhere on
-    the feasible box.
+    the feasible box.  It receives a feasible length-n float array and must
+    not write to it: the arrays passed are the solver's own (the problem's
+    ``x0``, sample rows, candidates), not copies.
     """
 
     index: int
@@ -226,17 +228,19 @@ class EvalLedger:
 def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float:
     """Evaluate component ``i`` at ``x``, charging one evaluation to the ledger.
 
-    The point is projected onto the box before the oracle is called, so oracles
-    never see infeasible points.  With a single component the returned value is
-    a certified objective value and is recorded as such.
+    A feasible ``x`` is the caller's precondition: the oracle receives ``x`` as
+    given, unprojected and uncopied.  ``LovoProblem`` refuses an ``x0`` off
+    the box, the solver projects each candidate it forms, and
+    ``initial_sample`` projects the starting point it is handed.
+    With a single component the returned value is a certified objective value
+    and is recorded as such.
     """
     if not 1 <= i <= problem.r:
         raise ValueError(f"component index {i} outside 1..{problem.r}")
-    xp = problem.box.project(x)
     ledger._charge(1)
-    value = problem.components[i - 1](xp)
+    value = problem.components[i - 1](x)
     if not math.isfinite(value):
-        raise OracleError(i, xp, value)
+        raise OracleError(i, x, value)
     if problem.r == 1:
         ledger.note_value(value)
     return value
@@ -251,26 +255,27 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> np.ndarray:
     batch oracle is in force (see ``LovoProblem._batch_oracle``), else from
     the components one at a time; either way a non-finite value raises
     :class:`OracleError` for the lowest index holding one.  A batch result
-    that is not ``r`` values raises ``ValueError``.
+    that is not ``r`` values raises ``ValueError``.  As for
+    :func:`eval_component`, a feasible ``x`` is the caller's precondition and
+    the oracles receive it as given.
     """
-    xp = problem.box.project(x)
     ledger._charge(problem.r)
     batch = problem._batch_oracle()
     if batch is not None:
-        values = np.asarray(batch(xp), dtype=float)
+        values = np.asarray(batch(x), dtype=float)
         if values.shape != (problem.r,):
             raise ValueError(f"eval_all of problem {problem.name!r} returned shape "
                              f"{values.shape}, expected {(problem.r,)}")
         finite = np.isfinite(values)
         if not np.logical_and.reduce(finite):
             k = int(np.argmin(finite))  # the first False
-            raise OracleError(k + 1, xp, float(values[k]))
+            raise OracleError(k + 1, x, float(values[k]))
     else:
         values = np.empty(problem.r)
         for comp in problem.components:
-            v = comp(xp)
+            v = comp(x)
             if not math.isfinite(v):
-                raise OracleError(comp.index, xp, v)
+                raise OracleError(comp.index, x, v)
             values[comp.index - 1] = v
     ledger.note_value(float(values.min()))
     return values

@@ -14,10 +14,10 @@ base.  An iteration passes through four phases:
 * step acceptance: the trust-region step is evaluated and accepted when the
   reduction ratio reaches ``ETA``; on acceptance the working index is rechosen
   from the active set whenever a full objective evaluation certified it.  The
-  iterate, the sample's base, moves to an accepted candidate and, whatever
-  the ratio, to any point the exchange admits below the base value, so under
-  the cheap ratio every candidate that enters is the next iterate and ``ETA``
-  only names the outcome's kind;
+  iterate, the sample's base, moves to an accepted candidate that the
+  exchange admits and, whatever the ratio, to any point it admits below the
+  base value, so under the cheap ratio every candidate that enters is the
+  next iterate and ``ETA`` only names the outcome's kind;
 * radii adjustment: an accepted step that swaps the working component inflates
   both radii by ``TAU4``, at most ``GAMMA_MAX + 1`` times between successful
   iterations (the ``Gamma`` counter, reset whenever ``rho >= ETA1``);
@@ -391,13 +391,10 @@ def iterate(state: SolverState, problem: LovoProblem,
         try:
             row = exchange_point(state.sample, x_new, f_insert)
         except PointRejectedError:
-            if accepted:
-                # A sample set that cannot admit an accepted point needs the
-                # caller's geometry recovery, not a silent reclassification.
-                raise
             _log.debug("trust-region point rejected by the sample exchange")
     if row is None:
-        # Nothing entered, so rho < ETA: the radii shrink by TAU1, Gamma
+        # Nothing entered: rho <= 0, or the exchange refused the candidate,
+        # accepted or not.  The iterate stays, the radii shrink by TAU1, Gamma
         # stays and nothing is adjusted, as on any fresh geometry iteration.
         outcome = _geometry_iteration(
             state, problem, pi, stale=False, rho=rho, rho_hat=rho_hat,

@@ -83,8 +83,10 @@ def replay_radii(history):
     rules, at the solver's threshold constants, from both radii at
     ``RADIUS0``, and returns the (delta, Delta) pair after every iteration.
     Every update stops at the noise floor ``max(DELTA_MIN, c * sqrt(eps *
-    |fx|))`` of the value ``fx`` the iteration committed; frozen repairs leave
-    both radii alone.
+    |fx|))`` of the value ``fx`` the iteration committed.  Every geometry
+    iteration (``altmov``) shrinks both radii by ``TAU1`` and leaves the
+    ``Gamma`` counter alone, whatever ratio a refused candidate had, except
+    frozen repairs, which leave the radii alone too.
     """
     delta = Delta = RADIUS0
     gamma = 0
@@ -94,7 +96,7 @@ def replay_radii(history):
                     NOISE_RADIUS_FACTOR * math.sqrt(np.finfo(float).eps * abs(o.fx)))
         if o.kind == "criticality":
             factors = (TAU1, 0.5 * (TAU1 + TAU2))
-        elif o.kind == "altmov" and not o.rho_defined:
+        elif o.kind == "altmov":
             factors = None if o.radii_frozen else (TAU1, TAU1)
         else:
             if o.rho >= ETA1:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 from collections import Counter
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from conftest import (
     central_diff_gradient,
     count_calls,
 )
-from lovotr.errors import BudgetExceededError, GeometryError, PointRejectedError
+from lovotr.errors import BudgetExceededError, GeometryError
 from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
 from lovotr.solver import (
@@ -231,14 +232,23 @@ class TestIterationPhases:
         assert ledger.total_component_evals - before == 2 + 1
         assert np.array_equal(state.model.base, [5.0, 5.0])
 
-    def test_refused_accepted_candidate_raises(self):
+    def test_refused_accepted_candidate_takes_a_geometry_step(self):
+        # f2 = 0 at the candidate gives the full ratio (1 - 0) / 2 = 0.5, so
+        # the step is accepted, yet the exchange refuses it: the iteration is
+        # the same geometry step as for any refused candidate, the run does
+        # not need a recovery, and Gamma is left alone
         problem, state, ledger = self.refusing_exchange(0.0)
-        model, pi = state.model, state.pi
-        radii = (state.delta, state.Delta, state.Gamma)
-        with pytest.raises(PointRejectedError):
-            iterate(state, problem, SolverConfig(use_cheap_rho=False))
-        assert state.model is model and state.pi == pi
-        assert (state.delta, state.Delta, state.Gamma) == radii
+        state.Gamma = 2
+        before = ledger.total_component_evals
+        outcome = iterate(state, problem, SolverConfig(use_cheap_rho=False))
+        assert outcome.kind == "altmov" and outcome.rho_defined
+        assert outcome.rho == pytest.approx(0.5) and outcome.rho >= ETA1
+        assert not outcome.radii_frozen and not outcome.adjusted
+        assert (state.delta, state.Delta) == (1.0 * TAU1, 2.0 * TAU1)
+        assert state.Gamma == outcome.Gamma == 2
+        assert ledger.total_component_evals - before == 2 + 1
+        assert np.array_equal(state.model.base, [5.0, 5.0])
+        assert state.model.fx == 1.0
 
     def test_stale_sample_is_repaired_with_frozen_radii(self):
         # after a poor ratio, a sample point beyond 2 * Delta is replaced
@@ -892,3 +902,71 @@ class TestInvariants:
                 logged = [SimpleNamespace(**json.loads(line)) for line in fh]
         assert len(logged) == result.iterations
         assert_radii_replay(logged)
+
+
+@dataclasses.dataclass
+class WatchedBox(FeasibleBox):
+    """A box that counts the points off it that the solver module projects.
+
+    The solver's only projections are of the candidates it forms, ``base +
+    d``; the model layer's projections (of ``x0`` and of ``base - g``) are
+    told apart by the calling module's name.
+    """
+
+    off_box: int = 0
+
+    def project(self, x):
+        if sys._getframe(1).f_globals["__name__"] == "lovotr.solver" and not self.contains(x):
+            self.off_box += 1
+        return super().project(x)
+
+
+def scaled_box_problem(rng):
+    """A problem of 1 to 3 quadratics in 1 to 6 variables on a scaled, shifted box.
+
+    The box widths are scaled by 10^U(-3, 3), half the boxes are shifted by
+    up to 1e3, and each coordinate of the start lies on its lower face, or on
+    its upper one, with probability 0.3: bases on faces at scales far from 1
+    are where rounding puts ``base + d`` outside the box.
+    """
+    n = int(rng.integers(1, 7))
+    r = int(rng.integers(1, 4))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    lower = rng.uniform(-2.0, 2.0, n) * scale
+    if rng.random() < 0.5:
+        lower += rng.uniform(-1e3, 1e3)
+    upper = lower + rng.uniform(0.5, 5.0, n) * scale
+    pin = rng.random(n)
+    x0 = np.where(pin < 0.3, lower, np.where(pin > 0.7, upper, rng.uniform(lower, upper)))
+    comps = []
+    for k in range(1, r + 1):
+        center = rng.uniform(lower - scale, upper + scale)
+        weight = rng.uniform(0.1, 10.0, n) / scale**2
+        comps.append(ComponentOracle(
+            k, lambda x, c=center, w=weight: float(w.dot((x - c) ** 2))))
+    return LovoProblem("scaled", comps, WatchedBox(lower, upper), x0)
+
+
+class TestFeasibilityContract:
+    @pytest.mark.filterwarnings("ignore:x0 has less than")
+    def test_oracles_see_only_feasible_points_on_scaled_boxes(self):
+        # eval_component and eval_fmin pass points on as given, so the
+        # solver's projection of each candidate is what keeps the oracles in
+        # the box; the sweep must also reach candidates that need it, or it
+        # could not fail without them
+        rng = np.random.default_rng(0)
+        outside = []
+        off_box = 0
+        for _ in range(300):
+            problem = scaled_box_problem(rng)
+            box = problem.box
+            for comp in problem.components:
+                def checked(x, _fn=comp.fn):
+                    if not box.contains(x):
+                        outside.append(np.array(x))
+                    return _fn(x)
+                comp.fn = checked
+            solve(problem, SolverConfig(budget=300))
+            off_box += box.off_box
+        assert not outside, outside[0]
+        assert off_box > 0

@@ -27,6 +27,30 @@ def model(base, g):
                        g=np.asarray(g, float))
 
 
+def scaled_box_and_base(rng, n, scale, on_face):
+    """A box of widths up to 5 * scale and a base on each face with probability ``on_face``."""
+    lower = rng.uniform(-5, 0, n) * scale
+    upper = lower + rng.uniform(0.01, 5, n) * scale
+    pin = rng.random(n)
+    base = np.where(pin < on_face, lower,
+                    np.where(pin > 1.0 - on_face, upper, rng.uniform(lower, upper)))
+    return FeasibleBox(lower, upper), base
+
+
+def within_rounding(box, base, d, radius):
+    """Assert the subproblems' guarantee; return whether ``base + d`` is off the box.
+
+    ``||d||`` exceeds ``radius`` by a few ulps at most, and projecting
+    ``base + d`` moves a coordinate by at most one spacing of
+    ``max(|base_j|, |d_j|)``.
+    """
+    assert math.sqrt(math.fsum((d * d).tolist())) <= radius * (1.0 + 4.0 * np.finfo(float).eps)
+    x = base + d
+    moved = np.abs(box.project(x) - x)
+    assert np.all(moved <= np.spacing(np.maximum(np.abs(base), np.abs(d))))
+    return bool(moved.any())
+
+
 def grid_best_step(g, base, box, Delta, points_per_dim):
     """Brute-force oracle: best objective value over a grid of box-and-ball."""
     n = base.size
@@ -314,42 +338,29 @@ class TestTrsbox:
             assert np.array_equal(d, reference_trace(base, direction, box, 0.1))
 
     def test_feasible_and_short_enough(self, rng):
+        # bases on faces at the scales 1e-3 and 1e3, held to the guarantee
+        # the docstring states rather than to exact feasibility
         for _ in range(300):
             n = int(rng.integers(1, 9))
-            lower = rng.uniform(-5, 0, n)
-            upper = lower + rng.uniform(0.2, 6, n)
-            box = FeasibleBox(lower, upper)
-            base = rng.uniform(lower, upper)
+            scale = 10.0 ** rng.choice([-3, 3])
+            box, base = scaled_box_and_base(rng, n, scale, on_face=0.3)
             g = rng.normal(0, 10 ** rng.uniform(-2, 2), n)
-            Delta = float(10 ** rng.uniform(-3, 1))
-            d = trsbox_linear(model(base, g), box, Delta)
-            assert np.all(base + d >= lower) and np.all(base + d <= upper)
-            assert np.linalg.norm(d) <= Delta * (1 + 1e-12)
+            Delta = scale * 10.0 ** rng.uniform(-3, 1)
+            within_rounding(box, base, trsbox_linear(model(base, g), box, Delta), Delta)
 
     def test_norm_and_feasibility_hold_up_to_rounding(self, rng):
         # the guarantee the docstring states: ||d|| exceeds Delta by a few
         # ulps at most, and projecting base + d moves a coordinate by at most
         # one spacing of max(|base_j|, |d_j|); bases on a face and scales far
         # from 1 make the rounding show
-        eps = np.finfo(float).eps
         outside = 0
         for _ in range(3000):
             n = int(rng.integers(1, 13))
             scale = 10.0 ** rng.uniform(-3, 3)
-            lower = rng.uniform(-5, 0, n) * scale
-            upper = lower + rng.uniform(0.01, 5, n) * scale
-            box = FeasibleBox(lower, upper)
-            pin = rng.random(n)
-            base = np.where(pin < 0.15, lower,
-                            np.where(pin > 0.85, upper, rng.uniform(lower, upper)))
+            box, base = scaled_box_and_base(rng, n, scale, on_face=0.15)
             g = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4)
             Delta = scale * 10.0 ** rng.uniform(-4, 1)
-            d = trsbox_linear(model(base, g), box, Delta)
-            assert math.sqrt(math.fsum((d * d).tolist())) <= Delta * (1.0 + 4.0 * eps)
-            x = base + d
-            moved = np.abs(box.project(x) - x)
-            assert np.all(moved <= np.spacing(np.maximum(np.abs(base), np.abs(d))))
-            outside += bool(moved.any())
+            outside += within_rounding(box, base, trsbox_linear(model(base, g), box, Delta), Delta)
         assert outside > 0  # exact feasibility is not what the trace keeps
 
     def test_nan_radius_raises(self):
@@ -441,25 +452,23 @@ class TestAltmov:
         assert np.all(d >= 0)
 
     def test_never_infeasible_or_overlong(self, rng):
+        # bases on faces at the scales 1e-3 and 1e3, held to the guarantee
+        # trsbox_linear states, which the shared trace gives altmov as well
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            lower = rng.uniform(-3, 0, n)
-            upper = lower + rng.uniform(0.5, 4, n)
-            box = FeasibleBox(lower, upper)
-            base = rng.uniform(lower, upper)
+            scale = 10.0 ** rng.choice([-3, 3])
+            box, base = scaled_box_and_base(rng, n, scale, on_face=0.3)
             pts = np.vstack([base] + [
-                np.clip(base + rng.normal(0, 1, n), lower, upper)
+                np.clip(base + rng.normal(0, scale, n), box.lower, box.upper)
                 for _ in range(n)
             ])
             s = SampleSet(pts, np.zeros(n + 1), 1)
             try:
                 target = select_target_for_altmov(s)
-                d, flat = altmov_linear(s, box, 0.7, target)
+                d, flat = altmov_linear(s, box, 0.7 * scale, target)
             except GeometryError:
                 continue
-            assert np.all(base + d >= lower - 1e-15)
-            assert np.all(base + d <= upper + 1e-15)
-            assert np.linalg.norm(d) <= 0.7 * (1 + 1e-12)
+            within_rounding(box, base, d, 0.7 * scale)
 
     def test_matches_two_reference_traces(self, rng):
         # the better of the traces along +w and -w, bit for bit, with bases
