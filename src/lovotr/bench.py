@@ -348,13 +348,15 @@ def _positive_int(value) -> bool:
 
 
 # What each trace manifest key must hold, and how to say so; ``f_x0`` is
-# ``Infinity`` when nothing was certified, and it and ``metering`` may be absent.
+# ``Infinity`` when nothing was certified, and it, ``status`` and ``metering``
+# may be absent.
 _MANIFEST_TYPES = {
     "problem": (lambda v: type(v) is str, "a string"),
     "n": (_positive_int, "a positive integer"),
     "r": (_positive_int, "a positive integer"),
     "budget": (_positive_int, "a positive integer"),
     "f_x0": (lambda v: type(v) in (int, float) and v == v, "a number other than NaN"),
+    "status": (lambda v: type(v) is str, "a string"),
     "metering": (lambda v: v in BUDGET_RULES, f"one of {', '.join(BUDGET_RULES)}"),
 }
 

@@ -19,21 +19,26 @@ modules this package never calls and would take most of the time of
 number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
 ``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.
 
-The sample set also caches the matrix itself and the base's room to the box,
-the quantities that depend on the base.  A write that leaves the base in place
-(a geometry repair, or an exchange that keeps the base) rewrites one row of
-the matrix, computed by the same ``x - base`` subtraction as a fresh build, so
-the cached matrix always equals a fresh one bit for bit; a base move drops
-both.  Two more caches answer the per-row questions of the exchange, the
-repairs and the geometry gate: the rows as lists of Python floats, which
-``find_row`` compares, and the distances of rows 1..n from the base.  A row
-write updates one entry of each, the distance by the same per-row reduction
-of squares as a fresh computation.  A base move drops the distances, and the
-row lists too unless it swaps a row into the base slot, which swaps their two
-entries.  The sample's ``n``, ``npt`` and ``base`` are plain attributes set
-once: ``base`` is the view ``points[0]``, which stays current because
-``points`` is never rebound and every write changes its rows in place.  The
-inverse is recomputed from scratch after every point move.  An
+The sample set owns its points: ``points`` and ``base`` (its row 0) are
+read-only views of an array that only ``SampleSet._write_row`` and
+``promote_to_base`` write, so a write from anywhere else raises
+``ValueError`` rather than leaving a cache stale.  Besides the inverse the
+sample keeps the matrix itself, the base's room to the box, the rows as lists
+of Python floats (which ``find_row`` compares) and the distances of rows 1..n
+from the base.  The matrix and the row lists are built with the sample and
+never dropped; the other three are computed when first asked for.  Two rules
+keep each cache equal to a fresh build bit for bit:
+
+* a row write that leaves the base in place (a geometry repair, or an
+  exchange that keeps the base) updates one row of the matrix, computed by
+  the same ``x - base`` subtraction as a fresh build, one row list and one
+  distance, by the same per-row reduction of squares, and drops the inverse;
+* a base move (a row-0 write, or a swap into the base slot) updates the row
+  lists, recomputes the matrix's offset columns by the same ``points - base``
+  subtraction as a fresh build, and drops the inverse, the room and the
+  distances.
+
+The inverse is recomputed from scratch after every point move.  An
 incremental inverse (a rank-one update of the old one) was tried: it changes
 the inverse in the last bits, and those bits moved the iteration histories and
 cost evaluations (3% more on the QD n=10, r=10 campaign, 21% more on the HS/MW
@@ -117,6 +122,11 @@ class LinearModel:
 class SampleSet:
     """n+1 interpolation points with component values; ``points[0]`` is the base.
 
+    ``points`` and ``base`` are read-only views of the sample's own copy of
+    the points, which only the sample's writes change (see the module
+    docstring); ``n`` and ``npt`` are plain attributes.  ``values`` is a
+    plain array, which no cache depends on.
+
     Parameters
     ----------
     points : array, shape (n+1, n)
@@ -130,56 +140,43 @@ class SampleSet:
     def __init__(self, points, values, model_index):
         # Copies: the caches below follow writes made through this object,
         # so a caller's later change to its own array must not reach them.
-        self.points = np.array(points, dtype=float)
+        points = self._points = np.array(points, dtype=float)
         self.values = np.array(values, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] != self.points.shape[1] + 1:
-            raise ValueError(f"expected (n+1, n) points, got {self.points.shape}")
-        if self.values.shape != (self.points.shape[0],):
+        if points.ndim != 2 or points.shape[0] != points.shape[1] + 1:
+            raise ValueError(f"expected (n+1, n) points, got {points.shape}")
+        if self.values.shape != (points.shape[0],):
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
-        self.npt, self.n = self.points.shape
-        # A view: ``points`` is never rebound and its rows are written in
-        # place, so ``base`` always reads the current row 0.
-        self.base = self.points[0]
-        self._matrix = None     # interpolation matrix, rows [1, (y - base)^T]
-        self._basis = None      # its inverse
+        self.npt, self.n = points.shape
+        self.points = points.view()
+        self.points.flags.writeable = False
+        self.base = self.points[0]  # read-only too, and always the current row 0
+        self._matrix = np.ones((self.npt, self.npt))  # rows [1, (y - base)^T]
+        self._rows = points.tolist()  # the points as lists of Python floats
+        self._base_moved()
+
+    def _base_moved(self):
+        """Recompute the matrix's offset columns; drop the inverse, room and distances."""
+        np.subtract(self._points, self._points[0], out=self._matrix[:, 1:])
+        self._basis = None      # the inverse of the matrix
         self._base_room = None  # (box, distance from the base to its nearest face)
-        self._rows = None       # the points as lists of Python floats
         self._dist = None       # distances of rows 1..n from the base
-
-    def touch(self):
-        """Drop every cached quantity after the base moved.
-
-        This is the write contract: code that writes to ``points`` other
-        than through ``_write_row`` or ``promote_to_base`` must call
-        ``touch()`` afterwards, or the matrix, its inverse, the base's room,
-        the row lists and the row distances go stale without any error.  The
-        caches depend on the points only: writing new values (a change of
-        working component) keeps them.
-        """
-        self._matrix = None
-        self._basis = None
-        self._base_room = None
-        self._rows = None
-        self._dist = None
 
     def _write_row(self, row: int, x, value: float, m_row):
         """Put ``(x, value)`` into row ``row``; ``m_row`` is ``[1, (x - base)^T]``.
 
-        A non-base row takes its place in the cached matrix, row lists and
-        distances and drops only the inverse; row 0 moves the base and drops
-        every cache.
+        The row lists take the new row.  A non-base row also takes its place
+        in the matrix and distances and drops the inverse; row 0 moves the
+        base (``_base_moved``).
         """
-        self.points[row] = x
+        self._points[row] = x
         self.values[row] = value
+        self._rows[row] = self._points[row].tolist()
         if row == 0:
-            self.touch()
+            self._base_moved()
             return
         self._basis = None
-        if self._matrix is not None:
-            self._matrix[row] = m_row
-        if self._rows is not None:
-            self._rows[row] = self.points[row].tolist()
+        self._matrix[row] = m_row
         if self._dist is not None:
             diff = m_row[1:]  # x - base
             self._dist[row - 1] = math.sqrt(np.add.reduce(diff * diff))
@@ -187,14 +184,9 @@ class SampleSet:
     def interpolation_matrix(self) -> np.ndarray:
         """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning.
 
-        The array is the sample's cache, kept up to date by its writes: read
-        it, do not write to it.
+        The array is the sample's own, built with the sample and kept equal
+        to a fresh build by every write: read it, do not write to it.
         """
-        if self._matrix is None:
-            m = np.empty((self.npt, self.npt))
-            m[:, 0] = 1.0
-            m[:, 1:] = self.points - self.base
-            self._matrix = m
         return self._matrix
 
     def distances(self) -> np.ndarray:
@@ -203,7 +195,7 @@ class SampleSet:
         The array is the sample's cache: read it, do not write to it.
         """
         if self._dist is None:
-            diff = self.interpolation_matrix()[1:, 1:]  # points[1:] - base
+            diff = self._matrix[1:, 1:]  # points[1:] - base
             self._dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
         return self._dist
 
@@ -272,10 +264,7 @@ class SampleSet:
 
     def _find(self, x: list) -> int | None:
         """``find_row`` for a list of n Python floats, which it does not check."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self.points.tolist()
-        return rows.index(x) if x in rows else None
+        return self._rows.index(x) if x in self._rows else None
 
     def to_debug_dict(self) -> dict:
         try:
@@ -372,19 +361,14 @@ def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
 def promote_to_base(sample: SampleSet, row: int):
     """Swap sample row ``row`` (not 0) into the base slot.
 
-    The base moves, so every cache is dropped but the row lists, which swap
-    the same two entries.
+    The row lists swap the same two entries; the base moves
+    (``SampleSet._base_moved``).
     """
-    points, values = sample.points, sample.values
-    base = points[0].copy()
-    points[0] = points[row]
-    points[row] = base
+    points, values, rows = sample._points, sample.values, sample._rows
+    points[[0, row]] = points[[row, 0]]
     values[0], values[row] = values[row], values[0]
-    rows = sample._rows
-    sample.touch()
-    if rows is not None:
-        rows[0], rows[row] = rows[row], rows[0]
-        sample._rows = rows
+    rows[0], rows[row] = rows[row], rows[0]
+    sample._base_moved()
 
 
 def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:

@@ -77,7 +77,8 @@ class ComponentOracle:
     The function must be deterministic and return a finite value everywhere on
     the feasible box.  It receives a feasible length-n float array and must
     not write to it: the arrays passed are the solver's own (the problem's
-    ``x0``, sample rows, candidates), not copies.
+    ``x0``, sample rows, candidates), not copies.  The sample rows are
+    read-only views, so a write into one raises ``ValueError``.
     """
 
     index: int
@@ -157,6 +158,16 @@ class LovoProblem:
         return None
 
 
+def _check_budget(budget):
+    """Refuse a budget other than None or an integer of at least 1.
+
+    A bool is refused; numpy integers are accepted.
+    """
+    if budget is not None and not (isinstance(budget, (int, np.integer))
+                                   and not isinstance(budget, bool) and budget >= 1):
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
+
+
 class TracePoint(NamedTuple):
     """One entry of a best-value trace."""
 
@@ -180,11 +191,12 @@ class EvalLedger:
     ``eval_fmin``, and every single-component call when ``r == 1``.  It is
     counted when charged, before the oracle answers.
 
-    ``metering`` selects the budget unit: ``"component"`` caps the total number
-    of component evaluations, ``"fmin"`` caps the number of full objective
-    evaluations.  A full evaluation is admitted whenever the budget is not yet
-    reached, so a component-metered run can overshoot by at most ``r - 1``
-    trailing component evaluations.
+    ``budget`` is None (no cap) or an integer of at least 1.  ``metering``
+    selects its unit: ``"component"`` caps the total number of component
+    evaluations, ``"fmin"`` caps the number of full objective evaluations.
+    A full evaluation is admitted whenever the budget is not yet reached, so
+    a component-metered run can overshoot by at most ``r - 1`` trailing
+    component evaluations.
     """
 
     r: int
@@ -197,6 +209,7 @@ class EvalLedger:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("need r >= 1")
+        _check_budget(self.budget)
         if self.metering not in ("component", "fmin"):
             raise ValueError(f"unknown metering {self.metering!r}")
 
@@ -318,17 +331,19 @@ def problem_to_dict(problem: LovoProblem) -> dict:
 def problem_from_dict(doc: dict) -> LovoProblem:
     """Rebuild the problem ``problem_to_dict`` described.
 
-    A document that is not an object with ``name``, ``n``, ``r`` and
-    ``generator: {kind, params}``, an unknown kind, params the generator
-    cannot use and a rebuilt problem of another size raise ``ValueError``.
+    A document that is not an object with ``name``, ``n``, ``r``, ``lower``,
+    ``upper``, ``x0`` and ``generator: {kind, params}``, an unknown kind,
+    params the generator cannot use and a rebuilt problem that differs from
+    the document in any of those six keys raise ``ValueError``.  The
+    comparison is exact: JSON round-trips floats exactly.
     """
     from .testsets import GENERATORS  # testsets builds on this module
 
     gen = doc.get("generator") if isinstance(doc, dict) else None
-    if not (isinstance(gen, dict) and {"name", "n", "r"} <= doc.keys()
-            and {"kind", "params"} <= gen.keys()):
+    if not (isinstance(gen, dict) and {"kind", "params"} <= gen.keys()
+            and {"name", "n", "r", "lower", "upper", "x0"} <= doc.keys()):
         raise ValueError("not a problem document: expected an object with name, "
-                         "n, r and generator {kind, params}")
+                         "n, r, lower, upper, x0 and generator {kind, params}")
     kind = gen["kind"]
     if not (isinstance(kind, str) and kind in GENERATORS):
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -337,12 +352,10 @@ def problem_from_dict(doc: dict) -> LovoProblem:
     except TypeError as exc:
         raise ValueError(f"bad params for generator kind {kind!r}: "
                          f"{type(exc).__name__}: {exc}") from None
-    for key, got, expect in (
-        ("n", problem.n, doc["n"]),
-        ("r", problem.r, doc["r"]),
-    ):
-        if got != expect:
-            raise ValueError(f"rebuilt problem has {key}={got}, document says {expect}")
+    for key, got in problem_to_dict(problem).items():
+        if key != "generator" and got != doc[key]:
+            raise ValueError(f"rebuilt problem has {key}={got!r}, "
+                             f"document says {doc[key]!r}")
     return problem
 
 

@@ -75,7 +75,8 @@ from .model import (
     rebuild_for_index,
     replace_point,
 )
-from .problem import EvalLedger, LovoProblem, choose_imin, eval_component, eval_fmin
+from .problem import (EvalLedger, LovoProblem, _check_budget, choose_imin,
+                      eval_component, eval_fmin)
 from .subproblem import (
     FULL_STEP_RTOL,
     altmov_linear,
@@ -139,17 +140,17 @@ class SolverConfig:
     """The settings a caller chooses; checked at construction.
 
     ``budget`` caps the total number of component evaluations (None: no
-    cap), and ``use_cheap_rho=False`` certifies every reduction ratio with a
-    full evaluation.  The loop's thresholds and lengths are the module
-    constants ``BETA`` .. ``NRHOMAX``, ``RADIUS0`` and ``DELTA_MIN``.
+    cap; else an integer of at least 1), and ``use_cheap_rho=False``
+    certifies every reduction ratio with a full evaluation.  The loop's
+    thresholds and lengths are the module constants ``BETA`` .. ``NRHOMAX``,
+    ``RADIUS0`` and ``DELTA_MIN``.
     """
 
     budget: int | None = None
     use_cheap_rho: bool = True
 
     def __post_init__(self):
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be at least 1")
+        _check_budget(self.budget)
 
 
 @dataclass
@@ -543,9 +544,10 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
         ``ledger``.  A callback may read the state but must not write to it.
     ledger : EvalLedger, optional
         Pass a pre-configured ledger to control metering; by default a
-        component-metered ledger honoring ``config.budget`` is created.  The
+        component-metered ledger honoring ``config.budget`` is created.  A
+        ledger whose ``r`` is not the problem's raises ``ValueError``.  The
         ledger's budget is the one that holds, so a ``config.budget`` that
-        differs from it raises ``ValueError``.
+        differs from it raises ``ValueError`` too.
 
     Returns
     -------
@@ -559,6 +561,9 @@ def solve(problem: LovoProblem, config: SolverConfig | None = None,
     config = config if config is not None else SolverConfig()
     if ledger is None:
         ledger = EvalLedger(problem.r, budget=config.budget)
+    elif ledger.r != problem.r:
+        raise ValueError(f"the ledger is for r={ledger.r} components, "
+                         f"the problem has r={problem.r}")
     elif config.budget is not None and config.budget != ledger.budget:
         raise ValueError(f"config budget {config.budget} differs from the "
                          f"ledger's budget {ledger.budget}")

@@ -164,6 +164,7 @@ MANIFEST_FAULTS = {
     "negative-n": ("n", -1),
     "metering-typo": ("metering", "fmn"),
     "int-problem": ("problem", 3),
+    "int-status": ("status", 5),
 }
 
 
@@ -250,9 +251,14 @@ def test_bad_trace_input_exits_with_one_line(tmp_path, capsys, fault):
     assert capsys.readouterr().out == ""
 
 
+# A document edited after it was written, and the key the refusal names: the
+# generator rebuilds the original problem, not the edited one.
+EDITED_KEYS = {"renamed": "name", "edited-x0": "x0", "edited-box": "lower"}
+
+
 @pytest.mark.parametrize("fault", ["not-json", "unknown-kind", "no-generator",
                                    "one-entry-hs", "wrong-n", "json-list",
-                                   "missing-param"])
+                                   "missing-param", *EDITED_KEYS])
 def test_malformed_problem_file_exits_with_one_line(tmp_path, capsys, fault):
     problems = tmp_path / "problems"
     problems.mkdir()
@@ -268,6 +274,12 @@ def test_malformed_problem_file_exits_with_one_line(tmp_path, capsys, fault):
         doc["n"] += 1
     elif fault == "missing-param":
         del params["combo"]
+    elif fault == "renamed":
+        doc["name"] = "renamed"
+    elif fault == "edited-x0":
+        doc["x0"][0] += 0.25
+    elif fault == "edited-box":
+        doc["lower"][0] -= 1.0
     named = problems / "bad.problem.json"
     named.write_text({"not-json": "not json\n", "json-list": "[1, 2]"}.get(
         fault, json.dumps(doc)))
@@ -278,6 +290,8 @@ def test_malformed_problem_file_exits_with_one_line(tmp_path, capsys, fault):
     assert str(named) in message and "\n" not in message
     if fault in ("unknown-kind", "missing-param"):
         assert "generator kind" in message
+    if fault in EDITED_KEYS:
+        assert f"{EDITED_KEYS[fault]}=" in message
     assert not (tmp_path / "traces").exists()
     assert capsys.readouterr().out == ""
 

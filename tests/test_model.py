@@ -325,26 +325,29 @@ class TestLagrange:
         assert m.g == pytest.approx(g_dual, abs=1e-9)
 
 
-def reference_exchange(sample, x_new, f_new):
+def reference_exchange(points, values, inv, x_new, f_new):
     """The exchange one row at a time: the loop form of ``exchange_point``.
 
-    Returns the row where ``x_new`` sits afterwards, found by searching the
-    sample for it.
+    It works on plain copies of a sample's ``points`` and ``values`` and on
+    the sample's inverse ``inv``, so it reads none of the caches the exchange
+    keeps.  Returns the row where ``x_new`` sits afterwards, found by
+    searching the new points for it, and the new points and values.
     """
+    points, values = np.array(points, dtype=float), np.array(values, dtype=float)
     x_new = np.asarray(x_new, dtype=float)
     f_new = float(f_new)
-    row = sample.find_row(x_new)
+    row = reference_find_row(points, x_new)
     if row is not None:
-        sample.values[row] = f_new
-        sample.touch()
-        return row
+        values[row] = f_new
+        return row, points, values
 
-    lag = _lagrange_values_at(sample, x_new)
-    best_old = int(np.argmin(sample.values))
-    improves_best = f_new < sample.values[best_old]
-    improves_base = f_new < sample.values[0]
+    m_row = np.concatenate([[1.0], x_new - points[0]])
+    lag = m_row.dot(inv)
+    best_old = int(np.argmin(values))
+    improves_best = f_new < values[best_old]
+    improves_base = f_new < values[0]
     candidates = []
-    for t in range(sample.npt):
+    for t in range(len(points)):
         if t == best_old and not improves_best:
             continue
         if t == 0 and not improves_base:
@@ -355,22 +358,21 @@ def reference_exchange(sample, x_new, f_new):
     if not candidates:
         raise PointRejectedError("no admissible row")
 
-    x_best = x_new if improves_best else sample.points[best_old]
+    x_best = x_new if improves_best else points[best_old]
     t_out, best_score = None, -1.0
     for t in candidates:
-        score = abs(lag[t]) * float(np.sum((sample.points[t] - x_best) ** 2))
+        score = abs(lag[t]) * float(np.sum((points[t] - x_best) ** 2))
         if score >= best_score:
             t_out, best_score = t, score
     if improves_base and t_out != 0:
-        sample.points[t_out] = sample.points[0]
-        sample.values[t_out] = sample.values[0]
-        sample.points[0] = x_new
-        sample.values[0] = f_new
+        points[t_out] = points[0]
+        values[t_out] = values[0]
+        points[0] = x_new
+        values[0] = f_new
     else:
-        sample.points[t_out] = x_new
-        sample.values[t_out] = f_new
-    sample.touch()
-    return sample.find_row(x_new)
+        points[t_out] = x_new
+        values[t_out] = f_new
+    return reference_find_row(points, x_new), points, values
 
 
 def random_exchange_case(rng):
@@ -463,18 +465,18 @@ class TestExchange:
         seen = Counter()
         for _ in range(3000):
             sample, x_new, f_new = random_exchange_case(rng)
-            ref = sample_from(sample.points.copy(), sample.values.copy())
-            ref._basis = sample._basis
+            points, values = sample.points.copy(), sample.values.copy()
             seen.update(exchange_case_tags(sample, x_new, f_new))
             try:
-                expected = reference_exchange(ref, x_new, f_new)
+                expected, points, values = reference_exchange(
+                    points, values, sample._factorize(), x_new, f_new)
             except PointRejectedError:
                 with pytest.raises(PointRejectedError):
                     exchange_point(sample, x_new, f_new)
             else:
                 assert exchange_point(sample, x_new, f_new) == expected
-            assert np.array_equal(sample.points, ref.points)
-            assert np.array_equal(sample.values, ref.values)
+            assert np.array_equal(sample.points, points)
+            assert np.array_equal(sample.values, values)
         for case in ("rejected", "score tie", "best protected", "base protected",
                      "takes base", "coincident"):
             assert seen[case] >= 25, (case, seen)
@@ -638,6 +640,23 @@ class TestRebuildForIndex:
         analytic = inst.component_gradient(2, x0)
         assert np.linalg.norm(model.g - analytic) <= 1e-6 * np.linalg.norm(analytic)
 
+    def test_an_oracle_writing_its_argument_raises(self):
+        # the rows an oracle receives are read-only views of the sample's
+        # points: a write raises instead of moving (6, 5) to (6.5, 5) while
+        # its value stays that of the old point
+        def writes_its_argument(x):
+            x[0] += 0.5
+            return float(np.sum(x ** 2))
+
+        comps = [ComponentOracle(1, lambda x: float(np.sum(x ** 2))),
+                 ComponentOracle(2, writes_its_argument)]
+        problem = LovoProblem("writer", comps, FeasibleBox([0, 0], [10, 10]), [5, 5])
+        ledger = EvalLedger(2)
+        s = initial_sample(problem, [5, 5], 1.0, ledger, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            rebuild_for_index(s, problem, ledger, 2, 50.0)
+        assert np.array_equal(s.points, [[5, 5], [6, 5], [5, 6]])
+
 
 WRITES = ("exchange", "coincident", "hand_over", "replace", "promote", "rebuild")
 
@@ -743,6 +762,19 @@ class TestSampleCaches:
             except (GeometryError, PointRejectedError):
                 pass
             self.assert_matches_fresh(sample, box, rng)
+
+    def test_points_and_base_are_read_only(self):
+        s = sample_from([[0, 0], [1, 0], [0, 1]], [0, 1, 2])
+        with pytest.raises(ValueError, match="read-only"):
+            s.points[1, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.points[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.base[0] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.base += 1.0
+        assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
+        assert s.find_row([0, 0]) == 0
 
     def test_find_row_compares_as_ieee_floats(self):
         s = sample_from([[0.0, -0.0], [math.nan, 1.0], [1.0, 1.0]], [0, 0, 0])

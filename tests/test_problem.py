@@ -366,6 +366,19 @@ class TestLedger:
         assert counts == sorted(set(counts))
         assert [p.t_fmin for p in ledger.trace] == [0, 2]  # a charge of r is one
 
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, True, np.float64(4.0), "10"])
+    def test_budget_must_be_an_integer_of_at_least_one(self, budget):
+        # 2.5 would run 3 evaluations, and True would pass for 1
+        with pytest.raises(ValueError, match="budget"):
+            EvalLedger(2, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            SolverConfig(budget=budget)
+
+    @pytest.mark.parametrize("budget", [None, 1, 2**40, np.int64(7), np.int32(1)])
+    def test_integer_budgets_accepted(self, budget):
+        assert EvalLedger(2, budget=budget).budget == budget
+        assert SolverConfig(budget=budget).budget == budget
+
     def test_component_budget_enforced(self):
         problem = make_problem([lambda x: 1.0], [0], [1], [0.5])
         ledger = EvalLedger(1, budget=2)

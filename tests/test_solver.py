@@ -563,6 +563,17 @@ class TestSolve:
         assert result.status == "budget_exhausted"
         assert ledger.total_component_evals <= 5 + problem.r - 1
 
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_ledger_must_count_the_problems_components(self, r):
+        # a ledger for r=3 never counts a full evaluation of an r=2 problem, so
+        # an fmin budget never binds; one for r=1 counts every component
+        # evaluation as a full one
+        problem = gen_qd(3, 2, seed=5, count=1)[0]
+        ledger = EvalLedger(r, budget=10, metering="fmin")
+        with pytest.raises(ValueError, match="r=2"):
+            solve(problem, ledger=ledger)
+        assert ledger.total_component_evals == 0
+
     def test_flat_geometry_step_evaluates_nothing(self, monkeypatch):
         # near 1e9 the floor radius 1e-8 is below the rounding of x, so a
         # geometry step rounds to the base on both signed paths: it is flat,
