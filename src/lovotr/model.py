@@ -23,20 +23,25 @@ The sample set owns its points: ``points`` and ``base`` (its row 0) are
 read-only views of an array that only ``SampleSet._write_row`` and
 ``promote_to_base`` write, so a write from anywhere else raises
 ``ValueError`` rather than leaving a cache stale.  Besides the inverse the
-sample keeps the matrix itself, the base's room to the box, the rows as lists
-of Python floats (which ``find_row`` compares) and the distances of rows 1..n
-from the base.  The matrix and the row lists are built with the sample and
-never dropped; the other three are computed when first asked for.  Two rules
-keep each cache equal to a fresh build bit for bit:
+sample keeps the matrix itself, the base's room to the sample's box, the rows
+as lists of Python floats (which ``find_row`` compares) and the distances of
+rows 1..n from the base.  These four are built with the sample and always
+current, and the arrays handed out (``interpolation_matrix()``,
+``distances``) are read-only views.  Two rules keep each of them equal to a
+fresh build bit for bit:
 
-* a row write that leaves the base in place (a geometry repair, or an
-  exchange that keeps the base) updates one row of the matrix, computed by
-  the same ``x - base`` subtraction as a fresh build, one row list and one
-  distance, by the same per-row reduction of squares, and drops the inverse;
-* a base move (a row-0 write, or a swap into the base slot) updates the row
-  lists, recomputes the matrix's offset columns by the same ``points - base``
-  subtraction as a fresh build, and drops the inverse, the room and the
-  distances.
+* a row write updates one matrix row, by the same ``x - base`` subtraction
+  as a fresh build, one mirror row and one distance, by the same per-row
+  reduction of squares, and drops the inverse;
+* a base move (a row-0 write, or a swap into the base slot) recomputes the
+  offsets (the matrix's columns ``points - base``), the room and the
+  distances by the same operations as a fresh build.
+
+The inverse alone is lazy: it is computed when first read after a write.  A
+write sequence can drop it twice before one read (an exchange writes a row,
+then promotes it into the base slot), and its build is the one that can
+fail: the ``GeometryError`` of a singular system must reach the loop where
+it builds the model, not inside a write.
 
 The inverse is recomputed from scratch after every point move.  An
 incremental inverse (a rank-one update of the old one) was tried: it changes
@@ -66,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, PointRejectedError
-from .problem import as_vector, eval_component
+from .problem import _read_only, as_vector, eval_component
 
 # Interpolation systems whose Frobenius condition number exceeds this are
 # treated as singular: the caller must repair the geometry before trusting
@@ -124,8 +129,11 @@ class SampleSet:
 
     ``points`` and ``base`` are read-only views of the sample's own copy of
     the points, which only the sample's writes change (see the module
-    docstring); ``n`` and ``npt`` are plain attributes.  ``values`` is a
-    plain array, which no cache depends on.
+    docstring).  ``room``, the distance from the base to the nearest face of
+    ``box``, and ``distances``, a read-only view of the distances of rows
+    1..n from the base, are current after every write; ``n``, ``npt`` and
+    ``box`` are plain attributes.  ``values`` is a plain array, which no
+    cache depends on.
 
     Parameters
     ----------
@@ -135,9 +143,11 @@ class SampleSet:
         Values of the working component at the points.
     model_index : int
         1-based index of the component the values belong to.
+    box : FeasibleBox
+        The feasible box the points lie in.
     """
 
-    def __init__(self, points, values, model_index):
+    def __init__(self, points, values, model_index, box):
         # Copies: the caches below follow writes made through this object,
         # so a caller's later change to its own array must not reach them.
         points = self._points = np.array(points, dtype=float)
@@ -147,27 +157,31 @@ class SampleSet:
         if self.values.shape != (points.shape[0],):
             raise ValueError("values must have one entry per point")
         self.model_index = int(model_index)
+        self.box = box
         self.npt, self.n = points.shape
-        self.points = points.view()
-        self.points.flags.writeable = False
+        self.points = _read_only(points)
         self.base = self.points[0]  # read-only too, and always the current row 0
         self._matrix = np.ones((self.npt, self.npt))  # rows [1, (y - base)^T]
+        self._matrix_view = _read_only(self._matrix)
         self._rows = points.tolist()  # the points as lists of Python floats
+        self._dist = np.empty(self.npt - 1)
+        self.distances = _read_only(self._dist)
         self._base_moved()
 
     def _base_moved(self):
-        """Recompute the matrix's offset columns; drop the inverse, room and distances."""
+        """Recompute the offsets, the room and the distances; drop the inverse."""
         np.subtract(self._points, self._points[0], out=self._matrix[:, 1:])
-        self._basis = None      # the inverse of the matrix
-        self._base_room = None  # (box, distance from the base to its nearest face)
-        self._dist = None       # distances of rows 1..n from the base
+        self.room = _face_distance(self.base, self.box)
+        diff = self._matrix[1:, 1:]  # points[1:] - base
+        np.sqrt(np.add.reduce(diff * diff, axis=1), out=self._dist)  # norm(diff, axis=1)
+        self._basis = None  # the inverse of the matrix
 
     def _write_row(self, row: int, x, value: float, m_row):
         """Put ``(x, value)`` into row ``row``; ``m_row`` is ``[1, (x - base)^T]``.
 
         The row lists take the new row.  A non-base row also takes its place
-        in the matrix and distances and drops the inverse; row 0 moves the
-        base (``_base_moved``).
+        in the matrix and the distances and drops the inverse; row 0 moves
+        the base (``_base_moved``).
         """
         self._points[row] = x
         self.values[row] = value
@@ -177,34 +191,16 @@ class SampleSet:
             return
         self._basis = None
         self._matrix[row] = m_row
-        if self._dist is not None:
-            diff = m_row[1:]  # x - base
-            self._dist[row - 1] = math.sqrt(np.add.reduce(diff * diff))
+        diff = m_row[1:]  # x - base
+        self._dist[row - 1] = math.sqrt(np.add.reduce(diff * diff))
 
     def interpolation_matrix(self) -> np.ndarray:
         """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning.
 
-        The array is the sample's own, built with the sample and kept equal
-        to a fresh build by every write: read it, do not write to it.
+        A read-only view of the sample's own matrix, which every write keeps
+        equal to a fresh build.
         """
-        return self._matrix
-
-    def distances(self) -> np.ndarray:
-        """Distances of rows 1..n from the base, cached until the base moves.
-
-        The array is the sample's cache: read it, do not write to it.
-        """
-        if self._dist is None:
-            diff = self._matrix[1:, 1:]  # points[1:] - base
-            self._dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(diff, axis=1)
-        return self._dist
-
-    def room(self, box) -> float:
-        """Distance from the base to the nearest face of ``box``, cached until the base moves."""
-        cached = self._base_room
-        if cached is None or cached[0] is not box:
-            cached = self._base_room = (box, _room(self.base, box))
-        return cached[1]
+        return self._matrix_view
 
     def condition_estimate(self) -> float:
         """Frobenius condition number ``||M||_F ||M^-1||_F`` of the cached inverse.
@@ -213,7 +209,7 @@ class SampleSet:
         ``GeometryError`` as the factorization does.
         """
         inv = self._factorize()
-        m_sq = _frobenius_sq(self.interpolation_matrix())
+        m_sq = _frobenius_sq(self._matrix)
         return math.sqrt(m_sq * _frobenius_sq(inv))
 
     def _factorize(self) -> np.ndarray:
@@ -230,7 +226,7 @@ class SampleSet:
         ``||M||_F ||M^-1||_F`` beyond ``CONDITION_LIMIT`` (or not finite).
         """
         if self._basis is None:
-            m = self.interpolation_matrix()
+            m = self._matrix
             m_sq = _frobenius_sq(m)
             cond = math.inf
             if m_sq < math.inf:
@@ -279,7 +275,7 @@ class SampleSet:
         }
 
 
-def _room(base, box) -> float:
+def _face_distance(base, box) -> float:
     """Distance from ``base`` to the nearest face of the box."""
     return float(np.minimum.reduce(np.minimum(base - box.lower, box.upper - base)))
 
@@ -333,7 +329,7 @@ def initial_sample(problem, x0, delta0, ledger, model_index, base_value=None) ->
     )
     for j in range(1, n + 1):
         values[j] = eval_component(problem, ledger, model_index, points[j])
-    return SampleSet(points, values, model_index)
+    return SampleSet(points, values, model_index, problem.box)
 
 
 def build_model(sample: SampleSet) -> LinearModel:

@@ -32,6 +32,13 @@ def as_vector(x, n=None, name="x"):
     return v
 
 
+def _read_only(x) -> np.ndarray:
+    """A read-only float view of ``x``: of ``x`` itself when it is a float array."""
+    view = np.asarray(x, dtype=float).view()
+    view.setflags(write=False)  # cheaper than setting view.flags.writeable
+    return view
+
+
 @dataclass
 class FeasibleBox:
     """Axis-aligned box ``{x : lower <= x <= upper}`` with exact projection.
@@ -75,10 +82,10 @@ class ComponentOracle:
     """One black-box component: a 1-based index and its evaluation function.
 
     The function must be deterministic and return a finite value everywhere on
-    the feasible box.  It receives a feasible length-n float array and must
-    not write to it: the arrays passed are the solver's own (the problem's
-    ``x0``, sample rows, candidates), not copies.  The sample rows are
-    read-only views, so a write into one raises ``ValueError``.
+    the feasible box.  It receives a feasible length-n float array, a
+    read-only view of the caller's point (``eval_component``, ``eval_fmin``),
+    so a write into it raises ``ValueError`` instead of moving a point the
+    solver holds.
     """
 
     index: int
@@ -101,18 +108,20 @@ class LovoProblem:
     box : FeasibleBox
         Feasible region.
     x0 : numpy.ndarray
-        Feasible starting point.
+        Feasible starting point: the problem's own read-only copy, which a
+        later write to the caller's array does not reach.
     generator : dict or None
         Optional ``{"kind": ..., "params": ...}`` record describing how the
         instance was generated; used for JSON round-tripping.
     eval_all : callable or None
         Optional batch oracle: ``eval_all(x)`` returns all ``r`` component
         values at ``x`` as one float array, equal bit for bit to
-        ``[c.fn(x) for c in components]``.  :func:`eval_fmin` calls it in
-        place of the ``r`` component calls, but only while every component
-        still holds the ``fn`` it had when the problem was built; once any
-        ``fn`` is rebound (a wrapper that times, counts or checks calls), full
-        evaluations go through the components one by one again.
+        ``[c.fn(x) for c in components]``; like them it receives a read-only
+        view of ``x``.  :func:`eval_fmin` calls it in place of the ``r``
+        component calls, but only while every component still holds the
+        ``fn`` it had when the problem was built; once any ``fn`` is rebound
+        (a wrapper that times, counts or checks calls), full evaluations go
+        through the components one by one again.
     """
 
     name: str
@@ -126,7 +135,7 @@ class LovoProblem:
     def __post_init__(self):
         # The functions eval_all stands in for; see _batch_oracle.
         self._built_fns = [c.fn for c in self.components]
-        self.x0 = as_vector(self.x0, n=self.box.n, name="x0")
+        self.x0 = _read_only(as_vector(self.x0, n=self.box.n, name="x0").copy())
         if len(self.components) < 1:
             raise ValueError("need at least one component")
         if self.box.n < 1:
@@ -158,14 +167,15 @@ class LovoProblem:
         return None
 
 
-def _check_budget(budget):
-    """Refuse a budget other than None or an integer of at least 1.
+def _check_count(name, value, optional=False):
+    """Refuse a ``value`` other than an integer of at least 1, or None if ``optional``.
 
     A bool is refused; numpy integers are accepted.
     """
-    if budget is not None and not (isinstance(budget, (int, np.integer))
-                                   and not isinstance(budget, bool) and budget >= 1):
-        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
+    if not ((optional and value is None)
+            or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and value >= 1)):
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 class TracePoint(NamedTuple):
@@ -191,7 +201,8 @@ class EvalLedger:
     ``eval_fmin``, and every single-component call when ``r == 1``.  It is
     counted when charged, before the oracle answers.
 
-    ``budget`` is None (no cap) or an integer of at least 1.  ``metering``
+    ``r`` is an integer of at least 1, and ``budget`` is None (no cap) or
+    one; a bool counts as neither, a numpy integer as either.  ``metering``
     selects its unit: ``"component"`` caps the total number of component
     evaluations, ``"fmin"`` caps the number of full objective evaluations.
     A full evaluation is admitted whenever the budget is not yet reached, so
@@ -207,9 +218,8 @@ class EvalLedger:
     trace: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("need r >= 1")
-        _check_budget(self.budget)
+        _check_count("r", self.r)
+        _check_count("budget", self.budget, optional=True)
         if self.metering not in ("component", "fmin"):
             raise ValueError(f"unknown metering {self.metering!r}")
 
@@ -241,8 +251,9 @@ class EvalLedger:
 def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float:
     """Evaluate component ``i`` at ``x``, charging one evaluation to the ledger.
 
-    A feasible ``x`` is the caller's precondition: the oracle receives ``x`` as
-    given, unprojected and uncopied.  ``LovoProblem`` refuses an ``x0`` off
+    A feasible ``x`` is the caller's precondition: the oracle receives a
+    read-only view of ``x``, unprojected and uncopied, so a write into it
+    raises ``ValueError``.  ``LovoProblem`` refuses an ``x0`` off
     the box, the solver projects each candidate it forms, and
     ``initial_sample`` projects the starting point it is handed.
     With a single component the returned value is a certified objective value
@@ -251,7 +262,7 @@ def eval_component(problem: LovoProblem, ledger: EvalLedger, i: int, x) -> float
     if not 1 <= i <= problem.r:
         raise ValueError(f"component index {i} outside 1..{problem.r}")
     ledger._charge(1)
-    value = problem.components[i - 1](x)
+    value = problem.components[i - 1](_read_only(x))
     if not math.isfinite(value):
         raise OracleError(i, x, value)
     if problem.r == 1:
@@ -270,12 +281,13 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> np.ndarray:
     :class:`OracleError` for the lowest index holding one.  A batch result
     that is not ``r`` values raises ``ValueError``.  As for
     :func:`eval_component`, a feasible ``x`` is the caller's precondition and
-    the oracles receive it as given.
+    the oracles, and ``eval_all``, receive one read-only view of it.
     """
     ledger._charge(problem.r)
+    view = _read_only(x)
     batch = problem._batch_oracle()
     if batch is not None:
-        values = np.asarray(batch(x), dtype=float)
+        values = np.asarray(batch(view), dtype=float)
         if values.shape != (problem.r,):
             raise ValueError(f"eval_all of problem {problem.name!r} returned shape "
                              f"{values.shape}, expected {(problem.r,)}")
@@ -286,7 +298,7 @@ def eval_fmin(problem: LovoProblem, ledger: EvalLedger, x) -> np.ndarray:
     else:
         values = np.empty(problem.r)
         for comp in problem.components:
-            v = comp(x)
+            v = comp(view)
             if not math.isfinite(v):
                 raise OracleError(comp.index, x, v)
             values[comp.index - 1] = v

@@ -75,7 +75,7 @@ from .model import (
     rebuild_for_index,
     replace_point,
 )
-from .problem import (EvalLedger, LovoProblem, _check_budget, choose_imin,
+from .problem import (EvalLedger, LovoProblem, _check_count, choose_imin,
                       eval_component, eval_fmin)
 from .subproblem import (
     FULL_STEP_RTOL,
@@ -141,7 +141,8 @@ class SolverConfig:
 
     ``budget`` caps the total number of component evaluations (None: no
     cap; else an integer of at least 1), and ``use_cheap_rho=False``
-    certifies every reduction ratio with a full evaluation.  The loop's
+    certifies every reduction ratio with a full evaluation; it takes a
+    ``bool`` or ``numpy.bool_`` only.  The loop's
     thresholds and lengths are the module constants ``BETA`` .. ``NRHOMAX``,
     ``RADIUS0`` and ``DELTA_MIN``.
     """
@@ -150,7 +151,9 @@ class SolverConfig:
     use_cheap_rho: bool = True
 
     def __post_init__(self):
-        _check_budget(self.budget)
+        _check_count("budget", self.budget, optional=True)
+        if not isinstance(self.use_cheap_rho, (bool, np.bool_)):
+            raise ValueError(f"use_cheap_rho must be a bool, got {self.use_cheap_rho!r}")
 
 
 @dataclass
@@ -297,7 +300,7 @@ def _geometry_iteration(state: SolverState, problem: LovoProblem, pi: float,
     before the model is rebuilt.
     """
     target = select_target_for_altmov(state.sample)
-    d_alt, flat = altmov_linear(state.sample, problem.box, state.delta, target)
+    d_alt, flat = altmov_linear(state.sample, state.delta, target)
     placed = False
     if not flat:
         x_alt = problem.box.project(state.sample.base + d_alt)
@@ -348,13 +351,13 @@ def iterate(state: SolverState, problem: LovoProblem,
     # places its point within delta <= Delta of a base that stays, so each one
     # clears a point beyond 2 * Delta and a streak ends after at most n.  The
     # cap of 2n guards against repairs that rounding places beyond 2 * Delta.
-    # The sample caches the distances and a repair updates one of them.
+    # The sample keeps the distances current and a repair updates one of them.
     if state.model_doubted and state.repair_streak < 2 * problem.n:
-        if np.maximum.reduce(state.sample.distances()) > STALE_FACTOR * state.Delta:
+        if np.maximum.reduce(state.sample.distances) > STALE_FACTOR * state.Delta:
             return _geometry_iteration(state, problem, pi, stale=True)
         state.model_doubted = False
 
-    d = trsbox_linear(state.model, box, state.Delta, state.sample.room(box))
+    d = trsbox_linear(state.model, box, state.Delta, state.sample.room)
     dnorm = math.sqrt(d.dot(d))
     full_length = dnorm >= state.Delta * (1.0 - FULL_STEP_RTOL)
     predicted = -float(state.model.g.dot(d))

@@ -26,8 +26,10 @@ geometry-improvement step.  In the interior ball the two signs share the
 squared norm and the first-segment length ``s``, so ``altmov_linear`` forms
 ``s w`` once and takes both endpoints from it: negation is exact, so this is
 bit for bit the two traces.  The distance from the base to the box, which
-decides the interior ball, is cached by the sample set until the base moves
-(``SampleSet.room``); both steps read it there.
+decides the interior ball, is kept by the sample set, which recomputes it
+whenever the base moves (``SampleSet.room``): the geometry step reads it
+there, with the box (``SampleSet.box``), and the solver passes it to the
+trust-region step.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import GeometryError
-from .model import LinearModel, SampleSet, _room
+from .model import LinearModel, SampleSet, _face_distance
 
 # ||d|| = Delta is tested with this relative slack; exact equality is
 # meaningless in floating point.
@@ -54,7 +56,7 @@ def _trace_projected_path(base, direction, box, radius, room=None):
     ``base`` must be feasible.  Returns ``(d, sq)`` as ``_into_ball`` does:
     the step at the first ``t`` with ``||d(t)|| = radius``, or the path's
     limit point once all moving coordinates are pinned at their bounds.
-    ``room`` passes in ``_room(base, box)`` when the caller has it.
+    ``room`` passes in ``_face_distance(base, box)`` when the caller has it.
 
     Both properties of the endpoint hold up to rounding only.  ``_into_ball``
     scales an endpoint outside the ball back onto it, and the scaled step can
@@ -91,7 +93,7 @@ def _trace_projected_path(base, direction, box, radius, room=None):
     # own arithmetic; NaN when nothing moves (or an entry is NaN or inf).
     s = math.sqrt(q) / (2.0 * a) if a > 0.0 else math.nan
     if room is None:
-        room = _room(base, box)
+        room = _face_distance(base, box)
 
     if 2.0 * radius <= room and s < math.inf:
         # Interior ball, bit for bit what the segment loop below returns.
@@ -183,7 +185,7 @@ def trsbox_linear(model: LinearModel, box, Delta: float, room=None) -> np.ndarra
     projects ``base + d`` before it evaluates there.  A zero model gradient
     yields the zero step.  ``room`` passes in the distance from
     ``model.base`` to the nearest face of the box when the caller has it
-    (``SampleSet.room`` caches it).  A radius that is not positive, NaN
+    (``SampleSet.room`` keeps it).  A radius that is not positive, NaN
     included, raises ``ValueError``.
     """
     if not Delta > 0:  # NaN included
@@ -194,13 +196,13 @@ def trsbox_linear(model: LinearModel, box, Delta: float, room=None) -> np.ndarra
 def select_target_for_altmov(sample: SampleSet) -> int:
     """Index of the non-base sample point farthest from the base (ties: largest index).
 
-    The distances are the sample's cache (``SampleSet.distances``).
+    The distances are the sample's (``SampleSet.distances``).
     """
-    dist = sample.distances()
+    dist = sample.distances
     return dist.size - int(dist[::-1].argmax())  # last maximum, as a row 1..n
 
 
-def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
+def altmov_linear(sample: SampleSet, delta: float, target_index: int):
     """Geometry-improvement step maximizing ``|l_target|`` within ``delta`` of the base.
 
     The affine Lagrange polynomial of the replacement target is pushed along
@@ -209,8 +211,10 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
     clipped by the box or not: ``l_target`` is affine, so over the convex set
     box-and-ball its range is an interval; each trace attains one end of it,
     as ``trsbox_linear`` does, and the better end maximizes ``|l_target|``.
-    Ties go to the positive direction.  The polynomial's constant term and
-    gradient are column ``target_index`` of the sample's cached inverse.
+    Ties go to the positive direction.  The box is the sample's own
+    (``SampleSet.box``), so the room read off the sample (``SampleSet.room``)
+    is always the room to it.  The polynomial's constant term and gradient
+    are column ``target_index`` of the sample's cached inverse.
     When the interior-ball branch of the trace applies, it applies to both
     signs, which share ``||w||^2`` and the first-segment length ``s``: both
     endpoints come from one ``s w``, bit for bit the two traces, as negation
@@ -233,23 +237,22 @@ def altmov_linear(sample: SampleSet, box, delta: float, target_index: int):
             f"Lagrange polynomial of point {target_index} has zero gradient; "
             "the sample set must be rebuilt"
         )
-    base = sample.base
+    base, box = sample.base, sample.box
 
     def weight(d):  # |l_target(base + d)|
         return abs(c + float(w.dot((base + d) - base)))
 
-    room = sample.room(box)
     rr = delta * delta
     q = 4.0 * a * rr
     s = math.sqrt(q) / (2.0 * a) if _normal_squares(a, rr, q) else math.inf
-    if 2.0 * delta <= room and s < math.inf:
+    if 2.0 * delta <= sample.room and s < math.inf:
         # The interior branch of _trace_projected_path, once for both signs.
         sw = s * w
         d_plus, sq_plus = _into_ball((base + sw) - base, delta)
         d_minus, sq_minus = _into_ball((base - sw) - base, delta)
     else:
-        d_plus, sq_plus = _trace_projected_path(base, w, box, delta, room)
-        d_minus, sq_minus = _trace_projected_path(base, -w, box, delta, room)
+        d_plus, sq_plus = _trace_projected_path(base, w, box, delta, sample.room)
+        d_minus, sq_minus = _trace_projected_path(base, -w, box, delta, sample.room)
     d = d_plus if weight(d_plus) >= weight(d_minus) else d_minus
     flat = not (sq_plus > 0.0 or sq_minus > 0.0
                 or np.logical_or.reduce(d_plus) or np.logical_or.reduce(d_minus))

@@ -58,6 +58,23 @@ def test_quick_start_runs_on_top_level_names():
     assert result.ledger.total_component_evals <= 2000 + 1
 
 
+# The loop constants README "How it works" states, each as NAME=value.
+README_CONSTANTS = ["TAU1", "TAU2", "TAU3", "TAU4", "ETA", "ETA1", "ETA2",
+                    "GAMMA_MAX", "NRHOMAX", "BETA", "RADIUS0", "DELTA_MIN"]
+
+
+def test_readme_states_the_solvers_constants():
+    import lovotr.solver
+
+    text = _section("### How it works")
+    stated = re.findall(r"\b([A-Z][A-Z0-9_]*)=([-+.0-9e]+)", text)
+    assert [name for name, _ in stated] == README_CONSTANTS
+    for name, value in stated:
+        assert float(value) == getattr(lovotr.solver, name), name
+    ride = re.search(r"`MAXCRIT_RIDE` is (\d+)", text)
+    assert ride and int(ride.group(1)) == lovotr.solver.MAXCRIT_RIDE
+
+
 # The functions perfbench's tracer wraps through ``lovotr.solver``'s globals,
 # by module.  A span is named after its function and module, and a name the
 # tracer never saw reads 0, so a renamed or moved function would zero a

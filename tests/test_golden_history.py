@@ -10,14 +10,16 @@ evaluated trust-region candidate that did not enter the sample (``altmov``
 with ``rho_defined``).  It also covers every way a write reaches the sample's
 cached interpolation matrix: frozen repairs (``radii_frozen``) and exchanges
 that keep the base rewrite one row, and accepted steps and exchanges that
-hand the candidate the base slot drop it.  Frozen repairs also update one
-entry of the cached row distances in place, and a swap into the base slot
-carries the cached row lists over.  A change that is meant to move the numbers
-updates ``GOLDEN_SHA256`` and says so.
+hand the candidate the base slot recompute its offset columns.  Frozen
+repairs update one entry of the row distances without recomputing them, and a
+swap into the base slot carries the cached row lists over.  A change that is
+meant to move the numbers updates ``GOLDEN_SHA256`` and says so.
 """
 
 import hashlib
 from collections import Counter
+
+import numpy as np
 
 import lovotr.model
 import lovotr.solver
@@ -54,19 +56,26 @@ def test_histories_match_the_golden_digest(monkeypatch):
         return row
 
     monkeypatch.setattr(lovotr.solver, "exchange_point", counted_exchange)
-    in_place = Counter()  # cache writes that updated an array instead of dropping it
+    in_place = Counter()  # cache writes that updated an array instead of rebuilding it
     replace, promote = lovotr.solver.replace_point, lovotr.model.promote_to_base
+    base_moved = lovotr.model.SampleSet._base_moved
+
+    def counted_base_moved(sample):
+        in_place["full recomputes"] += 1
+        base_moved(sample)
 
     def counted_replace(sample, *args):
-        dist = sample._dist
+        recomputes, dist = in_place["full recomputes"], sample.distances.copy()
         replace(sample, *args)
-        in_place["distances"] += dist is not None and sample._dist is dist
+        in_place["repair recomputes"] += in_place["full recomputes"] - recomputes
+        in_place["one-row updates"] += int(np.count_nonzero(sample.distances != dist)) == 1
 
     def counted_promote(sample, row):
         rows = sample._rows
         promote(sample, row)
-        in_place["row lists"] += rows is not None and sample._rows is rows
+        in_place["row lists"] += sample._rows is rows
 
+    monkeypatch.setattr(lovotr.model.SampleSet, "_base_moved", counted_base_moved)
     monkeypatch.setattr(lovotr.solver, "replace_point", counted_replace)
     for module in (lovotr.solver, lovotr.model):  # exchange_point promotes too
         monkeypatch.setattr(module, "promote_to_base", counted_promote)
@@ -99,7 +108,9 @@ def test_histories_match_the_golden_digest(monkeypatch):
     assert after_candidate > 0
     assert frozen > 0  # row writes by replace_point
     assert exchange_rows[False] > 0 and exchange_rows[True] > 0
-    assert in_place["distances"] > 0 and in_place["row lists"] > 0
+    # a repair never moves the base: it updates one distance, no full recompute
+    assert in_place["one-row updates"] > 0 and in_place["repair recomputes"] == 0
+    assert in_place["full recomputes"] > 0 and in_place["row lists"] > 0
     assert recoveries  # the set rebuilds at least one singular sample
     # a repair places its point within delta <= Delta of a base that stays,
     # so each one clears a point beyond 2 * Delta: a streak ends within n

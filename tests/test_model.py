@@ -18,8 +18,8 @@ from lovotr.model import (
     CONDITION_LIMIT,
     MIN_LAGRANGE_WEIGHT,
     SampleSet,
+    _face_distance,
     _lagrange_values_at,
-    _room,
     build_model,
     exchange_point,
     initial_sample,
@@ -42,8 +42,12 @@ def quad_problem(n, lower=0.0, upper=10.0):
     )
 
 
-def sample_from(points, values, model_index=1):
-    return SampleSet(np.asarray(points, float), np.asarray(values, float), model_index)
+def sample_from(points, values, model_index=1, box=None):
+    """A sample of ``points``; the box defaults to one far wider than any test's points."""
+    points = np.asarray(points, float)
+    if box is None:
+        box = FeasibleBox(np.full(points.shape[1], -1e300), np.full(points.shape[1], 1e300))
+    return SampleSet(points, np.asarray(values, float), model_index, box)
 
 
 class TestInitialSample:
@@ -89,6 +93,19 @@ class TestInitialSample:
         ledger2 = EvalLedger(1)
         initial_sample(problem, problem.x0, 1.0, ledger2, 1, base_value=0.0)
         assert calls == {1: 3} and ledger2.total_component_evals == 3
+
+    def test_an_oracle_writing_its_argument_raises(self):
+        # unguarded, the write moved the local row (6, 5) to (6.25, 5), which
+        # the sample stored with the value 61 of (6, 5)
+        def writes_its_argument(x):
+            value = float(np.sum(x ** 2))
+            x[0] += 0.25
+            return value
+
+        problem = LovoProblem("writer", [ComponentOracle(1, writes_its_argument)],
+                              FeasibleBox([0, 0], [10, 10]), [5, 5])
+        with pytest.raises(ValueError, match="read-only"):
+            initial_sample(problem, [5, 5], 1.0, EvalLedger(1), 1, base_value=50.0)
 
     def test_values_match_oracle(self):
         problem = quad_problem(2)
@@ -681,8 +698,9 @@ class TestSampleCaches:
 
     @staticmethod
     def assert_matches_fresh(sample, box, rng):
+        assert sample.box is box
         fresh = SampleSet(sample.points.copy(), sample.values.copy(),
-                          sample.model_index)
+                          sample.model_index, box)
         # the plain attributes: base is a view of row 0, written in place
         assert (sample.n, sample.npt) == (fresh.n, fresh.npt)
         assert sample.base.shape == (sample.n,)
@@ -697,10 +715,10 @@ class TestSampleCaches:
                 sample._factorize()
         else:
             assert sample._factorize().tobytes() == expected.tobytes()
-        assert sample.room(box) == _room(fresh.points[0], box)
-        assert sample.distances().tobytes() == fresh.distances().tobytes()
-        if sample._rows is not None:  # the row lists, signs of zeros included
-            assert np.array(sample._rows).tobytes() == fresh.points.tobytes()
+        assert sample.room == fresh.room == _face_distance(fresh.points[0], box)
+        assert sample.distances.tobytes() == fresh.distances.tobytes()
+        # the row lists, signs of zeros included
+        assert np.array(sample._rows).tobytes() == fresh.points.tobytes()
         points = fresh.points
         for row in points:
             x = row.copy()
@@ -713,7 +731,7 @@ class TestSampleCaches:
         k = int(rng.integers(0, sample.n))
         duplicated = points.copy()
         duplicated[-1] = points[k]
-        dup = SampleSet(duplicated, sample.values, sample.model_index)
+        dup = SampleSet(duplicated, sample.values, sample.model_index, box)
         assert dup.find_row(points[k].copy()) == reference_find_row(duplicated, points[k]) \
             == k
 
@@ -731,14 +749,10 @@ class TestSampleCaches:
         ledger = EvalLedger(2)
         points = rng.uniform(lower, upper, (n + 1, n))
         sample = sample_from([with_signed_zeros(rng, p, lower, upper) for p in points],
-                             rng.uniform(-1, 1, n + 1))
+                             rng.uniform(-1, 1, n + 1), box=box)
         for write in writes:
-            # fill every cache, so that a write path that skips its update
-            # leaves a stale one behind
-            sample.interpolation_matrix()
-            sample.room(box)
-            sample.distances()
-            sample.find_row(sample.base)
+            # build the inverse, the one lazy cache, so that a write path that
+            # skips dropping it leaves a stale one behind
             try:
                 sample._factorize()
             except GeometryError:
@@ -776,6 +790,21 @@ class TestSampleCaches:
         assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
         assert s.find_row([0, 0]) == 0
 
+    def test_matrix_and_distances_are_read_only(self):
+        s = sample_from([[0, 0], [1, 0], [0, 2]], [0, 1, 2])
+        matrix = s.interpolation_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[1, 1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.interpolation_matrix()[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.distances[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.distances *= 2.0
+        assert np.array_equal(matrix, [[1, 0, 0], [1, 1, 0], [1, 0, 2]])
+        assert np.array_equal(s.distances, [1, 2])
+        assert s.interpolation_matrix() is matrix  # one view, built once
+
     def test_find_row_compares_as_ieee_floats(self):
         s = sample_from([[0.0, -0.0], [math.nan, 1.0], [1.0, 1.0]], [0, 0, 0])
         assert s.find_row([-0.0, 0.0]) == 0
@@ -806,9 +835,9 @@ class TestSampleCaches:
     def test_construction_copies_the_arrays(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         values = np.array([1.0, 2.0, 3.0])
-        s = SampleSet(points, values, 1)
         box = FeasibleBox([-1, -1], [2, 2])
-        m, inv, room = s.interpolation_matrix().copy(), s._factorize().copy(), s.room(box)
+        s = SampleSet(points, values, 1, box)
+        m, inv, room = s.interpolation_matrix().copy(), s._factorize().copy(), s.room
         points[0] = [0.5, 0.5]
         points[2] = [9.0, 9.0]
         values[:] = 0.0
@@ -816,7 +845,7 @@ class TestSampleCaches:
         assert np.array_equal(s.values, [1, 2, 3])
         assert np.array_equal(s.interpolation_matrix(), m)
         assert np.array_equal(s._factorize(), inv)
-        assert s.room(box) == room == 1.0
+        assert s.room == room == 1.0
 
 
 class TestStationarity:

@@ -374,6 +374,12 @@ class TestLedger:
         with pytest.raises(ValueError, match="budget"):
             SolverConfig(budget=budget)
 
+    @pytest.mark.parametrize("r", [0, 2.5, True, "2", np.float64(2.0), None])
+    def test_component_count_must_be_an_integer_of_at_least_one(self, r):
+        # 2.5 would count a float number of components, True would pass for 1
+        with pytest.raises(ValueError, match="r must be an integer"):
+            EvalLedger(r)
+
     @pytest.mark.parametrize("budget", [None, 1, 2**40, np.int64(7), np.int32(1)])
     def test_integer_budgets_accepted(self, budget):
         assert EvalLedger(2, budget=budget).budget == budget
@@ -405,6 +411,40 @@ class TestLedger:
         eval_fmin(problem, ledger, [0.5])
         with pytest.raises(BudgetExceededError):
             eval_fmin(problem, ledger, [0.5])
+
+
+class TestOracleArguments:
+    """An oracle receives a read-only view of the point, so one that writes
+    into its argument raises instead of moving a point the solver holds."""
+
+    @staticmethod
+    def writes_its_argument(x):
+        x[0] += 0.5
+        return float(np.sum(x ** 2))
+
+    def test_x0_is_the_problems_own_read_only_copy(self):
+        x0 = np.array([5.0, 5.0])
+        problem = make_problem([lambda x: 0.0], [0, 0], [10, 10], x0)
+        x0[0] = 7.0
+        assert np.array_equal(problem.x0, [5, 5])
+        with pytest.raises(ValueError, match="read-only"):
+            problem.x0[0] = 7.0
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["components", "eval_all"])
+    def test_a_writing_oracle_moves_no_point(self, batch):
+        # unguarded, the full evaluation at x0 moved both problem.x0 and the
+        # caller's array from (5, 5) to (5.5, 5)
+        fns = [lambda x: float(np.sum(x)), self.writes_its_argument]
+        eval_all = (lambda x: np.array([fn(x) for fn in fns])) if batch else None
+        x0, x = np.array([5.0, 5.0]), np.array([6.0, 5.0])
+        problem = make_problem(fns, [0, 0], [10, 10], x0, eval_all=eval_all)
+        for evaluate in (lambda: eval_fmin(problem, EvalLedger(2), problem.x0),
+                         lambda: eval_fmin(problem, EvalLedger(2), x),
+                         lambda: eval_component(problem, EvalLedger(2), 2, x)):
+            with pytest.raises(ValueError, match="read-only"):
+                evaluate()
+        assert np.array_equal(problem.x0, [5, 5]) and np.array_equal(x0, [5, 5])
+        assert np.array_equal(x, [6, 5])
 
 
 class TestProblemValidation:

@@ -25,6 +25,7 @@ from hypothesis.extra import numpy as hnp
 import lovotr
 from lovotr.errors import GeometryError
 from lovotr.model import SampleSet
+from lovotr.problem import FeasibleBox
 
 LOOP_MODULES = ("model.py", "solver.py", "subproblem.py")
 
@@ -71,7 +72,8 @@ def dot_is_matmul(x, y):
        scale=st.sampled_from(["unit", "huge", "tiny", "mixed"]))
 def test_dot_equals_matmul_on_the_loop_layouts(n, seed, scale):
     rng = np.random.default_rng(seed)
-    sample = SampleSet(rng.uniform(-1, 1, (n + 1, n)), rng.normal(size=n + 1), 1)
+    sample = SampleSet(rng.uniform(-1, 1, (n + 1, n)), rng.normal(size=n + 1), 1,
+                       FeasibleBox(np.full(n, -1.0), np.full(n, 1.0)))
     try:
         inv = sample._factorize()
     except GeometryError:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from conftest import (
     central_diff_gradient,
     count_calls,
 )
+import lovotr.model
 from lovotr.errors import BudgetExceededError, GeometryError
 from lovotr.model import LinearModel, build_model, initial_sample, model_stationarity
 from lovotr.problem import ComponentOracle, EvalLedger, FeasibleBox, LovoProblem
@@ -99,6 +101,16 @@ class TestConfigValidation:
     def test_bad_settings_refused(self, bad, error):
         with pytest.raises(error):
             SolverConfig(**bad)
+
+    @pytest.mark.parametrize("flag", ["no", None, 0, 2, 1.0, np.int64(1)])
+    def test_use_cheap_rho_must_be_a_bool(self, flag):
+        # the truthy "no" would turn the cheap ratio on
+        with pytest.raises(ValueError, match="use_cheap_rho"):
+            SolverConfig(use_cheap_rho=flag)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bool_flags_accepted(self, flag):
+        assert SolverConfig(use_cheap_rho=flag).use_cheap_rho == flag
 
     def test_defaults_valid(self):
         SolverConfig()
@@ -271,17 +283,24 @@ class TestIterationPhases:
         assert not np.array_equal(state.sample.points[2], points[2])
         assert np.linalg.norm(state.sample.points[2] - points[0]) <= 0.25
 
-    def test_frozen_repair_rewrites_one_matrix_row(self):
+    def test_frozen_repair_rewrites_one_matrix_row(self, monkeypatch):
         # the repair keeps the base, so the sample's cached interpolation
-        # matrix takes the new row in place and its cached room stays
+        # matrix takes the new row in place, one distance changes and the
+        # room is not recomputed
         problem = single_quadratic(2, [8, 8])
         state, ledger = self.make_state(problem)
         state.delta, state.Delta = 0.25, 0.4
         state.model_doubted = True
         matrix = state.sample.interpolation_matrix()
-        before = matrix.copy()
-        state.sample.room(problem.box)
-        room = state.sample._base_room
+        before, dist = matrix.copy(), state.sample.distances.copy()
+        rooms = []  # the bases whose room was computed
+        face_distance = lovotr.model._face_distance
+
+        def counted(base, box):
+            rooms.append(base.copy())
+            return face_distance(base, box)
+
+        monkeypatch.setattr(lovotr.model, "_face_distance", counted)
         outcome = iterate(state, problem, SolverConfig())
         assert outcome.kind == "altmov" and outcome.radii_frozen
         after = state.sample.interpolation_matrix()
@@ -290,7 +309,9 @@ class TestIterationPhases:
         assert not np.array_equal(after[2], before[2])
         expected = np.concatenate([[1.0], state.sample.points[2] - state.sample.base])
         assert after[2].tobytes() == expected.tobytes()
-        assert state.sample._base_room is room
+        assert state.sample.distances[0] == dist[0] and state.sample.distances[1] != dist[1]
+        assert state.sample.distances[1] == math.sqrt(np.add.reduce(expected[1:] ** 2))
+        assert rooms == [] and state.sample.room == 5.0  # the base (5, 5) in [0, 10]^2
 
     def test_short_step_shrinks_both_radii(self):
         # the box clips the trust-region step to a quarter of Delta, which is
@@ -573,6 +594,22 @@ class TestSolve:
         with pytest.raises(ValueError, match="r=2"):
             solve(problem, ledger=ledger)
         assert ledger.total_component_evals == 0
+
+    def test_an_oracle_writing_its_argument_stops_the_run(self):
+        # unguarded, this run moved x0, ended budget_exhausted with no error,
+        # and its callbacks saw sample rows whose values were not f(row)
+        def writes_its_argument(x):
+            value = float(np.sum((x - 3.0) ** 2))
+            x[0] += 0.25
+            return value
+
+        problem = LovoProblem("writer", [ComponentOracle(1, writes_its_argument)],
+                              FeasibleBox([0, 0], [10, 10]), [5.0, 5.0])
+        seen = []
+        with pytest.raises(ValueError, match="read-only"):
+            solve(problem, SolverConfig(budget=60),
+                  callback=lambda k, outcome, state: seen.append(k))
+        assert seen == [] and np.array_equal(problem.x0, [5, 5])
 
     def test_flat_geometry_step_evaluates_nothing(self, monkeypatch):
         # near 1e9 the floor radius 1e-8 is below the rounding of x, so a

@@ -14,7 +14,7 @@ from lovotr.model import (
 )
 from lovotr.problem import FeasibleBox
 from lovotr.subproblem import (
-    _room,
+    _face_distance,
     _trace_projected_path,
     altmov_linear,
     select_target_for_altmov,
@@ -255,7 +255,7 @@ class TestTrsbox:
             direction[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
             if not np.any(direction):
                 continue
-            room = _room(base, box)
+            room = _face_distance(base, box)
             half = 0.5 * room
             radii = [float(10.0 ** rng.uniform(-4, 0))]
             if half > 0.0:
@@ -423,30 +423,28 @@ class TestSufficientDecrease:
 
 
 def two_point_sample():
-    return SampleSet(np.array([[0.0], [2.0]]), np.array([0.0, 0.0]), 1)
+    return SampleSet(np.array([[0.0], [2.0]]), np.array([0.0, 0.0]), 1,
+                     FeasibleBox([0], [10]))
 
 
 class TestAltmov:
     def test_one_dimensional_prefers_feasible_side(self):
-        box = FeasibleBox([0], [10])
-        d, flat = altmov_linear(two_point_sample(), box, 1.0, 1)
+        d, flat = altmov_linear(two_point_sample(), 1.0, 1)
         assert d == pytest.approx([1.0])
         assert not flat
 
     def test_symmetric_tie_goes_positive(self):
         pts = np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]])
-        s = SampleSet(pts, np.zeros(3), 1)
-        box = FeasibleBox([0, 0], [10, 10])
-        d, flat = altmov_linear(s, box, 2.0, 1)
+        s = SampleSet(pts, np.zeros(3), 1, FeasibleBox([0, 0], [10, 10]))
+        d, flat = altmov_linear(s, 2.0, 1)
         assert d == pytest.approx([2.0, 0.0], abs=1e-12)
         assert not flat
 
     def test_corner_base_uses_inward_direction(self):
         # at a corner one signed path is fully pinned; the other leads inward
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        s = SampleSet(pts, np.zeros(3), 1)
-        box = FeasibleBox([0, 0], [10, 10])
-        d, flat = altmov_linear(s, box, 0.5, 1)
+        s = SampleSet(pts, np.zeros(3), 1, FeasibleBox([0, 0], [10, 10]))
+        d, flat = altmov_linear(s, 0.5, 1)
         assert not flat
         assert np.linalg.norm(d) == pytest.approx(0.5)
         assert np.all(d >= 0)
@@ -462,10 +460,10 @@ class TestAltmov:
                 np.clip(base + rng.normal(0, scale, n), box.lower, box.upper)
                 for _ in range(n)
             ])
-            s = SampleSet(pts, np.zeros(n + 1), 1)
+            s = SampleSet(pts, np.zeros(n + 1), 1, box)
             try:
                 target = select_target_for_altmov(s)
-                d, flat = altmov_linear(s, box, 0.7 * scale, target)
+                d, flat = altmov_linear(s, 0.7 * scale, target)
             except GeometryError:
                 continue
             within_rounding(box, base, d, 0.7 * scale)
@@ -486,11 +484,11 @@ class TestAltmov:
                 np.clip(base + rng.normal(0, 1, n), lower, upper)
                 for _ in range(n)
             ])
-            s = SampleSet(pts, np.zeros(n + 1), 1)
+            s = SampleSet(pts, np.zeros(n + 1), 1, box)
             delta = float(10.0 ** rng.uniform(-3, 0.5))
             try:
                 target = select_target_for_altmov(s)
-                d, flat = altmov_linear(s, box, delta, target)
+                d, flat = altmov_linear(s, delta, target)
             except GeometryError:
                 continue
             inv = s._factorize()
@@ -506,7 +504,7 @@ class TestAltmov:
             assert np.array_equal(np.signbit(d), np.signbit(ref))
             assert flat == (not np.any(plus) and not np.any(minus))
             on_face += bool(face.any())
-            interior += 2.0 * delta <= _room(base, box)
+            interior += 2.0 * delta <= _face_distance(base, box)
         assert on_face >= 50 and interior >= 50
 
     def test_shared_trace_matches_two_trace_calls(self, rng):
@@ -528,7 +526,7 @@ class TestAltmov:
                 base[face] = np.where(rng.random(n) < 0.5, lower, upper)[face]
             pts = np.vstack([base, np.clip(base + rng.normal(0, 1, (n, n)),
                                            lower, upper)])
-            s = SampleSet(pts, np.zeros(n + 1), 1)
+            s = SampleSet(pts, np.zeros(n + 1), 1, box)
             try:
                 inv = s._factorize()
             except GeometryError:
@@ -540,7 +538,7 @@ class TestAltmov:
                 delta = float(rng.choice([1e-170, 1e160]))
             target = int(rng.integers(1, n + 1))
             with np.errstate(over="ignore"):
-                d, flat = altmov_linear(s, box, delta, target)
+                d, flat = altmov_linear(s, delta, target)
 
             inv = s._factorize()
             c, w = float(inv[0, target]), inv[1:, target]
@@ -558,7 +556,7 @@ class TestAltmov:
             assert flat == (not np.any(plus) and not np.any(minus))
             if not (tiny <= min(a, rr, q) and 2.0 * q < math.inf):
                 branches["change of units"] += 1
-            elif 2.0 * delta <= _room(base, box):
+            elif 2.0 * delta <= _face_distance(base, box):
                 branches["interior"] += 1
             else:
                 branches["clipped"] += 1
@@ -578,13 +576,13 @@ class TestAltmov:
             pts = np.vstack([base] + [
                 np.clip(base + rng.normal(0, 1, 2), lower, upper) for _ in range(2)
             ])
-            s = SampleSet(pts, np.zeros(3), 1)
+            s = SampleSet(pts, np.zeros(3), 1, box)
             delta = float(10.0 ** rng.uniform(-1, 0.7))
             if delta <= min(np.min(base - lower), np.min(upper - base)):
                 continue  # the box does not clip the ball
             target = int(rng.integers(1, 3))
             try:
-                d, _ = altmov_linear(s, box, delta, target)
+                d, _ = altmov_linear(s, delta, target)
             except GeometryError:
                 continue
             inv = s._factorize()
@@ -598,21 +596,19 @@ class TestAltmov:
 
     def test_endpoint_beats_clipped_alternatives(self):
         # the returned endpoint maximizes the polynomial among both paths
-        box = FeasibleBox([0], [10])
         s = two_point_sample()
-        d, _ = altmov_linear(s, box, 1.0, 1)
+        d, _ = altmov_linear(s, 1.0, 1)
         v = abs(_lagrange_values_at(s, s.base + d)[1])
         for other in ([1.0], [0.0], [-0.0]):
             assert v >= abs(_lagrange_values_at(s, np.asarray(other))[1]) - 1e-12
 
     def test_degenerate_polynomial_raises(self):
-        box = FeasibleBox([0], [10])
         s = two_point_sample()
         flat = s._factorize().copy()
         flat[:, 1] = 0.0  # l_1 = 0 + 0 . (x - base)
         s._basis = flat
         with pytest.raises(GeometryError):
-            altmov_linear(s, box, 1.0, 1)
+            altmov_linear(s, 1.0, 1)
 
     @pytest.mark.parametrize("case", ["tiny gradient", "underflowing step",
                                       "rounded-away step", "zero column"])
@@ -622,7 +618,8 @@ class TestAltmov:
         for corner in (5.0, 0.0, 1e10):  # interior ball; base on a face; huge base
             base = np.array([corner, 5.0])
             box = FeasibleBox([0, 0], [2e10, 10])
-            s = SampleSet(np.vstack([base, base + [1, 0], base + [0, 1]]), np.zeros(3), 1)
+            s = SampleSet(np.vstack([base, base + [1, 0], base + [0, 1]]), np.zeros(3), 1,
+                          box)
             inv = s._factorize().copy()
             delta = 1e-8 if case == "rounded-away step" else 1.0
             if case == "tiny gradient":
@@ -635,9 +632,9 @@ class TestAltmov:
             w = inv[1:, 1]
             if not np.logical_or.reduce(w):
                 with pytest.raises(GeometryError):
-                    altmov_linear(s, box, delta, 1)
+                    altmov_linear(s, delta, 1)
                 continue
-            d, flat = altmov_linear(s, box, delta, 1)
+            d, flat = altmov_linear(s, delta, 1)
             plus, _ = _trace_projected_path(base, w, box, delta)
             minus, _ = _trace_projected_path(base, -w, box, delta)
             assert flat == (not np.logical_or.reduce(plus)
@@ -650,27 +647,26 @@ class TestAltmov:
                 assert float(d @ d) == 0.0
 
     def test_nan_radius_raises(self):
-        s = SampleSet(np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]), np.zeros(3), 1)
-        box = FeasibleBox([0, 0], [10, 10])
+        s = SampleSet(np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]), np.zeros(3), 1,
+                      FeasibleBox([0, 0], [10, 10]))
         for delta in (math.nan, 0.0, -1.0):
             with pytest.raises(ValueError):
-                altmov_linear(s, box, delta, 1)
+                altmov_linear(s, delta, 1)
 
     def test_bad_target_rejected(self):
-        box = FeasibleBox([0], [10])
         with pytest.raises(ValueError):
-            altmov_linear(two_point_sample(), box, 1.0, 0)
+            altmov_linear(two_point_sample(), 1.0, 0)
 
 
 class TestSelectTarget:
     def test_farthest_point(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
-        s = SampleSet(pts, np.zeros(3), 1)
+        s = SampleSet(pts, np.zeros(3), 1, FeasibleBox([-1, -1], [4, 4]))
         assert select_target_for_altmov(s) == 2
 
     def test_tie_takes_largest_index(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        s = SampleSet(pts, np.zeros(3), 1)
+        s = SampleSet(pts, np.zeros(3), 1, FeasibleBox([-1, -1], [4, 4]))
         assert select_target_for_altmov(s) == 2
 
     def test_single_candidate(self):
@@ -681,11 +677,12 @@ class TestSelectTarget:
         for _ in range(500):
             n = int(rng.integers(1, 8))
             pts = rng.integers(-2, 3, (n + 1, n)).astype(float)
-            s = SampleSet(pts, np.zeros(n + 1), 1)
+            s = SampleSet(pts, np.zeros(n + 1), 1,
+                          FeasibleBox(np.full(n, -3.0), np.full(n, 3.0)))
             dist = np.linalg.norm(pts[1:] - pts[0], axis=1)
             best, expected = -1.0, 1
             for j, dj in enumerate(dist, start=1):
                 if dj >= best:
                     best, expected = float(dj), j
-            assert np.array_equal(s.distances(), dist)
+            assert np.array_equal(s.distances, dist)
             assert select_target_for_altmov(s) == expected
