@@ -20,28 +20,26 @@ number ``||M||_F ||M^-1||_F``, read off the inverse, exceeds
 ``CONDITION_LIMIT``; a non-finite ``||M||_F`` rejects it before the QR.
 
 The sample set owns its points: ``points`` and ``base`` (its row 0) are
-read-only views of an array that only ``SampleSet._write_row`` and
-``promote_to_base`` write, so a write from anywhere else raises
-``ValueError`` rather than leaving a cache stale.  Besides the inverse the
-sample keeps the matrix itself, the base's room to the sample's box, the rows
-as lists of Python floats (which ``find_row`` compares) and the distances of
-rows 1..n from the base.  These four are built with the sample and always
-current, and the arrays handed out (``interpolation_matrix()``,
-``distances``) are read-only views.  Two rules keep each of them equal to a
-fresh build bit for bit:
+read-only views of an array that only the sample's two writes change, so a
+write from anywhere else raises ``ValueError`` rather than leaving a cache
+stale.  Besides the inverse the sample keeps the matrix itself, the base's
+room to the sample's box, the rows as lists of Python floats (which
+``find_row`` compares) and the distances of rows 1..n from the base.  These
+four are built with the sample and always current, and the arrays handed out
+(``interpolation_matrix()``, ``distances``) are read-only views.  Each write
+keeps them equal to a fresh build bit for bit:
 
-* a row write updates one matrix row, by the same ``x - base`` subtraction
-  as a fresh build, one mirror row and one distance, by the same per-row
-  reduction of squares, and drops the inverse;
-* a base move (a row-0 write, or a swap into the base slot) recomputes the
-  offsets (the matrix's columns ``points - base``), the room and the
-  distances by the same operations as a fresh build.
+* a row write (``SampleSet._write_row``, rows 1..n) updates one matrix row, by
+  the same ``x - base`` subtraction as a fresh build, one mirror row and one
+  distance, by the same per-row reduction of squares, and drops the inverse;
+* a base move (``SampleSet._move_base``) puts the new base into row 0 and the
+  old one into another row, or drops it, then recomputes the offsets (the
+  matrix's columns ``points - base``), the room and the distances by the same
+  operations as a fresh build, and drops the inverse.
 
-The inverse alone is lazy: it is computed when first read after a write.  A
-write sequence can drop it twice before one read (an exchange writes a row,
-then promotes it into the base slot), and its build is the one that can
-fail: the ``GeometryError`` of a singular system must reach the loop where
-it builds the model, not inside a write.
+The inverse alone is lazy, computed when first read after a write, because
+its build is the one that can fail: the ``GeometryError`` of a singular
+system must reach the loop where it builds the model, not inside a write.
 
 The inverse is recomputed from scratch after every point move.  An
 incremental inverse (a rank-one update of the old one) was tried: it changes
@@ -177,22 +175,30 @@ class SampleSet:
         self._basis = None  # the inverse of the matrix
 
     def _write_row(self, row: int, x, value: float, m_row):
-        """Put ``(x, value)`` into row ``row``; ``m_row`` is ``[1, (x - base)^T]``.
+        """Put ``(x, value)`` into a non-base row; ``m_row`` is ``[1, (x - base)^T]``.
 
-        The row lists take the new row.  A non-base row also takes its place
-        in the matrix and the distances and drops the inverse; row 0 moves
-        the base (``_base_moved``).
+        The row takes its place in the row lists, the matrix and the
+        distances, and the inverse is dropped.
         """
         self._points[row] = x
         self.values[row] = value
         self._rows[row] = self._points[row].tolist()
-        if row == 0:
-            self._base_moved()
-            return
         self._basis = None
         self._matrix[row] = m_row
         diff = m_row[1:]  # x - base
         self._dist[row - 1] = math.sqrt(np.add.reduce(diff * diff))
+
+    def _move_base(self, row: int, x, value: float):
+        """Make ``(x, value)`` the base; the old base moves to row ``row``.
+
+        With ``row == 0`` the old base is dropped.  ``x`` must not be a view
+        of the sample's points.
+        """
+        points, values, rows = self._points, self.values, self._rows
+        points[row], values[row], rows[row] = points[0], values[0], rows[0]
+        points[0], values[0] = x, value
+        rows[0] = points[0].tolist()
+        self._base_moved()
 
     def interpolation_matrix(self) -> np.ndarray:
         """Rows ``[1, (y - base)^T]``; shifting by the base improves conditioning.
@@ -354,43 +360,36 @@ def _lagrange_values_at(sample: SampleSet, x) -> np.ndarray:
     return _matrix_row(sample, x).dot(inv)
 
 
-def promote_to_base(sample: SampleSet, row: int):
-    """Swap sample row ``row`` (not 0) into the base slot.
-
-    The row lists swap the same two entries; the base moves
-    (``SampleSet._base_moved``).
-    """
-    points, values, rows = sample._points, sample.values, sample._rows
-    points[[0, row]] = points[[row, 0]]
-    values[0], values[row] = values[row], values[0]
-    rows[0], rows[row] = rows[row], rows[0]
-    sample._base_moved()
-
-
-def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
+def exchange_point(sample: SampleSet, x_new, f_new: float, accepted=False) -> int:
     """Insert ``(x_new, f_new)`` into the sample, removing one existing point.
 
     Every row ``t`` is scored at once as ``|l_t(x_new)| * ||y_t - x_best||^2``,
     where ``x_best`` is the point with the smallest value after insertion, and
     the outgoing row is the last maximum among the admissible rows (older
-    points sit at low indices after base swaps).  A row is admissible when its
+    points sit at low indices after base moves).  A row is admissible when its
     Lagrange weight ``|l_t(x_new)|`` reaches ``MIN_LAGRANGE_WEIGHT`` and it is
     not protected: the current best point is, unless the candidate improves on
     it, and so is the base point, unless the candidate improves on the base
     value.  With no admissible row the candidate is rejected
     (``PointRejectedError``).
 
-    The candidate takes the outgoing row, and ``promote_to_base`` then hands
-    it the base slot when it improves on the base value: it becomes the
-    solver's iterate whatever its reduction ratio.  A candidate coinciding
-    with an existing point refreshes that point's value and changes nothing
-    else.  Returns the row where ``x_new`` sits afterwards.
+    This is where the iterate moves.  The candidate takes the base slot, the
+    old base taking the outgoing row (or leaving, when the outgoing row is
+    the base), when it improves on the base value or the caller ``accepted``
+    it: it becomes the solver's iterate whatever its reduction ratio.
+    Otherwise it takes the outgoing row.  A candidate coinciding with an
+    existing point refreshes that point's value and changes nothing else,
+    unless ``accepted``: then that point, with its stored bits, becomes the
+    base.  Returns the row where ``x_new`` sits afterwards.
     """
     x_new = as_vector(x_new, n=sample.n, name="x_new")
     f_new = float(f_new)
 
     row = sample._find(x_new.tolist())
     if row is not None:
+        if accepted:
+            sample._move_base(row, sample.points[row].copy(), f_new)
+            return 0
         sample.values[row] = f_new
         return row
 
@@ -418,10 +417,11 @@ def exchange_point(sample: SampleSet, x_new, f_new: float) -> int:
     score[~admissible] = -1.0
     t_out = score.size - 1 - int(score[::-1].argmax())  # ties: the last row
 
+    if improves_base or accepted:
+        sample._move_base(t_out, x_new, f_new)
+        return 0
     sample._write_row(t_out, x_new, f_new, m_row)
-    if improves_base and t_out != 0:
-        promote_to_base(sample, t_out)
-    return 0 if improves_base else t_out
+    return t_out
 
 
 def replace_point(sample: SampleSet, row: int, x_new, f_new: float):

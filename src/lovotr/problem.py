@@ -44,15 +44,16 @@ class FeasibleBox:
     """Axis-aligned box ``{x : lower <= x <= upper}`` with exact projection.
 
     Both bound vectors must be finite and satisfy ``lower < upper`` in every
-    coordinate (no fixed variables).
+    coordinate (no fixed variables).  The box keeps read-only copies of them,
+    so a later write to the caller's arrays cannot move it past these checks.
     """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = as_vector(self.lower, name="lower")
-        self.upper = as_vector(self.upper, n=self.lower.size, name="upper")
+        self.lower = _read_only(as_vector(self.lower, name="lower").copy())
+        self.upper = _read_only(as_vector(self.upper, n=self.lower.size, name="upper").copy())
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("box bounds must be finite")
         if not np.all(self.lower < self.upper):

@@ -14,10 +14,11 @@ base.  An iteration passes through four phases:
 * step acceptance: the trust-region step is evaluated and accepted when the
   reduction ratio reaches ``ETA``; on acceptance the working index is rechosen
   from the active set whenever a full objective evaluation certified it.  The
-  iterate, the sample's base, moves to an accepted candidate that the
-  exchange admits and, whatever the ratio, to any point it admits below the
-  base value, so under the cheap ratio every candidate that enters is the
-  next iterate and ``ETA`` only names the outcome's kind;
+  iterate is the sample's base, and ``exchange_point`` alone moves it: to an
+  accepted candidate (``iterate`` passes ``accepted``) and, whatever the
+  ratio, to any new point it admits below the base value, so under the cheap
+  ratio every candidate that enters is the next iterate and ``ETA`` only
+  names the outcome's kind;
 * radii adjustment: an accepted step that swaps the working component inflates
   both radii by ``TAU4``, at most ``GAMMA_MAX + 1`` times between successful
   iterations (the ``Gamma`` counter, reset whenever ``rho >= ETA1``);
@@ -71,7 +72,6 @@ from .model import (
     exchange_point,
     initial_sample,
     model_stationarity,
-    promote_to_base,
     rebuild_for_index,
     replace_point,
 )
@@ -389,11 +389,13 @@ def iterate(state: SolverState, problem: LovoProblem,
     accepted = rho >= ETA
 
     # --- sample maintenance: insert the productive trust-region point, or
-    # take a geometry-improvement step within the sample radius instead.
+    # take a geometry-improvement step within the sample radius instead.  An
+    # accepted candidate becomes the iterate even when the working component
+    # alone did not improve (a certified swap can ride on another's decrease).
     row = None  # where the candidate sits in the sample, once inserted
     if rho > 0.0:
         try:
-            row = exchange_point(state.sample, x_new, f_insert)
+            row = exchange_point(state.sample, x_new, f_insert, accepted)
         except PointRejectedError:
             _log.debug("trust-region point rejected by the sample exchange")
     if row is None:
@@ -429,12 +431,6 @@ def iterate(state: SolverState, problem: LovoProblem,
         radii_factor = TAU3
     else:
         radii_factor = 1.0
-
-    if accepted and row != 0:
-        # Acceptance makes the candidate the new iterate even when the
-        # working component alone did not improve (a certified swap can ride
-        # on another component's decrease).
-        promote_to_base(state.sample, row)
 
     # --- model rebuild (certified index swap; the candidate is in row 0, so
     # the full evaluation holds the new base value) or incremental update.

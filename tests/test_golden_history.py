@@ -9,10 +9,10 @@ of a singular sample (``_recover_geometry``), and geometry iterations after an
 evaluated trust-region candidate that did not enter the sample (``altmov``
 with ``rho_defined``).  It also covers every way a write reaches the sample's
 cached interpolation matrix: frozen repairs (``radii_frozen``) and exchanges
-that keep the base rewrite one row, and accepted steps and exchanges that
-hand the candidate the base slot recompute its offset columns.  Frozen
+that keep the base rewrite one row, and exchanges that hand the candidate
+the base slot (``SampleSet._move_base``) recompute its offset columns.  Frozen
 repairs update one entry of the row distances without recomputing them, and a
-swap into the base slot carries the cached row lists over.  A change that is
+base move carries the cached row lists over.  A change that is
 meant to move the numbers updates ``GOLDEN_SHA256`` and says so.
 """
 
@@ -57,7 +57,7 @@ def test_histories_match_the_golden_digest(monkeypatch):
 
     monkeypatch.setattr(lovotr.solver, "exchange_point", counted_exchange)
     in_place = Counter()  # cache writes that updated an array instead of rebuilding it
-    replace, promote = lovotr.solver.replace_point, lovotr.model.promote_to_base
+    replace, move_base = lovotr.solver.replace_point, lovotr.model.SampleSet._move_base
     base_moved = lovotr.model.SampleSet._base_moved
 
     def counted_base_moved(sample):
@@ -70,15 +70,14 @@ def test_histories_match_the_golden_digest(monkeypatch):
         in_place["repair recomputes"] += in_place["full recomputes"] - recomputes
         in_place["one-row updates"] += int(np.count_nonzero(sample.distances != dist)) == 1
 
-    def counted_promote(sample, row):
+    def counted_move_base(sample, *args):
         rows = sample._rows
-        promote(sample, row)
+        move_base(sample, *args)
         in_place["row lists"] += sample._rows is rows
 
     monkeypatch.setattr(lovotr.model.SampleSet, "_base_moved", counted_base_moved)
+    monkeypatch.setattr(lovotr.model.SampleSet, "_move_base", counted_move_base)
     monkeypatch.setattr(lovotr.solver, "replace_point", counted_replace)
-    for module in (lovotr.solver, lovotr.model):  # exchange_point promotes too
-        monkeypatch.setattr(module, "promote_to_base", counted_promote)
     digest = hashlib.sha256()
     statuses, kinds = set(), set()
     after_candidate = frozen = 0

@@ -24,7 +24,6 @@ from lovotr.model import (
     exchange_point,
     initial_sample,
     model_stationarity,
-    promote_to_base,
     rebuild_for_index,
     replace_point,
 )
@@ -342,7 +341,7 @@ class TestLagrange:
         assert m.g == pytest.approx(g_dual, abs=1e-9)
 
 
-def reference_exchange(points, values, inv, x_new, f_new):
+def reference_exchange(points, values, inv, x_new, f_new, accepted=False):
     """The exchange one row at a time: the loop form of ``exchange_point``.
 
     It works on plain copies of a sample's ``points`` and ``values`` and on
@@ -356,6 +355,10 @@ def reference_exchange(points, values, inv, x_new, f_new):
     row = reference_find_row(points, x_new)
     if row is not None:
         values[row] = f_new
+        if accepted:  # the stored row, not x_new, swaps into the base slot
+            points[[0, row]] = points[[row, 0]]
+            values[[0, row]] = values[[row, 0]]
+            row = 0
         return row, points, values
 
     m_row = np.concatenate([[1.0], x_new - points[0]])
@@ -381,7 +384,7 @@ def reference_exchange(points, values, inv, x_new, f_new):
         score = abs(lag[t]) * float(np.sum((points[t] - x_best) ** 2))
         if score >= best_score:
             t_out, best_score = t, score
-    if improves_base and t_out != 0:
+    if (improves_base or accepted) and t_out != 0:
         points[t_out] = points[0]
         values[t_out] = values[0]
         points[0] = x_new
@@ -482,20 +485,24 @@ class TestExchange:
         seen = Counter()
         for _ in range(3000):
             sample, x_new, f_new = random_exchange_case(rng)
+            accepted = bool(rng.random() < 0.3)
             points, values = sample.points.copy(), sample.values.copy()
             seen.update(exchange_case_tags(sample, x_new, f_new))
             try:
                 expected, points, values = reference_exchange(
-                    points, values, sample._factorize(), x_new, f_new)
+                    points, values, sample._factorize(), x_new, f_new, accepted)
             except PointRejectedError:
                 with pytest.raises(PointRejectedError):
-                    exchange_point(sample, x_new, f_new)
+                    exchange_point(sample, x_new, f_new, accepted)
             else:
-                assert exchange_point(sample, x_new, f_new) == expected
+                assert exchange_point(sample, x_new, f_new, accepted) == expected
+                if accepted:  # a base move: every cache is rebuilt
+                    TestSampleCaches.assert_matches_fresh(sample, sample.box, rng)
+            seen["accepted"] += accepted
             assert np.array_equal(sample.points, points)
             assert np.array_equal(sample.values, values)
         for case in ("rejected", "score tie", "best protected", "base protected",
-                     "takes base", "coincident"):
+                     "takes base", "coincident", "accepted"):
             assert seen[case] >= 25, (case, seen)
 
     def test_insert_better_point_one_dim(self):
@@ -613,11 +620,16 @@ class TestReplacePoint:
         assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
         assert np.array_equal(s.values, [1, 2, 7])
 
-    def test_promote_to_base_swaps_rows(self):
+    def test_accepted_exchange_swaps_rows(self):
+        # a repeated point and a new one, neither below the base value
         s = sample_from([[0], [1]], [1, 2])
-        promote_to_base(s, 1)
+        assert exchange_point(s, [1], 2.0, accepted=True) == 0
         assert np.array_equal(s.points, [[1], [0]])
         assert np.array_equal(s.values, [2, 1])
+        s = sample_from([[0], [1]], [1, 2])
+        assert exchange_point(s, [3], 4.0, accepted=True) == 0
+        assert np.array_equal(s.points, [[3], [0]])
+        assert np.array_equal(s.values, [4, 1])
 
 
 class TestRebuildForIndex:
@@ -675,7 +687,8 @@ class TestRebuildForIndex:
         assert np.array_equal(s.points, [[5, 5], [6, 5], [5, 6]])
 
 
-WRITES = ("exchange", "coincident", "hand_over", "replace", "promote", "rebuild")
+WRITES = ("exchange", "coincident", "hand_over", "accepted", "accepted_repeat",
+          "replace", "rebuild")
 
 
 def reference_find_row(points, x):
@@ -690,6 +703,26 @@ def with_signed_zeros(rng, x, lower, upper):
     zero = (lower <= 0.0) & (upper >= 0.0) & (rng.random(x.size) < 0.25)
     x[zero] = np.where(rng.random(x.size) < 0.5, 0.0, -0.0)[zero]
     return x
+
+
+def assert_handed_over(sample, points, values, held, x, f):
+    """``(x, f)`` is the base, the old base in one other row or gone, all else kept.
+
+    ``points`` and ``values`` are the sample's before the write, and ``held``
+    is the row that already held ``x``, if any, whose own bits then take the
+    base slot.  The old base may leave only for a new point below its value,
+    or stay put when ``x`` repeats it.
+    """
+    x = x if held is None else points[held]
+    assert sample.points[0].tobytes() == x.tobytes() and sample.values[0] == f
+    changed = [k for k in range(1, sample.npt)
+               if sample.points[k].tobytes() != points[k].tobytes()
+               or sample.values[k] != values[k]]
+    if not changed and (held == 0 or held is None and f < values[0]):
+        return
+    assert len(changed) == 1, changed
+    assert sample.points[changed[0]].tobytes() == points[0].tobytes()
+    assert sample.values[changed[0]] == values[0]
 
 
 class TestSampleCaches:
@@ -759,17 +792,21 @@ class TestSampleCaches:
                 pass
             row = int(rng.integers(1, n + 1))
             x_new = with_signed_zeros(rng, rng.uniform(lower, upper), lower, upper)
+            f_new = float(rng.uniform(-1, 2))
             try:
                 if write == "exchange":
-                    exchange_point(sample, x_new, float(rng.uniform(-1, 2)))
+                    exchange_point(sample, x_new, f_new)
                 elif write == "coincident":
                     exchange_point(sample, sample.points[row].copy(), -5.0)
                 elif write == "hand_over":
                     exchange_point(sample, x_new, float(sample.values.min()) - 1.0)
+                elif write.startswith("accepted"):
+                    x = sample.points[row].copy() if write == "accepted_repeat" else x_new
+                    before = sample.points.copy(), sample.values.copy(), sample.find_row(x)
+                    assert exchange_point(sample, x, f_new, accepted=True) == 0
+                    assert_handed_over(sample, *before, x, f_new)
                 elif write == "replace":
-                    replace_point(sample, row, x_new, float(rng.uniform(-1, 2)))
-                elif write == "promote":
-                    promote_to_base(sample, row)
+                    replace_point(sample, row, x_new, f_new)
                 else:
                     rebuild_for_index(sample, problem, ledger,
                                       3 - sample.model_index, float(sample.values[0]))
@@ -846,6 +883,65 @@ class TestSampleCaches:
         assert np.array_equal(s.interpolation_matrix(), m)
         assert np.array_equal(s._factorize(), inv)
         assert s.room == room == 1.0
+
+
+class TestHandOver:
+    """``exchange_point`` alone moves the base, in one ``SampleSet._move_base``."""
+
+    @staticmethod
+    def count_writes(monkeypatch):
+        calls = Counter()
+        for name in ("_base_moved", "_write_row"):
+            def counted(*args, name=name, method=getattr(SampleSet, name)):
+                calls[name] += 1
+                return method(*args)
+            monkeypatch.setattr(SampleSet, name, counted)
+        return calls
+
+    def test_base_improving_exchange_is_one_base_move(self, rng, monkeypatch):
+        # the old base leaves (removal scores 2, 1, 1), then it moves to
+        # row 1 (scores tie at 0.5, the tie goes to the larger index)
+        for points, values, x_new, expected in (
+                ([[0, 0], [1, 0], [0, 1]], [4, 5, 6], [1, 1], [[1, 1], [1, 0], [0, 1]]),
+                ([[0], [2]], [5, 9], [1], [[1], [0]])):
+            s = sample_from(points, values)
+            s._factorize()
+            calls = self.count_writes(monkeypatch)
+            assert exchange_point(s, x_new, 1.0) == 0
+            assert calls == {"_base_moved": 1}
+            monkeypatch.undo()
+            assert np.array_equal(s.points, expected)
+            assert s.values[0] == 1.0
+            TestSampleCaches.assert_matches_fresh(s, s.box, rng)
+
+    def test_accepted_candidate_takes_the_base(self, rng):
+        # neither the base nor the best point may leave; row 2 scores
+        # 1 * 2^2 against row 1's 2 * 1^2
+        s = sample_from([[0, 0], [1, 0], [0, 2]], [4, 5, 6])
+        s._factorize()
+        assert exchange_point(s, [2, 2], 9.0, accepted=True) == 0
+        assert np.array_equal(s.points, [[2, 2], [1, 0], [0, 0]])
+        assert np.array_equal(s.values, [9, 5, 4])
+        TestSampleCaches.assert_matches_fresh(s, s.box, rng)
+
+    def test_repeated_point_moves_to_the_base_only_when_accepted(self, rng):
+        s = sample_from([[0, 0], [1, 0], [0, 1]], [4, 5, 6])
+        # below the base value, yet a repeated point keeps its row
+        assert exchange_point(s, [0, 1], 3.0) == 2
+        assert np.array_equal(s.points, [[0, 0], [1, 0], [0, 1]])
+        assert np.array_equal(s.values, [4, 5, 3])
+        TestSampleCaches.assert_matches_fresh(s, s.box, rng)
+        # accepted, the stored row takes the base slot with its own bits
+        assert exchange_point(s, [-0.0, 1.0], 7.0, accepted=True) == 0
+        assert np.array_equal(s.points, [[0, 1], [1, 0], [0, 0]])
+        assert not np.signbit(s.points[0, 0])
+        assert np.array_equal(s.values, [7, 5, 4])
+        TestSampleCaches.assert_matches_fresh(s, s.box, rng)
+        # a repeat of the base itself keeps the points
+        assert exchange_point(s, [0, 1], 2.0, accepted=True) == 0
+        assert np.array_equal(s.points, [[0, 1], [1, 0], [0, 0]])
+        assert np.array_equal(s.values, [2, 5, 4])
+        TestSampleCaches.assert_matches_fresh(s, s.box, rng)
 
 
 class TestStationarity:

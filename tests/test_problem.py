@@ -82,6 +82,17 @@ class TestProjection:
         with pytest.raises(ValueError):
             FeasibleBox([0], [np.inf])
 
+    def test_bounds_are_read_only_copies(self):
+        lower, upper = np.zeros(2), np.full(2, 10.0)
+        box = FeasibleBox(lower, upper)
+        lower[0], upper[1] = 4.0, -1.0  # the second would empty the box
+        assert np.array_equal(box.lower, [0, 0]) and np.array_equal(box.upper, [10, 10])
+        with pytest.raises(ValueError, match="read-only"):
+            box.lower[0] = 4.0
+        with pytest.raises(ValueError, match="read-only"):
+            box.upper[:] = -1.0
+        assert box.contains([5, 5]) and np.array_equal(box.project([12, -3]), [10, 0])
+
 
 class TestEvalComponent:
     def test_qd_center_value(self):

@@ -47,6 +47,28 @@ def test_loop_modules_use_no_matmul_operator():
     )
 
 
+SAMPLE_PRIVATE = {"_points", "_rows", "_matrix", "_dist", "_basis"}
+
+
+def test_only_the_sample_set_touches_its_own_arrays():
+    # the sample keeps its caches equal to a fresh build only because its own
+    # two writes are the only code that reaches the arrays behind them
+    src = Path(lovotr.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "SampleSet"
+               for method in cls.body if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)}
+        found += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in SAMPLE_PRIVATE
+                  and id(node) not in own]
+    assert not found, (
+        f"SampleSet's private arrays read outside its methods at {', '.join(found)}: "
+        "write through SampleSet._write_row or SampleSet._move_base")
+
+
 def scaled(rng, shape, scale):
     """Normal entries times ``2**k``, with ``k`` set by ``scale``."""
     low, high = {"unit": (0, 1), "huge": (500, 1020), "tiny": (-1074, -1000),
